@@ -3,13 +3,18 @@
 A GLattice is an integer representation of the group on Z^r.  For a locally
 closed stratum S the complex restricts the full simplicial coboundary to the
 simplices of S; its cohomology is the compactly supported cohomology of the
-open union of S.  All arithmetic is exact: Fractions over Q, Smith normal
-form over Z, modular arithmetic over F_p.
+open union of S.  All arithmetic is exact.
 
-Traces of group elements on cohomology come from an explicit splitting of
-ker(d) into im(d) plus a complement, computed once per degree and reused for
-every element.  The chain-level alternating trace (a signed count of fixed
-simplices) is exposed separately so callers can confront the two.
+Coboundaries are sparse columns, and one column reduction (as in persistent
+cohomology) serves every question: it runs once per degree over Q, with
+ints until a non-unit pivot forces a Fraction, and over F_p for mod-p ranks.
+Reducing d_k yields an echelon basis of im d_k and, from the recorded column
+operations, kernel vectors of d_k; those whose pivot im d_(k-1) leaves free
+represent H^k.  A trace on H^k reduces the image of each representative
+against this basis of ker d_k; a residue raises ArithmeticError.  Invariant
+cochains are spanned by signed orbit sums, and integral torsion is the Smith
+form of what is left after eliminating unit pivots over Z.  The chain-level
+alternating trace is exposed separately so callers can confront the two.
 """
 
 from __future__ import annotations
@@ -17,44 +22,148 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    QQ,
-    Mat,
-    PrimeField,
-    column_space_basis,
-    extend_basis,
-    from_columns,
-    int_det,
-    left_inverse,
-    mat_mul,
-    nullspace,
-    rank,
-    smith_normal_form,
-)
+from .linalg import Mat, int_det, smith_normal_form
 from .characters import VirtualCharacter
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes
 
 
-def _int_matmul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
+def _sub(y: dict, f, x: dict, p: int = 0):
+    """y -= f * x in place, over Q (p = 0) or F_p; zero entries are dropped."""
+    for i, v in x.items():
+        w = y.get(i, 0) - f * v
+        if p:
+            w %= p
+        if w:
+            y[i] = w
+        else:
+            y.pop(i, None)
+
+
+def _scale(x: dict, f, p: int = 0) -> dict:
+    if p:
+        return {i: v * f % p for i, v in x.items()}
+    return {i: v * f for i, v in x.items()}
+
+
+def _apply(columns, vec: dict) -> dict:
+    """The sparse matrix (given by its columns) times a sparse vector."""
+    out: dict = {}
+    for j, v in vec.items():
+        _sub(out, -v, columns[j])
     return out
 
 
-def _int_det(rows) -> int:
-    return int_det(Mat.from_rows([list(r) for r in rows], len(rows)))
+def _dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
+    """Cohomology dimensions from cochain dimensions and ranks of d_0..d_(top-1)."""
+    return tuple(
+        n - (ranks[k] if k < len(ranks) else 0) - (ranks[k - 1] if k >= 1 else 0)
+        for k, n in enumerate(sizes)
+    )
+
+
+def _euler_checked(cells, dims, where):
+    lhs = sum((-1) ** k * d for k, d in enumerate(cells))
+    rhs = sum((-1) ** k * d for k, d in enumerate(dims))
+    if lhs != rhs:
+        raise ArithmeticError(
+            f"Euler-Poincare mismatch {where}: cells {lhs}, cohomology {rhs}"
+        )
+    return dims
+
+
+def reduce_columns(columns, p: int = 0, record: bool = False):
+    """Column reduction of a sparse matrix over Q (p = 0) or F_p.
+
+    Each column ({row: value}) is reduced by earlier ones until its largest
+    row is a new pivot.  Returns (echelon, kernel): echelon maps pivot rows
+    to reduced columns with leading 1, a basis of the column space; kernel
+    lists (j, v) for each column j reduced to zero, v being the recorded
+    kernel vector (v[j] = 1, other keys below j) or None without record.
+    """
+    echelon: dict = {}
+    ops: dict = {}
+    kernel = []
+    for j, column in enumerate(columns):
+        col = {i: v % p for i, v in column.items() if v % p} if p else dict(column)
+        rec = {j: 1} if record else None
+        while col:
+            low = max(col)
+            pivot = echelon.get(low)
+            if pivot is None:
+                break
+            f = col[low]
+            _sub(col, f, pivot, p)
+            if record:
+                _sub(rec, f, ops[low], p)
+        if not col:
+            kernel.append((j, rec))
+            continue
+        lead = col[low]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else -1 if lead == -1 else 1 / Fraction(lead)
+            col = _scale(col, inv, p)
+            if record:
+                rec = _scale(rec, inv, p)
+        echelon[low] = col
+        if record:
+            ops[low] = rec
+    return echelon, kernel
+
+
+def _unit_elimination(columns):
+    """The dense block left after eliminating unit pivots over Z.
+
+    Each step clears the row of an entry +-1 by column operations, then
+    drops its row and column; the Smith form loses one 1 per step.
+    """
+    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows: dict = {}
+    for j, c in cols.items():
+        for i in c:
+            rows.setdefault(i, set()).add(j)
+    progress = True
+    while progress:
+        progress = False
+        for j in list(cols):
+            col = cols.get(j)
+            if col is None:
+                continue
+            units = [i for i, v in col.items() if v in (1, -1)]
+            if not units:
+                continue
+            i = min(units, key=lambda r: len(rows[r]))
+            u = col[i]
+            for j2 in rows[i] - {j}:
+                other = cols[j2]
+                before = set(other)
+                _sub(other, other[i] * u, col)
+                for r in before - other.keys():
+                    rows[r].discard(j2)
+                for r in other.keys() - before:
+                    rows.setdefault(r, set()).add(j2)
+                if not other:
+                    del cols[j2]
+            for r in col:
+                rows[r].discard(j)
+            del cols[j]
+            progress = True
+    row_ids = sorted({i for c in cols.values() for i in c})
+    col_ids = sorted(cols)
+    return Mat.from_rows(
+        [[cols[j].get(i, 0) for j in col_ids] for i in row_ids], len(col_ids)
+    )
+
+
+def _int_matmul(a, b):
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for c, brow in zip(row, b):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 class GLattice:
@@ -79,7 +188,7 @@ class GLattice:
         for e, m in enumerate(self.matrices):
             if len(m) != rank_ or any(len(row) != rank_ for row in m):
                 raise ValueError(f"matrix for element {e} has the wrong shape")
-            if abs(_int_det(m)) != 1:
+            if abs(int_det(Mat.from_rows(m, rank_))) != 1:
                 raise ValueError(f"matrix for element {e} is not invertible over Z")
 
     @classmethod
@@ -160,10 +269,11 @@ class CochainComplex:
 
     Basis of degree k: one copy of the lattice basis per open k-simplex of
     the stratum, simplex-major.  The differential is the coboundary summed
-    over faces that stay inside the stratum.
+    over faces that stay inside the stratum; cochains are sparse
+    {index: value} dicts over this basis.
     """
 
-    __slots__ = ("stratum", "lattice", "bases", "dims", "diffs", "_cache")
+    __slots__ = ("stratum", "lattice", "bases", "dims", "_coboundaries", "_cache")
 
     def __init__(self, stratum: Stratum, lattice: GLattice):
         if stratum.parent.group is not lattice.group:
@@ -176,40 +286,40 @@ class CochainComplex:
         r = lattice.rank
         self.dims = tuple(r * len(level) for level in self.bases)
         self._cache = {}
-        self.diffs = self._build_differentials()
+        self._coboundaries = tuple(
+            self._build_coboundary(k) for k in range(len(self.bases) - 1)
+        )
         self._check_dd_zero()
 
     # -- construction --------------------------------------------------------
 
-    def _build_differentials(self):
+    def _build_coboundary(self, k):
         r = self.lattice.rank
-        diffs = []
-        top = len(self.bases) - 1
-        for k in range(top):
-            index_k = {s: i for i, s in enumerate(self.bases[k])}
-            rows = [[0] * self.dims[k] for _ in range(self.dims[k + 1])]
-            for t_i, tau in enumerate(self.bases[k + 1]):
-                for drop in range(len(tau)):
-                    face = tau[:drop] + tau[drop + 1:]
-                    s_i = index_k.get(face)
-                    if s_i is None:
-                        continue
-                    sign = -1 if drop % 2 else 1
-                    for c in range(r):
-                        rows[t_i * r + c][s_i * r + c] += sign
-            diffs.append(rows)
-        return tuple(diffs)
+        index_k = self._simplex_index(k)
+        columns = [{} for _ in range(self.dims[k])]
+        for t_i, tau in enumerate(self.bases[k + 1]):
+            for drop in range(len(tau)):
+                s_i = index_k.get(tau[:drop] + tau[drop + 1:])
+                if s_i is None:
+                    continue
+                sign = -1 if drop % 2 else 1
+                for c in range(r):
+                    columns[s_i * r + c][t_i * r + c] = sign
+        return tuple(columns)
 
     def _check_dd_zero(self):
-        for k in range(len(self.diffs) - 1):
-            prod = _int_matmul(self.diffs[k + 1], self.diffs[k])
-            if any(any(v for v in row) for row in prod):
+        for k in range(len(self._coboundaries) - 1):
+            upper = self._coboundaries[k + 1]
+            if any(_apply(upper, col) for col in self._coboundaries[k]):
                 raise ArithmeticError("differential does not square to zero")
 
-    def _diff(self, k):
-        """d_k as integer rows, or None when source or target is empty."""
-        if 0 <= k < len(self.diffs):
-            return self.diffs[k]
+    def coboundary(self, k):
+        """d_k as sparse columns, one {row: +-1} per degree-k basis cochain.
+
+        None when k is outside 0..top-1, where d_k has no target.
+        """
+        if 0 <= k < len(self._coboundaries):
+            return self._coboundaries[k]
         return None
 
     def top_degree(self) -> int:
@@ -223,22 +333,14 @@ class CochainComplex:
             self._cache[key] = {s: i for i, s in enumerate(self.bases[k])}
         return self._cache[key]
 
-    def apply_action(self, e: int, k: int, columns):
-        """Images of the given coordinate columns under the element's action.
-
-        The action sends the basis cochain at simplex s to the signed lattice
-        image at the simplex e*s; the stratum must be invariant under e.
-        """
-        x = self.stratum.parent
-        r = self.lattice.rank
-        rho = self.lattice.matrix(e)
-        index = self._simplex_index(k)
-        n = self.dims[k]
-        out = []
-        moves = self._cache.get(("moves", e, k))
-        if moves is None:
+    def _moves(self, e: int, k: int):
+        """(image index, orientation sign) of each degree-k simplex under e."""
+        key = ("moves", e, k)
+        if key not in self._cache:
+            x = self.stratum.parent
+            index = self._simplex_index(k)
             moves = []
-            for s_i, s in enumerate(self.bases[k]):
+            for s in self.bases[k]:
                 image, sign = x.act_simplex_signed(e, s)
                 t_i = index.get(image)
                 if t_i is None:
@@ -246,35 +348,32 @@ class CochainComplex:
                         f"stratum {self.stratum.label} is not invariant under element {e}"
                     )
                 moves.append((t_i, sign))
-            self._cache[("moves", e, k)] = moves
-        for col in columns:
-            img = [0] * n
-            for s_i, (t_i, sign) in enumerate(moves):
-                base = s_i * r
-                tbase = t_i * r
-                for i in range(r):
-                    acc = 0
-                    row = rho[i]
-                    for j in range(r):
-                        v = col[base + j]
-                        if v:
-                            acc += row[j] * v
-                    if acc:
-                        img[tbase + i] += sign * acc
-            out.append(img)
-        return out
-
-    def action_matrix(self, e: int, k: int):
-        """Dense integer matrix of the element's action in degree k."""
-        key = ("action", e, k)
-        if key not in self._cache:
-            n = self.dims[k]
-            ident = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-            cols = self.apply_action(e, k, ident)
-            self._cache[key] = [
-                [cols[j][i] for j in range(n)] for i in range(n)
-            ]
+            self._cache[key] = moves
         return self._cache[key]
+
+    def apply_action(self, e: int, k: int, cochain: dict) -> dict:
+        """Image of a sparse degree-k cochain under the element's action.
+
+        The action sends the basis cochain at simplex s to the signed lattice
+        image at the simplex e*s; the stratum must be invariant under e.
+        """
+        moves = self._moves(e, k)
+        r = self.lattice.rank
+        rho = self.lattice.matrix(e)
+        out: dict = {}
+        for idx, v in cochain.items():
+            s_i, j = divmod(idx, r)
+            t_i, sign = moves[s_i]
+            for i in range(r):
+                a = rho[i][j]
+                if a:
+                    t = t_i * r + i
+                    w = out.get(t, 0) + sign * a * v
+                    if w:
+                        out[t] = w
+                    else:
+                        del out[t]
+        return out
 
     def chain_trace(self, e: int, k: int) -> int:
         """Trace of the element on degree-k cochains (no cohomology needed)."""
@@ -295,79 +394,70 @@ class CochainComplex:
 
     # -- cohomology over Q ----------------------------------------------------
 
-    def _qq_diff(self, k) -> Mat | None:
-        key = ("qdiff", k)
+    def _reduction(self, k):
+        """reduce_columns of d_k over Q with kernel vectors; d_top has no rows."""
+        key = ("reduction", k)
         if key not in self._cache:
-            d = self._diff(k)
-            if d is None:
-                self._cache[key] = None
-            else:
-                self._cache[key] = Mat.from_rows(
-                    [[Fraction(v) for v in row] for row in d], self.dims[k]
-                )
+            columns = self.coboundary(k) or [{}] * self.dims[k]
+            self._cache[key] = reduce_columns(columns, record=True)
         return self._cache[key]
 
-    def _solver(self, k):
-        """Splitting data for degree k: (Q_mat, P_Q) with h columns, or None.
+    def _cocycles(self, k):
+        """(basis, representatives) of ker d_k in echelon form.
 
-        Q_mat: columns spanning a complement of im(d_{k-1}) inside ker(d_k).
-        P_Q: reads off complement coordinates of any vector in ker(d_k).
+        basis maps each pivot to a cocycle with leading coefficient 1: the
+        echelon of im d_(k-1), completed by the kernel vectors of d_k whose
+        pivot it leaves free.  Those are the representatives of H^k.
         """
-        key = ("solver", k)
-        if key in self._cache:
-            return self._cache[key]
-        n = self.dims[k]
-        dk = self._qq_diff(k)
-        if dk is None:
-            kernel = [
-                [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                for j in range(n)
-            ]
-        else:
-            kernel = nullspace(dk, QQ)
-        dprev = self._qq_diff(k - 1)
-        image = column_space_basis(dprev, QQ) if dprev is not None else []
-        kept = extend_basis(image, kernel, QQ)
-        q_cols = [kernel[i] for i in kept]
-        h = len(q_cols)
-        if h == 0:
-            self._cache[key] = None
-            return None
-        full = from_columns(q_cols + image, n)
-        inv = left_inverse(full, QQ)
-        p_q = Mat.from_rows([list(inv.rows[i]) for i in range(h)], n)
-        q_mat = from_columns(q_cols, n)
-        self._cache[key] = (q_mat, p_q)
+        key = ("cocycles", k)
+        if key not in self._cache:
+            basis = dict(self._reduction(k - 1)[0]) if k >= 1 else {}
+            representatives = []
+            for j, v in self._reduction(k)[1]:
+                if j not in basis:
+                    basis[j] = v
+                    representatives.append(j)
+            self._cache[key] = (basis, tuple(representatives))
         return self._cache[key]
+
+    def class_coordinates(self, k: int, cocycle: dict) -> dict:
+        """Coordinates of a degree-k cocycle's class on the representatives.
+
+        Raises ArithmeticError when the cochain is not a cocycle.
+        """
+        basis, representatives = self._cocycles(k)
+        wanted = set(representatives)
+        w = dict(cocycle)
+        coords = {}
+        while w:
+            pivot = max(w)
+            b = basis.get(pivot)
+            if b is None:
+                raise ArithmeticError(f"degree-{k} cochain is not a cocycle")
+            f = w[pivot]
+            if pivot in wanted:
+                coords[pivot] = f
+            _sub(w, f, b)
+        return coords
 
     def rational_dims(self) -> tuple[int, ...]:
         """dim_Q H^k for k = 0..top; checked against Euler-Poincare."""
         if "qdims" not in self._cache:
-            dims = []
-            for k in range(len(self.bases)):
-                solver = self._solver(k)
-                dims.append(solver[0].n if solver else 0)
-            dims = tuple(dims)
-            lhs = sum((-1) ** k * d for k, d in enumerate(self.dims))
-            rhs = sum((-1) ** k * d for k, d in enumerate(dims))
-            if lhs != rhs:
-                raise ArithmeticError(
-                    f"Euler-Poincare mismatch over Q: cells {lhs}, cohomology {rhs}"
-                )
-            self._cache["qdims"] = dims
+            dims = tuple(len(self._cocycles(k)[1]) for k in range(len(self.bases)))
+            self._cache["qdims"] = _euler_checked(self.dims, dims, "over Q")
         return self._cache["qdims"]
 
     def trace_on_cohomology(self, e: int, k: int) -> Fraction:
         """Trace of the element on H^k over Q (an exact rational)."""
-        solver = self._solver(k)
-        if solver is None:
-            return Fraction(0)
-        q_mat, p_q = solver
-        cols = [[q_mat.rows[i][j] for i in range(q_mat.m)] for j in range(q_mat.n)]
-        moved = self.apply_action(e, k, cols)
-        aq = from_columns([[Fraction(v) for v in col] for col in moved], q_mat.m)
-        small = mat_mul(p_q, aq, QQ)
-        return sum((small.rows[i][i] for i in range(small.m)), Fraction(0))
+        key = ("trace", e, k)
+        if key not in self._cache:
+            basis, representatives = self._cocycles(k)
+            total = Fraction(0)
+            for j in representatives:
+                image = self.apply_action(e, k, basis[j])
+                total += self.class_coordinates(k, image).get(j, 0)
+            self._cache[key] = total
+        return self._cache[key]
 
     def lefschetz_number(self, e: int) -> Fraction:
         """Alternating trace on cohomology; always an integer, checked."""
@@ -394,90 +484,56 @@ class CochainComplex:
     def integral_cohomology(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(betti numbers, torsion coefficients per degree), from Smith form."""
         if "integral" not in self._cache:
-            betti = self.rational_dims()
             torsion = []
             for k in range(len(self.bases)):
-                d = self._diff(k - 1)
-                if d is None or not d or not d[0]:
-                    torsion.append(())
-                    continue
-                divisors = smith_normal_form(
-                    Mat.from_rows([list(r) for r in d], self.dims[k - 1])
-                )
-                torsion.append(tuple(v for v in divisors if v > 1))
-            self._cache["integral"] = (betti, tuple(torsion))
+                residual = _unit_elimination(self.coboundary(k - 1) or ())
+                torsion.append(tuple(v for v in smith_normal_form(residual) if v > 1))
+            self._cache["integral"] = (self.rational_dims(), tuple(torsion))
         return self._cache["integral"]
 
     def modp_dims(self, p: int) -> tuple[int, ...]:
         """dim_{F_p} H^k for k = 0..top; checked against Euler-Poincare."""
         key = ("modp", p)
         if key not in self._cache:
-            field = PrimeField(p)
-            ranks = []
-            for k in range(len(self.diffs)):
-                d = self.diffs[k]
-                m = Mat.from_rows([[v % p for v in row] for row in d], self.dims[k])
-                ranks.append(rank(m, field))
-            dims = []
-            for k in range(len(self.bases)):
-                r_k = ranks[k] if k < len(ranks) else 0
-                r_prev = ranks[k - 1] if k >= 1 else 0
-                dims.append(self.dims[k] - r_k - r_prev)
-            dims = tuple(dims)
-            lhs = sum((-1) ** k * d for k, d in enumerate(self.dims))
-            rhs = sum((-1) ** k * d for k, d in enumerate(dims))
-            if lhs != rhs:
-                raise ArithmeticError(
-                    f"Euler-Poincare mismatch mod {p}: cells {lhs}, cohomology {rhs}"
-                )
-            self._cache[key] = dims
+            ranks = [len(reduce_columns(cols, p)[0]) for cols in self._coboundaries]
+            dims = _dims_from_ranks(self.dims, ranks)
+            self._cache[key] = _euler_checked(self.dims, dims, f"mod {p}")
         return self._cache[key]
 
     # -- invariants -------------------------------------------------------------
 
+    def _orbit_sums(self, members, k):
+        """Signed orbit sums of the basis cochains: they span the invariants."""
+        r = self.lattice.rank
+        covered = set()
+        sums = []
+        for s_i in range(len(self.bases[k])):
+            if s_i in covered:
+                continue
+            covered.update(self._moves(e, k)[s_i][0] for e in members)
+            for j in range(r):
+                acc: dict = {}
+                for e in members:
+                    _sub(acc, -1, self.apply_action(e, k, {s_i * r + j: 1}))
+                if acc:
+                    sums.append(acc)
+        return sums
+
     def invariant_dims(self, acting: Subgroup) -> tuple[int, ...]:
         """dim_Q of the cohomology of the subcomplex of acting-invariant cochains."""
         key = ("invariant", acting.member_set)
-        if key in self._cache:
-            return self._cache[key]
-        members = acting.member_set
-        size = Fraction(1, len(members))
-        bases_cols = []
-        lifts = []
-        for k in range(len(self.bases)):
-            n = self.dims[k]
-            ident = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-            acc = [[0] * n for _ in range(n)]
-            for e in members:
-                cols = self.apply_action(e, k, ident)
-                for j in range(n):
-                    cj = cols[j]
-                    aj = acc[j]
-                    for i in range(n):
-                        aj[i] += cj[i]
-            proj = Mat.from_rows(
-                [[size * acc[j][i] for j in range(n)] for i in range(n)], n
-            )
-            cols_b = column_space_basis(proj, QQ)
-            b_mat = from_columns(cols_b, n)
-            bases_cols.append(b_mat)
-            lifts.append(left_inverse(b_mat, QQ) if b_mat.n else None)
-        restricted = []
-        for k in range(len(self.diffs)):
-            b_k = bases_cols[k]
-            lift = lifts[k + 1]
-            if b_k.n == 0 or lift is None:
-                restricted.append(Mat.zero(bases_cols[k + 1].n, b_k.n, QQ))
-                continue
-            dk = self._qq_diff(k)
-            restricted.append(mat_mul(lift, mat_mul(dk, b_k, QQ), QQ))
-        ranks = [rank(m, QQ) for m in restricted]
-        dims = []
-        for k in range(len(self.bases)):
-            r_k = ranks[k] if k < len(ranks) else 0
-            r_prev = ranks[k - 1] if k >= 1 else 0
-            dims.append(bases_cols[k].n - r_k - r_prev)
-        self._cache[key] = tuple(dims)
+        if key not in self._cache:
+            members = acting.member_set
+            sizes = []
+            ranks = []
+            for k in range(len(self.bases)):
+                sums = self._orbit_sums(members, k)
+                sizes.append(len(reduce_columns(sums)[0]))
+                columns = self.coboundary(k)
+                if columns is not None:
+                    images = [_apply(columns, v) for v in sums]
+                    ranks.append(len(reduce_columns(images)[0]))
+            self._cache[key] = _dims_from_ranks(sizes, ranks)
         return self._cache[key]
 
     def __repr__(self):
@@ -488,11 +544,12 @@ class CochainComplex:
 
 
 def cochain_complex(stratum: Stratum, lattice: GLattice) -> CochainComplex:
-    """Cached cochain complex of a stratum with the given coefficients."""
+    """Cached cochain complex of a stratum, keyed by the lattice's matrices."""
     cache = stratum._cache.setdefault("cochains", {})
-    if lattice not in cache:
-        cache[lattice] = CochainComplex(stratum, lattice)
-    return cache[lattice]
+    cc = cache.get(lattice.matrices)
+    if cc is None or cc.lattice.group is not lattice.group:
+        cc = cache[lattice.matrices] = CochainComplex(stratum, lattice)
+    return cc
 
 
 def _as_stratum(space) -> Stratum:

@@ -87,12 +87,6 @@ class Group:
 
     # -- elementary operations ----------------------------------------------
 
-    def mul_elem(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inverse[g]]
@@ -125,13 +119,6 @@ class Group:
             )
         return self._cache["exponent"]
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul[a][b] == self.mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def subgroup(self, members) -> "Subgroup":
         """The subgroup with the given member set (canonical, cached instance)."""
         key = tuple(sorted(set(members)))
@@ -150,9 +137,6 @@ class Group:
 
     def whole_subgroup(self) -> "Subgroup":
         return self.subgroup(range(self.order))
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return self.subgroup((0,))
 
     def __repr__(self):
         return f"Group(order={self.order})"

@@ -1,8 +1,9 @@
 """Exact linear algebra over Q and prime fields, plus integer Smith normal form.
 
 Matrices are dense lists of rows.  The field routines are generic over a tiny
-field object (``Rationals`` or ``PrimeField``) so the same elimination code
-serves rational cohomology and mod-p cohomology.  No floating point anywhere.
+field object (``Rationals`` or ``PrimeField``): character tables eliminate
+mod p, cyclotomic arithmetic over Q.  No floating point anywhere.  Cochain
+complexes use the sparse column reduction in ``cohomology`` instead.
 """
 
 from __future__ import annotations
@@ -98,18 +99,11 @@ class Mat:
         return cls(0, n, [])
 
     @classmethod
-    def zero(cls, m: int, n: int, field=QQ) -> "Mat":
-        return cls(m, n, [[field.zero] * n for _ in range(m)])
-
-    @classmethod
     def identity(cls, n: int, field=QQ) -> "Mat":
         rows = [[field.zero] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = field.one
         return cls(n, n, rows)
-
-    def copy(self) -> "Mat":
-        return Mat(self.m, self.n, [list(r) for r in self.rows])
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
@@ -119,9 +113,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.n, self.m, [self.column(j) for j in range(self.n)])
-
-    def map(self, fn) -> "Mat":
-        return Mat(self.m, self.n, [[fn(x) for x in r] for r in self.rows])
 
     def __eq__(self, other):
         return (
@@ -149,19 +140,6 @@ def mat_mul(a: Mat, b: Mat, field=QQ) -> Mat:
             new.append(acc)
         out.append(new)
     return Mat(a.m, b.n, out)
-
-
-def mat_vec(a: Mat, v: list, field=QQ) -> list:
-    if a.n != len(v):
-        raise ValueError("dimension mismatch")
-    out = []
-    for row in a.rows:
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return out
 
 
 def from_columns(cols: list[list], m: int) -> Mat:
@@ -217,12 +195,6 @@ def nullspace(mat: Mat, field=QQ) -> list[list]:
     return basis
 
 
-def column_space_basis(mat: Mat, field=QQ) -> list[list]:
-    """The pivot columns of mat, a basis of its column space."""
-    _, pivots = rref(mat, field)
-    return [mat.column(j) for j in pivots]
-
-
 def left_inverse(mat: Mat, field=QQ) -> Mat:
     """P with P . mat = I for a matrix of full column rank."""
     m, n = mat.m, mat.n
@@ -232,46 +204,6 @@ def left_inverse(mat: Mat, field=QQ) -> Mat:
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix does not have full column rank")
     return Mat(n, m, [red.rows[i][n:] for i in range(n)])
-
-
-def extend_basis(base: list[list], candidates: list[list], field=QQ) -> list[int]:
-    """Indices of candidates that extend span(base) to an independent family.
-
-    Greedy Gaussian sweep: candidates are taken in order and kept exactly
-    when independent of base plus the candidates kept so far.
-    """
-    if base:
-        dim = len(base[0])
-    elif candidates:
-        dim = len(candidates[0])
-    else:
-        return []
-    echelon: list[tuple[int, list]] = []
-
-    def reduce(vec):
-        v = list(vec)
-        for pos, row in echelon:
-            if v[pos] != field.zero:
-                f = v[pos]
-                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def insert(vec) -> bool:
-        v = reduce(vec)
-        for pos in range(dim):
-            if v[pos] != field.zero:
-                inv = field.div(field.one, v[pos])
-                echelon.append((pos, [field.mul(inv, x) for x in v]))
-                return True
-        return False
-
-    for b in base:
-        insert(b)
-    kept = []
-    for i, cand in enumerate(candidates):
-        if insert(cand):
-            kept.append(i)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,15 @@ def _expect(cond, message, location):
         raise ScenarioError(message, location)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; bools are ints in Python but not in a scenario file."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(obj, key, location, minimum=None):
     _expect(key in obj, f"missing required field {key!r}", location)
     v = obj[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool),
-            f"field {key!r} must be an integer", f"{location}.{key}")
+    _expect(_is_int(v), f"field {key!r} must be an integer", f"{location}.{key}")
     if minimum is not None:
         _expect(v >= minimum, f"field {key!r} must be at least {minimum}",
                 f"{location}.{key}")
@@ -79,6 +83,8 @@ def _int_field(obj, key, location, minimum=None):
 
 def _permutation(row, degree, location):
     _expect(isinstance(row, list), "permutation must be a list", location)
+    _expect(all(_is_int(v) for v in row), "permutation entries must be integers",
+            location)
     _expect(
         sorted(row) == list(range(degree)),
         f"not a permutation of 0..{degree - 1}",
@@ -127,7 +133,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         loc = f"$.complex.maximal_simplices[{i}]"
         _expect(isinstance(simplex, list) and simplex,
                 "simplex must be a nonempty list of vertices", loc)
-        _expect(all(isinstance(v, int) and 0 <= v < vertices for v in simplex),
+        _expect(all(_is_int(v) and 0 <= v < vertices for v in simplex),
                 f"vertices must be integers in 0..{vertices - 1}", loc)
         _expect(len(set(simplex)) == len(simplex),
                 "simplex has a repeated vertex", loc)
@@ -163,8 +169,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             isinstance(m, list) and len(m) == rank
             and all(isinstance(r, list) and len(r) == rank for r in m),
             f"matrix must be {rank}x{rank}", loc)
-        _expect(all(isinstance(v, int) and not isinstance(v, bool)
-                    for r in m for v in r),
+        _expect(all(_is_int(v) for r in m for v in r),
                 "matrix entries must be integers", loc)
         det = int_det(Mat.from_rows([list(r) for r in m], rank))
         _expect(abs(det) == 1,
@@ -178,10 +183,10 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     _expect(isinstance(primes, list) and primes,
             "option 'primes' must be a nonempty list", "$.options.primes")
     for i, p in enumerate(primes):
-        _expect(isinstance(p, int) and is_prime(p),
+        _expect(_is_int(p) and is_prime(p),
                 f"{p!r} is not a prime", f"$.options.primes[{i}]")
     subdivisions = options.get("subdivisions", 0)
-    _expect(isinstance(subdivisions, int) and 0 <= subdivisions <= 2,
+    _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",
             "$.options.subdivisions")
 

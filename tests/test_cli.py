@@ -150,3 +150,49 @@ def test_no_arguments_shows_usage():
     result = run_cli()
     assert result.returncode == 2
     assert "usage" in (result.stderr + result.stdout).lower()
+
+
+def _verify_file(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return run_cli("verify", str(path), "--format", "json")
+
+
+def test_float_in_group_generator_is_an_input_error(tmp_path):
+    doc = dict(VALID_FILE, group={"degree": 2, "generators": [[1.0, 0]]})
+    result = _verify_file(tmp_path, doc)
+    assert result.returncode == 2, result.stderr
+    assert "$.group.generators[0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_float_in_vertex_action_is_an_input_error(tmp_path):
+    five = {
+        "schema_version": 1,
+        "name": "pentagon-flip",
+        "group": {"degree": 5, "generators": [[0, 4, 3, 2, 1]]},
+        "complex": {
+            "vertices": 5,
+            "maximal_simplices": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]],
+            "action": [[0, 3, 2, 1.0, 4]],
+        },
+        "lattice": {"rank": 1, "action": {"0": [[1]]}},
+    }
+    result = _verify_file(tmp_path, five)
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.action[0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_bool_permutation_is_an_input_error(tmp_path):
+    doc = dict(VALID_FILE, group={"degree": 2, "generators": [[True, False]]})
+    result = _verify_file(tmp_path, doc)
+    assert result.returncode == 2, result.stderr
+    assert "$.group.generators[0]" in result.stderr
+
+
+def test_bool_simplex_vertex_is_an_input_error(tmp_path):
+    comp = dict(VALID_FILE["complex"], maximal_simplices=[[False, True]])
+    result = _verify_file(tmp_path, dict(VALID_FILE, complex=comp))
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.maximal_simplices[0]" in result.stderr

@@ -1,5 +1,6 @@
 """Lattices, cochain complexes, exact cohomology against sympy oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,14 @@ from equilef.cohomology import (
     invariant_cohomology,
     lefschetz_number,
     modp_euler_characteristic,
+    reduce_columns,
 )
-from equilef.complexes import exact_stratum
-from equilef.groups import group_from_permutations, subgroups
+from equilef.complexes import exact_stratum, fixed_subcomplex
+from equilef.groups import group_from_permutations, normalizer, subgroups
+from equilef.linalg import Mat, PrimeField, rank
+
+import dense_oracle
+from dense_oracle import dense_action, dense_coboundary
 
 
 def matmul(a, b):
@@ -81,18 +87,19 @@ def whole_complexes(corpus, max_cells=80):
 
 def test_differential_squares_to_zero(corpus):
     for s, cc in whole_complexes(corpus):
-        for k in range(len(cc.diffs) - 1):
-            prod = matmul(cc.diffs[k + 1], cc.diffs[k])
+        for k in range(cc.top_degree() - 1):
+            prod = matmul(dense_coboundary(cc, k + 1), dense_coboundary(cc, k))
             assert all(v == 0 for row in prod for v in row), s.name
 
 
 def test_action_commutes_with_differential(corpus):
     for s, cc in whole_complexes(corpus, max_cells=40):
         for e in range(s.group.order):
-            for k in range(len(cc.diffs)):
-                a_k = cc.action_matrix(e, k)
-                a_k1 = cc.action_matrix(e, k + 1)
-                assert matmul(cc.diffs[k], a_k) == matmul(a_k1, cc.diffs[k]), (
+            for k in range(cc.top_degree()):
+                d_k = dense_coboundary(cc, k)
+                a_k = dense_action(cc, e, k)
+                a_k1 = dense_action(cc, e, k + 1)
+                assert matmul(d_k, a_k) == matmul(a_k1, d_k), (
                     s.name,
                     e,
                     k,
@@ -106,8 +113,8 @@ def test_action_matrices_represent_the_group(corpus):
             for b in range(g.order):
                 for k in range(cc.top_degree() + 1):
                     assert matmul(
-                        cc.action_matrix(a, k), cc.action_matrix(b, k)
-                    ) == cc.action_matrix(g.mul[a][b], k)
+                        dense_action(cc, a, k), dense_action(cc, b, k)
+                    ) == dense_action(cc, g.mul[a][b], k)
 
 
 def test_action_on_noninvariant_stratum_is_rejected(by_name):
@@ -121,7 +128,7 @@ def test_action_on_noninvariant_stratum_is_rejected(by_name):
         e for e in range(s.group.order) if s.group.element_order(e) == 3
     )
     with pytest.raises(ValueError):
-        cc.action_matrix(rotation, 0)
+        dense_action(cc, rotation, 0)
 
 
 # -- integral and mod-p cohomology against sympy -------------------------------
@@ -133,7 +140,8 @@ def snf_oracle(cc):
     ranks = []
     divisors_by_degree = []
     for k in range(top):
-        mat = sympy.Matrix(cc.diffs[k]) if cc.diffs[k] else sympy.zeros(0, 0)
+        d_k = dense_coboundary(cc, k)
+        mat = sympy.Matrix(d_k) if d_k else sympy.zeros(0, 0)
         if mat.rows == 0 or mat.cols == 0:
             ranks.append(0)
             divisors_by_degree.append([])
@@ -270,3 +278,86 @@ def test_invariant_dims(by_name):
     assert invariant_cohomology(
         by_name["hexagon-rot2"].complex, by_name["hexagon-rot2"].lattice
     ) == (1, 1)
+
+
+# -- the sparse kernel against the dense oracle ---------------------------------
+
+
+def small_complexes(corpus, max_cells=80):
+    """(scenario, complex, acting subgroup) for the whole space, every exact
+    stratum and every fixed subcomplex with at most max_cells cells."""
+    for s in corpus:
+        g = s.group
+        seen = set()
+        candidates = [(s.complex.as_stratum(), g.whole_subgroup())]
+        for h in subgroups(g):
+            n = normalizer(g, h)
+            candidates.append((exact_stratum(s.complex, h), n))
+            candidates.append((fixed_subcomplex(s.complex, h), n))
+        for stratum, acting in candidates:
+            key = (stratum.simplices, acting.member_set)
+            if sum(stratum.sizes()) > max_cells or key in seen:
+                continue
+            seen.add(key)
+            yield s, cochain_complex(stratum, s.lattice), acting
+
+
+def test_sparse_kernel_matches_dense_oracle(corpus):
+    checked = 0
+    for s, cc, acting in small_complexes(corpus):
+        label = (s.name, cc.stratum.label)
+        assert cc.rational_dims() == dense_oracle.rational_dims(cc), label
+        for p in (2, 3, 5):
+            assert cc.modp_dims(p) == dense_oracle.modp_dims(cc, p), (label, p)
+        assert cc.invariant_dims(acting) == dense_oracle.invariant_dims(
+            cc, acting
+        ), label
+        for e in range(s.group.order):
+            if not cc.stratum.is_invariant_under(e):
+                continue
+            for k in range(cc.top_degree() + 1):
+                assert cc.trace_on_cohomology(
+                    e, k
+                ) == dense_oracle.trace_on_cohomology(cc, e, k), (label, e, k)
+        checked += 1
+    assert checked > len(corpus)
+
+
+def test_class_coordinates_reject_non_cocycles(by_name):
+    cc = by_name["square-reflection"].whole_cochains()
+    # the indicator of one vertex has a nonzero coboundary
+    assert cc.coboundary(0)[0]
+    with pytest.raises(ArithmeticError):
+        cc.class_coordinates(0, {0: 1})
+    # the constant cochain is a cocycle representing the generator of H^0
+    constant = {i: 1 for i in range(cc.dims[0])}
+    assert list(cc.class_coordinates(0, constant).values()) == [1]
+    # a coboundary has class zero
+    assert cc.class_coordinates(1, dict(cc.coboundary(0)[0])) == {}
+
+
+def test_reduce_columns_ranks_match_sympy():
+    rng = random.Random(7)
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        columns = [{i: rows[i][j] for i in range(m) if rows[i][j]} for j in range(n)]
+        echelon, kernel = reduce_columns(columns, record=True)
+        assert len(echelon) == sympy.Matrix(rows).rank()
+        assert len(echelon) + len(kernel) == n
+        for j, v in kernel:
+            assert v[j] == 1 and max(v) == j
+            assert all(
+                sum(rows[i][c] * x for c, x in v.items()) == 0 for i in range(m)
+            )
+        for p in (2, 3):
+            dense = Mat.from_rows([[v % p for v in row] for row in rows], n)
+            assert len(reduce_columns(columns, p)[0]) == rank(dense, PrimeField(p))
+
+
+def test_cochain_cache_is_keyed_by_lattice_value(by_name):
+    s = by_name["torus-involution"]
+    stratum = s.complex.as_stratum()
+    a = cochain_complex(stratum, GLattice.trivial(s.group))
+    assert cochain_complex(stratum, GLattice.trivial(s.group)) is a
+    assert cochain_complex(stratum, s.base_lattice()) is a

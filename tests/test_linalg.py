@@ -10,8 +10,6 @@ from equilef.linalg import (
     Mat,
     PrimeField,
     QQ,
-    column_space_basis,
-    extend_basis,
     from_columns,
     int_det,
     left_inverse,
@@ -21,6 +19,8 @@ from equilef.linalg import (
     rref,
     smith_normal_form,
 )
+
+from dense_oracle import column_space_basis, extend_basis
 
 
 def random_int_mat(rng, m, n, lo=-5, hi=5):

@@ -86,6 +86,8 @@ ERROR_CASES = [
      "$.options.primes[0]"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=3),
      "$.options.subdivisions"),
+    (lambda d: d.setdefault("options", {}).update(subdivisions=True),
+     "$.options.subdivisions"),
 ]
 
 
