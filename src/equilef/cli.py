@@ -8,7 +8,9 @@ Subcommands:
 
 Scenarios are given as a path to a JSON file or the name of a builtin.
 Exit code 0 means every verdict passed; 1 means a verification failed;
-2 means the input was invalid.  EQUILEF_MAX_GROUP_ORDER caps group sizes.
+2 means the input was invalid; 3 means an internal invariant broke (d o d = 0,
+Euler-Poincare, class coordinates, integrality), which is a bug, not a
+verdict.  EQUILEF_MAX_GROUP_ORDER caps group sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import os
 import sys
 
-from .characters import IntegralityError
 from .engine import Scenario, full_verification
 from .scenario_io import (
     ScenarioError,
@@ -175,9 +176,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (IntegralityError, ArithmeticError) as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return 1
+    except ArithmeticError as exc:  # IntegralityError included
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ vertices of a complex, or on a lattice) to the whole group.
 Enumeration order is deterministic everywhere: elements appear in
 breadth-first order over generator words with lexicographic tie-break,
 subgroups are sorted by (order, member tuple), conjugacy classes by their
-least member.
+least member.  Subgroup classes come from cyclic extension over class
+representatives (``conjugacy_classes_of_subgroups``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
 
 DEFAULT_MAX_ORDER = 10_000
 ORDER_ENV_VAR = "EQUILEF_MAX_GROUP_ORDER"
@@ -128,12 +128,7 @@ class Group:
         return cache[key]
 
     def cyclic_subgroup(self, a: int) -> "Subgroup":
-        members = {0}
-        x = a
-        while x != 0:
-            members.add(x)
-            x = self.mul[x][a]
-        return self.subgroup(members)
+        return self.subgroup(_orbit(0, lambda x: (self.mul[x][a],)))
 
     def whole_subgroup(self) -> "Subgroup":
         return self.subgroup(range(self.order))
@@ -318,64 +313,67 @@ def class_index_of(g: Group) -> tuple[int, ...]:
     return g._cache["class_index"]
 
 
-def _closure_of(g: Group, seed) -> frozenset:
-    elems = set(seed)
-    elems.add(0)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in tuple(elems):
-                for c in (g.mul[a][b], g.mul[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return frozenset(elems)
+def _orbit(start, moves) -> set:
+    """Everything reachable from start by repeated moves, breadth first."""
+    seen, frontier = {start}, [start]
+    for x in frontier:
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def subgroups(g: Group) -> list[Subgroup]:
-    """All subgroups, built bottom-up from cyclic subgroups by closing joins."""
+    """All subgroups, sorted by (order, member tuple): the classes flattened."""
     if "subgroups" not in g._cache:
-        found = {frozenset({0})}
-        for a in range(1, g.order):
-            found.add(frozenset(g.cyclic_subgroup(a).member_set))
-        changed = True
-        while changed:
-            changed = False
-            current = sorted(found, key=lambda s: (len(s), sorted(s)))
-            for sa, sb in combinations(current, 2):
-                if sa <= sb or sb <= sa:
-                    continue
-                join = _closure_of(g, sa | sb)
-                if join not in found:
-                    found.add(join)
-                    changed = True
-        subs = [g.subgroup(s) for s in found]
-        subs.sort(key=lambda h: (h.order, h.member_set))
-        g._cache["subgroups"] = subs
+        subs = [h for c in conjugacy_classes_of_subgroups(g) for h in c.members]
+        g._cache["subgroups"] = sorted(subs, key=lambda h: (h.order, h.member_set))
     return g._cache["subgroups"]
 
 
 def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
-    """Subgroups up to conjugacy, each class listing its members.
+    """Subgroups up to conjugacy, by cyclic extension over class representatives.
+
+    Starting from the trivial subgroup, each class representative H is
+    joined with the cyclic subgroups <c> it does not contain, one c per
+    N(H)-orbit (conjugating by N(H) conjugates the join).  The join is
+    generated breadth first by H's recorded generators plus c; a new one
+    starts a class, filled in at once by conjugation.  Every subgroup is
+    generated by cyclic ones, so every class is reached (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).
 
     Classes are sorted by (order, representative member tuple); the
     representative is the lexicographically least member.
     """
     if "subgroup_classes" not in g._cache:
-        remaining = {h.member_set: h for h in subgroups(g)}
+        mul, conj, movers = g.mul, g.conj, g.generator_elements or range(g.order)
+
+        def generated(gens) -> frozenset:
+            return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
+
+        cyclic: dict = {}
+        canon = {a: cyclic.setdefault(generated((a,)), a) for a in range(1, g.order)}
+        trivial = frozenset({0})
+        known, orbits, work = {trivial}, [{trivial}], [(trivial, ())]
+        for members, gens in work:
+            norm = [x for x in range(g.order) if all(conj(x, s) in members for s in gens)]
+            done: set = set()
+            for c in cyclic.values():
+                if c in members or c in done:
+                    continue
+                done.update(canon[conj(x, c)] for x in norm)
+                join = generated(gens + (c,))
+                if join not in known:
+                    orbit = _orbit(
+                        join, lambda k: [frozenset(conj(x, m) for m in k) for x in movers])
+                    known |= orbit
+                    orbits.append(orbit)
+                    work.append((join, gens + (c,)))
         classes = []
-        while remaining:
-            key = min(remaining)
-            h = remaining[key]
-            orbit = sorted(
-                {h.conjugate_by(x).member_set for x in range(g.order)}
-            )
-            members = tuple(remaining.pop(m) if m in remaining else g.subgroup(m) for m in orbit)
-            classes.append(
-                SubgroupClass(representative=members[0], members=members, order=h.order)
-            )
+        for orbit in orbits:
+            subs = tuple(g.subgroup(m) for m in sorted(tuple(sorted(m)) for m in orbit))
+            classes.append(SubgroupClass(subs[0], subs, subs[0].order))
         classes.sort(key=lambda c: (c.order, c.representative.member_set))
         g._cache["subgroup_classes"] = classes
     return g._cache["subgroup_classes"]

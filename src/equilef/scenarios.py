@@ -17,7 +17,7 @@ from __future__ import annotations
 from .cohomology import GLattice
 from .complexes import build_complex
 from .engine import Scenario
-from .groups import Group, group_from_permutations
+from .groups import group_from_permutations
 
 # octahedron boundary: vertices 0..5 with i and i+3 antipodal
 _OCTA_FACES = [
@@ -69,138 +69,91 @@ def _rotation(n, k):
     return tuple((i + k) % n for i in range(n))
 
 
-def builtin_scenarios() -> list[Scenario]:
-    out = []
+_POINT = [(0,)]
+_REFL4 = (0, 3, 2, 1)
+_REFL5 = (0, 3, 2, 1, 4)
+_ROT2, _ROT3, _ROT6 = _rotation(6, 3), _rotation(6, 2), _rotation(6, 1)
+_S3_GENS = [(1, 0, 2), (1, 2, 0)]
+_ANTI = (3, 4, 5, 0, 1, 2)
+_MIRROR = (0, 1, 5, 3, 4, 2)
+_HALF_TURN = (3, 4, 2, 0, 1, 5)
+_TREFL = _torus_point_reflection()
+_SWAP = (3, 4, 5, 0, 1, 2)
 
-    def add(name, group, maximal, vertex_images, lattice, description,
-            n_vertices=None):
-        complex_ = build_complex(maximal, group, vertex_images,
-                                 n_vertices=n_vertices)
-        out.append(Scenario(name, group, complex_, lattice, description))
-
-    # -- points ---------------------------------------------------------------
-    triv_group = group_from_permutations(1, [])
-    add("point-trivial", triv_group, [(0,)], [],
-        GLattice.trivial(triv_group), "one vertex, trivial group")
-
-    c2 = group_from_permutations(2, [(1, 0)])
-    fix = [(0,)]
-    add("point-c2", c2, [(0,)], fix, GLattice.trivial(c2),
-        "one vertex fixed by an order-2 group")
-    add("point-c2-sign", c2, [(0,)], fix, GLattice.sign(c2, [-1]),
-        "one fixed vertex, coefficients twisted by the sign of C2")
-    add("point-c2-regular", c2, [(0,)], fix, GLattice.regular(c2),
-        "one fixed vertex, group-algebra coefficients")
-
-    # -- square boundary with a diagonal reflection ---------------------------
-    refl4 = (0, 3, 2, 1)
-    c2r = group_from_permutations(4, [refl4])
-    square = _ngon(4)
-    add("square-reflection", c2r, square, [refl4], GLattice.trivial(c2r),
-        "circle with a reflection fixing two opposite vertices")
-    add("square-reflection-sign", c2r, square, [refl4], GLattice.sign(c2r, [-1]),
-        "reflected circle with sign coefficients")
-    add("square-reflection-regular", c2r, square, [refl4], GLattice.regular(c2r),
-        "reflected circle with group-algebra coefficients")
-
-    # -- hexagon boundary with free rotations ---------------------------------
-    hexagon = _ngon(6)
-    rot2 = _rotation(6, 3)
-    c2h = group_from_permutations(6, [rot2])
-    add("hexagon-rot2", c2h, hexagon, [rot2], GLattice.trivial(c2h),
-        "circle with a free order-2 rotation")
-    add("hexagon-rot2-sign", c2h, hexagon, [rot2], GLattice.sign(c2h, [-1]),
-        "freely rotated circle with sign coefficients")
-    add("hexagon-rot2-regular", c2h, hexagon, [rot2], GLattice.regular(c2h),
-        "freely rotated circle with group-algebra coefficients")
-
-    rot3 = _rotation(6, 2)
-    c3h = group_from_permutations(6, [rot3])
-    add("hexagon-rot3", c3h, hexagon, [rot3], GLattice.trivial(c3h),
-        "circle with a free order-3 rotation")
-    add("hexagon-rot3-regular", c3h, hexagon, [rot3], GLattice.regular(c3h),
-        "free order-3 rotation with group-algebra coefficients")
-
-    rot6 = _rotation(6, 1)
-    c6h = group_from_permutations(6, [rot6])
-    add("hexagon-rot6", c6h, hexagon, [rot6], GLattice.trivial(c6h),
-        "circle with a free order-6 rotation")
-
-    # -- disc: square boundary coned to an apex -------------------------------
-    refl5 = (0, 3, 2, 1, 4)
-    c2d = group_from_permutations(5, [refl5])
-    disc = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
-    add("disc-reflection", c2d, disc, [refl5], GLattice.trivial(c2d),
-        "coned square with a reflection through two boundary vertices")
-
-    # -- triangle boundary with the full symmetric group ----------------------
-    s3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)])
-    triangle = _ngon(3)
-    gens3 = [(1, 0, 2), (1, 2, 0)]
-    add("triangle-s3", s3, triangle, gens3, GLattice.trivial(s3),
-        "circle with the full symmetric-group action; needs a subdivision")
-    add("triangle-s3-sign", s3, triangle, gens3, GLattice.sign(s3, [-1, 1]),
-        "symmetric-group circle with sign coefficients")
-    add("triangle-s3-regular", s3, triangle, gens3, GLattice.regular(s3),
-        "symmetric-group circle with group-algebra coefficients")
-
-    # -- octahedron sphere ------------------------------------------------------
-    anti = (3, 4, 5, 0, 1, 2)
-    c2a = group_from_permutations(6, [anti])
-    add("octahedron-antipodal", c2a, _OCTA_FACES, [anti], GLattice.trivial(c2a),
-        "sphere with the free antipodal involution")
-    add("octahedron-antipodal-sign", c2a, _OCTA_FACES, [anti],
-        GLattice.sign(c2a, [-1]),
-        "antipodal sphere with sign coefficients")
-    add("octahedron-antipodal-regular", c2a, _OCTA_FACES, [anti],
-        GLattice.regular(c2a),
-        "antipodal sphere with group-algebra coefficients")
-
-    mirror = (0, 1, 5, 3, 4, 2)
-    c2m = group_from_permutations(6, [mirror])
-    add("octahedron-reflection", c2m, _OCTA_FACES, [mirror],
-        GLattice.trivial(c2m),
-        "sphere with a coordinate reflection fixing the equator")
-    add("octahedron-reflection-sign", c2m, _OCTA_FACES, [mirror],
-        GLattice.sign(c2m, [-1]),
-        "reflected sphere with sign coefficients")
-
-    half_turn = (3, 4, 2, 0, 1, 5)
-    klein = group_from_permutations(6, [anti, half_turn])
-    add("octahedron-klein4", klein, _OCTA_FACES, [anti, half_turn],
-        GLattice.trivial(klein),
-        "sphere with a Klein four-group mixing free and fixing elements")
-
-    # -- torus with a point reflection -----------------------------------------
-    trefl = _torus_point_reflection()
-    c2t = group_from_permutations(16, [trefl])
-    torus = _torus_faces()
-    add("torus-involution", c2t, torus, [trefl], GLattice.trivial(c2t),
-        "torus with a point reflection fixing four vertices")
-    add("torus-involution-sign", c2t, torus, [trefl], GLattice.sign(c2t, [-1]),
-        "point-reflected torus with sign coefficients")
-
-    # -- two filled triangles swapped by an involution -------------------------
-    swap = (3, 4, 5, 0, 1, 2)
-    c2p = group_from_permutations(6, [swap])
-    add("pair-of-triangles", c2p, [(0, 1, 2), (3, 4, 5)], [swap],
-        GLattice.trivial(c2p),
-        "free swap of two contractible pieces; lhs is one regular character")
-
-    # -- projective plane, trivial group ---------------------------------------
-    trivq = group_from_permutations(1, [])
-    add("projective-plane", trivq, _RP2_FACES, [], GLattice.trivial(trivq),
-        "six-vertex projective plane; 2-torsion drives the mod-p comparison")
-
-    return out
+# The registry, in corpus order.  name -> (group generators, maximal
+# simplices, lattice, description, vertex images).  The lattice is
+# "trivial", "regular" or the signs of the generators; vertex images default
+# to the group generators themselves.
+_BUILTINS = {
+    "point-trivial": ([], _POINT, "trivial", "one vertex, trivial group"),
+    "point-c2": ([(1, 0)], _POINT, "trivial", "one vertex fixed by an order-2 group", _POINT),
+    "point-c2-sign": ([(1, 0)], _POINT, (-1,),
+                      "one fixed vertex, coefficients twisted by the sign of C2", _POINT),
+    "point-c2-regular": ([(1, 0)], _POINT, "regular",
+                         "one fixed vertex, group-algebra coefficients", _POINT),
+    "square-reflection": ([_REFL4], _ngon(4), "trivial",
+                          "circle with a reflection fixing two opposite vertices"),
+    "square-reflection-sign": ([_REFL4], _ngon(4), (-1,),
+                               "reflected circle with sign coefficients"),
+    "square-reflection-regular": ([_REFL4], _ngon(4), "regular",
+                                  "reflected circle with group-algebra coefficients"),
+    "hexagon-rot2": ([_ROT2], _ngon(6), "trivial", "circle with a free order-2 rotation"),
+    "hexagon-rot2-sign": ([_ROT2], _ngon(6), (-1,),
+                          "freely rotated circle with sign coefficients"),
+    "hexagon-rot2-regular": ([_ROT2], _ngon(6), "regular",
+                             "freely rotated circle with group-algebra coefficients"),
+    "hexagon-rot3": ([_ROT3], _ngon(6), "trivial", "circle with a free order-3 rotation"),
+    "hexagon-rot3-regular": ([_ROT3], _ngon(6), "regular",
+                             "free order-3 rotation with group-algebra coefficients"),
+    "hexagon-rot6": ([_ROT6], _ngon(6), "trivial", "circle with a free order-6 rotation"),
+    "disc-reflection": ([_REFL5], [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)], "trivial",
+                        "coned square with a reflection through two boundary vertices"),
+    "triangle-s3": (_S3_GENS, _ngon(3), "trivial",
+                    "circle with the full symmetric-group action; needs a subdivision"),
+    "triangle-s3-sign": (_S3_GENS, _ngon(3), (-1, 1),
+                         "symmetric-group circle with sign coefficients"),
+    "triangle-s3-regular": (_S3_GENS, _ngon(3), "regular",
+                            "symmetric-group circle with group-algebra coefficients"),
+    "octahedron-antipodal": ([_ANTI], _OCTA_FACES, "trivial",
+                             "sphere with the free antipodal involution"),
+    "octahedron-antipodal-sign": ([_ANTI], _OCTA_FACES, (-1,),
+                                  "antipodal sphere with sign coefficients"),
+    "octahedron-antipodal-regular": ([_ANTI], _OCTA_FACES, "regular",
+                                     "antipodal sphere with group-algebra coefficients"),
+    "octahedron-reflection": ([_MIRROR], _OCTA_FACES, "trivial",
+                              "sphere with a coordinate reflection fixing the equator"),
+    "octahedron-reflection-sign": ([_MIRROR], _OCTA_FACES, (-1,),
+                                   "reflected sphere with sign coefficients"),
+    "octahedron-klein4": ([_ANTI, _HALF_TURN], _OCTA_FACES, "trivial",
+                          "sphere with a Klein four-group mixing free and fixing elements"),
+    "torus-involution": ([_TREFL], _torus_faces(), "trivial",
+                         "torus with a point reflection fixing four vertices"),
+    "torus-involution-sign": ([_TREFL], _torus_faces(), (-1,),
+                              "point-reflected torus with sign coefficients"),
+    "pair-of-triangles": ([_SWAP], [(0, 1, 2), (3, 4, 5)], "trivial",
+                          "free swap of two contractible pieces; lhs is one regular character"),
+    "projective-plane": ([], _RP2_FACES, "trivial",
+                         "six-vertex projective plane; 2-torsion drives the mod-p comparison"),
+}
 
 
 def builtin_scenario(name: str) -> Scenario:
-    for s in builtin_scenarios():
-        if s.name == name:
-            return s
-    raise KeyError(name)
+    """Build the named builtin scenario (KeyError if there is none)."""
+    generators, maximal, lattice, description, *images = _BUILTINS[name]
+    group = group_from_permutations(len(generators[0]) if generators else 1, generators)
+    complex_ = build_complex(maximal, group, images[0] if images else generators)
+    if lattice == "trivial":
+        lattice = GLattice.trivial(group)
+    elif lattice == "regular":
+        lattice = GLattice.regular(group)
+    else:
+        lattice = GLattice.sign(group, list(lattice))
+    return Scenario(name, group, complex_, lattice, description)
 
 
 def builtin_names() -> list[str]:
-    return [s.name for s in builtin_scenarios()]
+    return list(_BUILTINS)
+
+
+def builtin_scenarios() -> list[Scenario]:
+    return [builtin_scenario(name) for name in _BUILTINS]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import equilef.cli as cli
+from equilef.characters import IntegralityError
 from equilef.engine import full_verification
 from equilef.scenarios import builtin_names, builtin_scenario
 
@@ -196,3 +197,24 @@ def test_bool_simplex_vertex_is_an_input_error(tmp_path):
     result = _verify_file(tmp_path, dict(VALID_FILE, complex=comp))
     assert result.returncode == 2, result.stderr
     assert "$.complex.maximal_simplices[0]" in result.stderr
+
+
+def test_broken_invariant_has_its_own_exit_code(monkeypatch, capsys):
+    # a broken internal invariant is a bug, not a failed identity (exit 1)
+    def broken(scenario):
+        raise ArithmeticError("differential does not square to zero")
+
+    monkeypatch.setattr(cli, "full_verification", broken)
+    assert cli.main(["verify", "point-trivial"]) == 3
+    assert cli.main(["corpus"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: differential does not square to zero")
+
+
+def test_integrality_error_is_an_internal_error(monkeypatch, capsys):
+    def broken(scenario):
+        raise IntegralityError("Galois orbit sum has a non-integer value")
+
+    monkeypatch.setattr(cli, "full_verification", broken)
+    assert cli.main(["verify", "point-trivial", "--format", "json"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")

@@ -15,7 +15,8 @@ from equilef.engine import (
 from equilef.groups import element_classes, group_from_permutations
 from equilef.cohomology import GLattice
 from equilef.complexes import build_complex
-from equilef.scenarios import builtin_names, builtin_scenario
+import equilef.scenarios as scenarios
+from equilef.scenarios import builtin_names, builtin_scenario, builtin_scenarios
 
 # lhs of the identity for every builtin scenario: one exact integer per
 # conjugacy class, classes ordered by least member
@@ -87,6 +88,26 @@ def test_builtin_scenario_lookup():
     assert s.name == "torus-involution"
     with pytest.raises(KeyError):
         builtin_scenario("no-such-scenario")
+
+
+def test_registry_names_are_the_built_names_in_order():
+    assert [s.name for s in builtin_scenarios()] == builtin_names()
+    assert list(FROZEN_LHS) == builtin_names()
+
+
+def test_registry_builds_only_what_is_asked(monkeypatch):
+    built = []
+    real = scenarios.build_complex
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "build_complex", counting)
+    names = builtin_names()
+    assert built == [] and len(names) == len(FROZEN_LHS)
+    assert builtin_scenario("octahedron-klein4").group.order == 4
+    assert len(built) == 1
 
 
 def test_frozen_lhs_values(corpus):
