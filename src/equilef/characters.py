@@ -4,7 +4,9 @@ Irreducible complex character tables are computed by the class-algebra
 method: the class-sum matrices act on the centre of the group algebra over a
 prime field F_p with p = 1 (mod exponent), their common eigenvectors are the
 central characters, and eigenvalue data is lifted back to exact cyclotomic
-values through root-of-unity multiplicities.  On top of the table live
+values through root-of-unity multiplicities.  The eigenspaces are split by
+the sparse column reduction of ``linalg`` mod p, whose recorded kernel
+vectors combine a space's basis into eigenvectors.  On top of the table live
 Galois orbit sums (the rational-irreducible characters), induction and
 restriction, and integer-checked virtual characters.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of
-from .linalg import Mat, PrimeField, from_columns, left_inverse, mat_mul, nullspace
+from .linalg import _apply, _sub, reduce_columns
 from .numtheory import is_prime, primitive_root, sqrt_mod
 
 DIXON_PRIME_BOUND = 10_000_000
@@ -110,7 +112,7 @@ class VirtualCharacter:
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.values))
+        return hash(self.values)
 
     def __repr__(self):
         return f"VirtualCharacter({list(self.values)})"
@@ -264,7 +266,6 @@ def _build_character_table(g: Group) -> CharacterTable:
 
     m = g.exponent()
     p = _dixon_prime(g.order, m)
-    field = PrimeField(p)
     cls_of = class_index_of(g)
     sizes = [cl.size for cl in classes]
     inv_class = [cls_of[g.inverse[cl.representative]] for cl in classes]
@@ -278,50 +279,49 @@ def _build_character_table(g: Group) -> CharacterTable:
             for k, zk in enumerate(reps):
                 a[i][cls_of[g.mul[xinv][zk]]][k] += 1
 
-    # right multiplication by the class sum K_i, acting on the basis {K_j}
-    def class_matrix(i: int) -> Mat:
-        return Mat(r, r, [[a[j][i][k] % p for k in range(r)] for j in range(r)])
-
-    # split F_p^r into common eigenspaces; each line is a central character
-    spaces = [Mat.identity(r, field).columns()]
+    # split F_p^r into common eigenspaces; each line is a central character.
+    # A kernel vector x of the columns (K_i - lam) s_j spans the eigenvector
+    # sum_j x_j s_j, so a space is never restricted to its own coordinates.
+    spaces = [[{j: 1} for j in range(r)]]
     for i in range(1, r):
-        if all(len(cols) == 1 for cols in spaces):
+        if all(len(basis) == 1 for basis in spaces):
             break
-        mi = class_matrix(i)
+        # right multiplication by the class sum K_i on the basis {K_j}
+        columns = [{j: a[j][i][k] % p for j in range(r) if a[j][i][k] % p}
+                   for k in range(r)]
         refined = []
-        for cols in spaces:
-            if len(cols) == 1:
-                refined.append(cols)
+        for basis in spaces:
+            if len(basis) == 1:
+                refined.append(basis)
                 continue
-            s = from_columns(cols, r)
-            b = mat_mul(left_inverse(s, field), mat_mul(mi, s, field), field)
-            d = len(cols)
+            images = [_apply(columns, s, p) for s in basis]
             found = 0
             for lam in range(p):
-                shifted = Mat(d, d, [
-                    [(b.rows[x][y] - (lam if x == y else 0)) % p for y in range(d)]
-                    for x in range(d)
-                ])
-                kern = nullspace(shifted, field)
-                if kern:
-                    refined.append([mat_vec_cols(s, v, field) for v in kern])
-                    found += len(kern)
-                    if found == d:
+                shifted = []
+                for s, image in zip(basis, images):
+                    col = dict(image)
+                    _sub(col, lam, s, p)
+                    shifted.append(col)
+                kernel = reduce_columns(shifted, p, record=True)[1]
+                if kernel:
+                    refined.append([_apply(basis, x, p) for _, x in kernel])
+                    found += len(kernel)
+                    if found == len(basis):
                         break
-            if found != d:
+            if found != len(basis):
                 raise ArithmeticError("class algebra failed to split over F_p")
         spaces = refined
-    if any(len(cols) != 1 for cols in spaces):
+    if any(len(basis) != 1 for basis in spaces):
         raise ArithmeticError("common eigenspace splitting did not reach lines")
 
     # normalize central characters and recover degrees via orthogonality
     inv_sizes = [pow(s % p, -1, p) for s in sizes]
     rows_mod_p = []
-    for (w,) in [tuple(cols) for cols in spaces]:
-        if w[0] % p == 0:
+    for (w,) in spaces:
+        if 0 not in w:
             raise ArithmeticError("central character vanishes at the identity class")
         scale = pow(w[0], -1, p)
-        omega = [x * scale % p for x in w]
+        omega = [w.get(j, 0) * scale % p for j in range(r)]
         s_sum = sum(omega[j] * omega[inv_class[j]] * inv_sizes[j] for j in range(r)) % p
         deg_sq = g.order * pow(s_sum, -1, p) % p
         root = sqrt_mod(deg_sq, p)
@@ -365,22 +365,6 @@ def _build_character_table(g: Group) -> CharacterTable:
     table = CharacterTable(g, classes, irreducibles, degrees)
     _check_orthonormality(table)
     return table
-
-
-def mat_vec_cols(s: Mat, v: list, field) -> list:
-    """s . v for a column vector v (helper for eigenspace mapping)."""
-    return [
-        _dot_mod(row, v, field)
-        for row in s.rows
-    ]
-
-
-def _dot_mod(row, v, field):
-    acc = field.zero
-    for x, y in zip(row, v):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def _check_orthonormality(table: CharacterTable):

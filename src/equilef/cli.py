@@ -20,6 +20,8 @@ import os
 import sys
 
 from .engine import Scenario, full_verification
+from .groups import max_group_order
+from .numtheory import is_prime
 from .scenario_io import (
     ScenarioError,
     canonical_json,
@@ -35,6 +37,9 @@ from .scenarios import builtin_names, builtin_scenario
 
 
 def _load_scenario(target: str, primes) -> Scenario:
+    for p in primes or ():
+        if not is_prime(p):
+            raise ScenarioError(f"{p} is not a prime", "--prime")
     if os.path.exists(target):
         with open(target, "r", encoding="utf-8") as handle:
             scenario = parse_scenario(handle.read())
@@ -168,6 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        max_group_order()
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ScenarioError as exc:

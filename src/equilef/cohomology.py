@@ -5,9 +5,10 @@ closed stratum S the complex restricts the full simplicial coboundary to the
 simplices of S; its cohomology is the compactly supported cohomology of the
 open union of S.  All arithmetic is exact.
 
-Coboundaries are sparse columns, and one column reduction (as in persistent
-cohomology) serves every question: it runs once per degree over Q, with
-ints until a non-unit pivot forces a Fraction, and over F_p for mod-p ranks.
+Coboundaries are sparse columns, and one column reduction
+(``linalg.reduce_columns``, as in persistent cohomology) serves every
+question: it runs once per degree over Q, with ints until a non-unit pivot
+forces a Fraction, and over F_p for mod-p ranks.
 Reducing d_k yields an echelon basis of im d_k and, from the recorded column
 operations, kernel vectors of d_k; those whose pivot im d_(k-1) leaves free
 represent H^k.  A trace on H^k reduces the image of each representative
@@ -22,36 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, int_det, smith_normal_form
+from .linalg import Mat, _apply, _sub, int_det, reduce_columns, smith_normal_form
 from .characters import VirtualCharacter
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes
-
-
-def _sub(y: dict, f, x: dict, p: int = 0):
-    """y -= f * x in place, over Q (p = 0) or F_p; zero entries are dropped."""
-    for i, v in x.items():
-        w = y.get(i, 0) - f * v
-        if p:
-            w %= p
-        if w:
-            y[i] = w
-        else:
-            y.pop(i, None)
-
-
-def _scale(x: dict, f, p: int = 0) -> dict:
-    if p:
-        return {i: v * f % p for i, v in x.items()}
-    return {i: v * f for i, v in x.items()}
-
-
-def _apply(columns, vec: dict) -> dict:
-    """The sparse matrix (given by its columns) times a sparse vector."""
-    out: dict = {}
-    for j, v in vec.items():
-        _sub(out, -v, columns[j])
-    return out
 
 
 def _dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
@@ -70,45 +45,6 @@ def _euler_checked(cells, dims, where):
             f"Euler-Poincare mismatch {where}: cells {lhs}, cohomology {rhs}"
         )
     return dims
-
-
-def reduce_columns(columns, p: int = 0, record: bool = False):
-    """Column reduction of a sparse matrix over Q (p = 0) or F_p.
-
-    Each column ({row: value}) is reduced by earlier ones until its largest
-    row is a new pivot.  Returns (echelon, kernel): echelon maps pivot rows
-    to reduced columns with leading 1, a basis of the column space; kernel
-    lists (j, v) for each column j reduced to zero, v being the recorded
-    kernel vector (v[j] = 1, other keys below j) or None without record.
-    """
-    echelon: dict = {}
-    ops: dict = {}
-    kernel = []
-    for j, column in enumerate(columns):
-        col = {i: v % p for i, v in column.items() if v % p} if p else dict(column)
-        rec = {j: 1} if record else None
-        while col:
-            low = max(col)
-            pivot = echelon.get(low)
-            if pivot is None:
-                break
-            f = col[low]
-            _sub(col, f, pivot, p)
-            if record:
-                _sub(rec, f, ops[low], p)
-        if not col:
-            kernel.append((j, rec))
-            continue
-        lead = col[low]
-        if lead != 1:
-            inv = pow(lead, -1, p) if p else -1 if lead == -1 else 1 / Fraction(lead)
-            col = _scale(col, inv, p)
-            if record:
-                rec = _scale(rec, inv, p)
-        echelon[low] = col
-        if record:
-            ops[low] = rec
-    return echelon, kernel
 
 
 def _unit_elimination(columns):

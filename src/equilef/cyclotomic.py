@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Mat, QQ, from_columns, rref
+from .linalg import reduce_columns
 from .numtheory import divisors, euler_phi
 
 
@@ -247,19 +247,24 @@ def _invariant_under_gal(coeffs: list[Fraction], e: int, d: int) -> bool:
 
 
 def _express_in_subfield(coeffs: list[Fraction], e: int, d: int) -> tuple[Fraction, ...]:
-    """Coordinates of the value in the power basis of Q(zeta_d) inside Q(zeta_e)."""
+    """Coordinates of the value in the power basis of Q(zeta_d) inside Q(zeta_e).
+
+    Reduces the columns [z_d^0, ..., z_d^(phi(d)-1), value] over Q: only the
+    value may reduce to zero, and its recorded kernel vector v gives
+    value = -sum_i v[i] z_d^i.
+    """
     step = e // d
-    cols = []
-    for i in range(euler_phi(d)):
+    n = euler_phi(d)
+    columns = []
+    for i in range(n):
         raw = [Fraction(0)] * e
         raw[(i * step) % e] = Fraction(1)
-        cols.append(_reduce_mod_phi(raw, e))
-    aug = from_columns(cols + [coeffs], euler_phi(e))
-    red, pivots = rref(aug, QQ)
-    n = len(cols)
-    if pivots != list(range(n)):
+        columns.append(_reduce_mod_phi(raw, e))
+    columns.append(coeffs)
+    kernel = reduce_columns(
+        [{r: c for r, c in enumerate(col) if c} for col in columns], record=True
+    )[1]
+    if [j for j, _ in kernel] != [n]:
         raise ArithmeticError("subfield expression failed")
-    sol = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        sol[col] = red.rows[row_idx][n]
-    return tuple(sol)
+    v = kernel[0][1]
+    return tuple(-Fraction(v.get(i, 0)) for i in range(n))

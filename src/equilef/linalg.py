@@ -1,9 +1,12 @@
-"""Exact linear algebra over Q and prime fields, plus integer Smith normal form.
+"""Exact linear algebra: one sparse column reduction, plus integer routines.
 
-Matrices are dense lists of rows.  The field routines are generic over a tiny
-field object (``Rationals`` or ``PrimeField``): character tables eliminate
-mod p, cyclotomic arithmetic over Q.  No floating point anywhere.  Cochain
-complexes use the sparse column reduction in ``cohomology`` instead.
+``reduce_columns`` is the package's only elimination over a field.  It
+reduces sparse columns ({row: value}) over Q or F_p and can record the
+column operations, which turns zero columns into kernel vectors.  Cochain
+complexes, the eigenspace split of character tables (mod p) and subfield
+coordinates of cyclotomic numbers (over Q) all run on it.  Integer matrices
+are dense lists of rows (``Mat``), for the Bareiss determinant and the Smith
+normal form.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,73 +15,8 @@ import math
 from fractions import Fraction
 
 
-class Rationals:
-    """Field object for exact rational arithmetic."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(n) -> Fraction:
-        return Fraction(n)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-
-QQ = Rationals()
-
-
-class PrimeField:
-    """Field object for arithmetic in F_p; elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n) -> int:
-        n = Fraction(n)
-        den = n.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator divisible by {self.p}")
-        return n.numerator * pow(den, -1, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-
 class Mat:
-    """A dense m-by-n matrix with explicit shape (rows may be empty)."""
+    """A dense m-by-n integer matrix with explicit shape (rows may be empty)."""
 
     __slots__ = ("m", "n", "rows")
 
@@ -98,112 +36,74 @@ class Mat:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(0, n, [])
 
-    @classmethod
-    def identity(cls, n: int, field=QQ) -> "Mat":
-        rows = [[field.zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = field.one
-        return cls(n, n, rows)
 
-    def column(self, j: int) -> list:
-        return [r[j] for r in self.rows]
-
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.n)]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.n, self.m, [self.column(j) for j in range(self.n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"Mat({self.m}x{self.n})"
+# ---------------------------------------------------------------------------
+# sparse column reduction over Q and F_p
 
 
-def mat_mul(a: Mat, b: Mat, field=QQ) -> Mat:
-    if a.n != b.m:
-        raise ValueError("inner dimensions differ")
-    bt = b.transpose().rows
-    out = []
-    for row in a.rows:
-        new = []
-        for col in bt:
-            acc = field.zero
-            for x, y in zip(row, col):
-                if x != field.zero and y != field.zero:
-                    acc = field.add(acc, field.mul(x, y))
-            new.append(acc)
-        out.append(new)
-    return Mat(a.m, b.n, out)
+def _sub(y: dict, f, x: dict, p: int = 0):
+    """y -= f * x in place, over Q (p = 0) or F_p; zero entries are dropped."""
+    for i, v in x.items():
+        w = y.get(i, 0) - f * v
+        if p:
+            w %= p
+        if w:
+            y[i] = w
+        else:
+            y.pop(i, None)
 
 
-def from_columns(cols: list[list], m: int) -> Mat:
-    """Assemble a matrix from column vectors of length m."""
-    rows = [[col[i] for col in cols] for i in range(m)]
-    return Mat(m, len(cols), rows)
+def _scale(x: dict, f, p: int = 0) -> dict:
+    if p:
+        return {i: v * f % p for i, v in x.items()}
+    return {i: v * f for i, v in x.items()}
 
 
-def rref(mat: Mat, field=QQ) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    a = [list(r) for r in mat.rows]
-    m, n = mat.m, mat.n
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != field.zero:
-                pr = i
+def _apply(columns, vec: dict, p: int = 0) -> dict:
+    """The sparse matrix (given by its columns) times a sparse vector."""
+    out: dict = {}
+    for j, v in vec.items():
+        _sub(out, -v, columns[j], p)
+    return out
+
+
+def reduce_columns(columns, p: int = 0, record: bool = False):
+    """Column reduction of a sparse matrix over Q (p = 0) or F_p.
+
+    Each column ({row: value}) is reduced by earlier ones until its largest
+    row is a new pivot.  Returns (echelon, kernel): echelon maps pivot rows
+    to reduced columns with leading 1, a basis of the column space; kernel
+    lists (j, v) for each column j reduced to zero, v being the recorded
+    kernel vector (v[j] = 1, other keys below j) or None without record.
+    """
+    echelon: dict = {}
+    ops: dict = {}
+    kernel = []
+    for j, column in enumerate(columns):
+        col = {i: v % p for i, v in column.items() if v % p} if p else dict(column)
+        rec = {j: 1} if record else None
+        while col:
+            low = max(col)
+            pivot = echelon.get(low)
+            if pivot is None:
                 break
-        if pr is None:
+            f = col[low]
+            _sub(col, f, pivot, p)
+            if record:
+                _sub(rec, f, ops[low], p)
+        if not col:
+            kernel.append((j, rec))
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = field.div(field.one, a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != field.zero:
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return Mat(m, n, a), pivots
-
-
-def rank(mat: Mat, field=QQ) -> int:
-    return len(rref(mat, field)[1])
-
-
-def nullspace(mat: Mat, field=QQ) -> list[list]:
-    """Basis (as column vectors) of {v : mat . v = 0}."""
-    red, pivots = rref(mat, field)
-    piv_set = set(pivots)
-    free = [j for j in range(mat.n) if j not in piv_set]
-    basis = []
-    for j in free:
-        v = [field.zero] * mat.n
-        v[j] = field.one
-        for r_idx, c in enumerate(pivots):
-            v[c] = field.neg(red.rows[r_idx][j])
-        basis.append(v)
-    return basis
-
-
-def left_inverse(mat: Mat, field=QQ) -> Mat:
-    """P with P . mat = I for a matrix of full column rank."""
-    m, n = mat.m, mat.n
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(m)]
-           for i, row in enumerate(mat.rows)]
-    red, pivots = rref(Mat(m, n + m, aug), field)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise ValueError("matrix does not have full column rank")
-    return Mat(n, m, [red.rows[i][n:] for i in range(n)])
+        lead = col[low]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else -1 if lead == -1 else 1 / Fraction(lead)
+            col = _scale(col, inv, p)
+            if record:
+                rec = _scale(rec, inv, p)
+        echelon[low] = col
+        if record:
+            ops[low] = rec
+    return echelon, kernel
 
 
 # ---------------------------------------------------------------------------

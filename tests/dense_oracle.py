@@ -1,72 +1,40 @@
 """Dense reference implementation of cochain-complex cohomology, for tests.
 
-Dense Fraction linear algebra throughout: nullspace, column space, basis
-extension and a left inverse per degree for H^k and traces, dense ranks
-over F_p, and the averaging projector for invariant cochains.  It reads a
-CochainComplex only through its public accessors (``coboundary``,
-``apply_action``, ``dims``), so it checks the sparse kernel independently.
-It is cubic in the number of cells; keep it to small complexes.
+Dense exact linear algebra from sympy's ``DomainMatrix`` over QQ and GF(p),
+none of equilef's own: a nullspace and a column space per degree for H^k,
+coordinates of g . H^k from one rref, dense ranks over GF(p), and the
+averaging projector for invariant cochains.  It reads a CochainComplex only
+through its public accessors (``coboundary``, ``apply_action``, ``dims``),
+so it checks the sparse kernel independently.  It is cubic in the number of
+cells; keep it to small complexes.
 """
 
 from fractions import Fraction
 
-from equilef.linalg import (
-    QQ,
-    Mat,
-    PrimeField,
-    from_columns,
-    left_inverse,
-    mat_mul,
-    nullspace,
-    rank,
-    rref,
-)
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 
-def column_space_basis(mat: Mat, field=QQ) -> list[list]:
-    """The pivot columns of mat, a basis of its column space."""
-    _, pivots = rref(mat, field)
-    return [mat.column(j) for j in pivots]
+def dm(rows, m, n, domain=QQ) -> DomainMatrix:
+    """An m-by-n DomainMatrix from integer rows."""
+    return DomainMatrix([[domain(v) for v in row] for row in rows], (m, n), domain)
 
 
-def extend_basis(base: list[list], candidates: list[list], field=QQ) -> list[int]:
-    """Indices of candidates that extend span(base) to an independent family.
+def column_space_basis(mat: DomainMatrix) -> DomainMatrix:
+    """The columns of mat at the pivots of its rref, a basis of its column space."""
+    _, pivots = mat.rref()
+    return mat.extract(range(mat.shape[0]), list(pivots))
 
-    Greedy Gaussian sweep: candidates are taken in order and kept exactly
-    when independent of base plus the candidates kept so far.
+
+def kept_columns(base: DomainMatrix, candidates: DomainMatrix) -> list[int]:
+    """Indices of candidates that extend the independent columns of base.
+
+    They are the rref pivots of [base | candidates] past base: the greedy
+    choice, taking candidates in order when independent of what came before.
     """
-    if base:
-        dim = len(base[0])
-    elif candidates:
-        dim = len(candidates[0])
-    else:
-        return []
-    echelon: list[tuple[int, list]] = []
-
-    def reduce(vec):
-        v = list(vec)
-        for pos, row in echelon:
-            if v[pos] != field.zero:
-                f = v[pos]
-                v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-        return v
-
-    def insert(vec) -> bool:
-        v = reduce(vec)
-        for pos in range(dim):
-            if v[pos] != field.zero:
-                inv = field.div(field.one, v[pos])
-                echelon.append((pos, [field.mul(inv, x) for x in v]))
-                return True
-        return False
-
-    for b in base:
-        insert(b)
-    kept = []
-    for i, cand in enumerate(candidates):
-        if insert(cand):
-            kept.append(i)
-    return kept
+    _, pivots = base.hstack(candidates).rref()
+    b = base.shape[1]
+    return [j - b for j in pivots if j >= b]
 
 
 def dense_coboundary(cc, k):
@@ -87,55 +55,40 @@ def dense_action(cc, e, k):
     return [[cols[j].get(i, 0) for j in range(n)] for i in range(n)]
 
 
-def _qq(rows, n):
-    return Mat.from_rows([[Fraction(v) for v in row] for row in rows], n)
-
-
-def _qq_diff(cc, k):
+def _diff(cc, k, domain=QQ):
     d = dense_coboundary(cc, k)
-    return None if d is None else _qq(d, cc.dims[k])
+    return None if d is None else dm(d, cc.dims[k + 1], cc.dims[k], domain)
 
 
 def _solver(cc, k):
-    """(Q_mat, P_Q): a complement of im d_(k-1) in ker d_k and its coordinates."""
+    """(Q, B): a complement Q of im d_(k-1) in ker d_k, and B a basis of im d_(k-1)."""
     n = cc.dims[k]
-    dk = _qq_diff(cc, k)
-    if dk is None:
-        kernel = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-            for j in range(n)
-        ]
-    else:
-        kernel = nullspace(dk, QQ)
-    dprev = _qq_diff(cc, k - 1)
-    image = column_space_basis(dprev, QQ) if dprev is not None else []
-    kept = extend_basis(image, kernel, QQ)
-    q_cols = [kernel[i] for i in kept]
-    h = len(q_cols)
-    if h == 0:
-        return None
-    full = from_columns(q_cols + image, n)
-    inv = left_inverse(full, QQ)
-    p_q = Mat.from_rows([list(inv.rows[i]) for i in range(h)], n)
-    return from_columns(q_cols, n), p_q
+    dk = _diff(cc, k)
+    kernel = DomainMatrix.eye(n, QQ) if dk is None else dk.nullspace().transpose()
+    dprev = _diff(cc, k - 1)
+    image = (column_space_basis(dprev) if dprev is not None
+             else DomainMatrix.zeros((n, 0), QQ))
+    q = kernel.extract(range(n), kept_columns(image, kernel))
+    return q, image
 
 
 def rational_dims(cc):
-    dims = []
-    for k in range(cc.top_degree() + 1):
-        solver = _solver(cc, k)
-        dims.append(solver[0].n if solver else 0)
-    return tuple(dims)
+    return tuple(_solver(cc, k)[0].shape[1] for k in range(cc.top_degree() + 1))
 
 
 def trace_on_cohomology(cc, e, k):
-    solver = _solver(cc, k)
-    if solver is None:
+    """Trace of e on H^k: the Q-coordinates of e . Q in the basis [Q | B]."""
+    q, image = _solver(cc, k)
+    h, b = q.shape[1], image.shape[1]
+    if h == 0:
         return Fraction(0)
-    q_mat, p_q = solver
-    action = _qq(dense_action(cc, e, k), cc.dims[k])
-    small = mat_mul(p_q, mat_mul(action, q_mat, QQ), QQ)
-    return sum((small.rows[i][i] for i in range(small.m)), Fraction(0))
+    n = cc.dims[k]
+    moved = dm(dense_action(cc, e, k), n, n) * q
+    red, pivots = q.hstack(image, moved).rref()
+    assert list(pivots) == list(range(h + b)), "e . H^k left ker d_k"
+    rows = red.to_list()
+    total = sum((rows[i][h + b + i] for i in range(h)), QQ(0))
+    return Fraction(int(total.numerator), int(total.denominator))
 
 
 def _dims_from_ranks(sizes, ranks):
@@ -146,41 +99,26 @@ def _dims_from_ranks(sizes, ranks):
 
 
 def modp_dims(cc, p):
-    field = PrimeField(p)
-    ranks = []
-    for k in range(cc.top_degree()):
-        d = dense_coboundary(cc, k)
-        m = Mat.from_rows([[v % p for v in row] for row in d], cc.dims[k])
-        ranks.append(rank(m, field))
+    ranks = [_diff(cc, k, GF(p)).rank() for k in range(cc.top_degree())]
     return _dims_from_ranks(cc.dims, ranks)
 
 
 def invariant_dims(cc, acting):
-    """Cohomology of the invariant subcomplex via the averaging projector."""
-    members = acting.member_set
-    size = Fraction(1, len(members))
-    bases_cols = []
-    lifts = []
+    """Cohomology of the invariant subcomplex via the averaging projector.
+
+    The projector (here |H| times it, the sum of the actions) has the
+    invariant cochains as column space B_k; d_k maps B_k into B_(k+1), so
+    the restricted differential has the rank of d_k . B_k.
+    """
+    bases = []
     for k in range(cc.top_degree() + 1):
         n = cc.dims[k]
         acc = [[0] * n for _ in range(n)]
-        for e in members:
+        for e in acting.member_set:
             a = dense_action(cc, e, k)
             for i in range(n):
                 for j in range(n):
                     acc[i][j] += a[i][j]
-        proj = Mat.from_rows([[size * v for v in row] for row in acc], n)
-        cols_b = column_space_basis(proj, QQ)
-        b_mat = from_columns(cols_b, n)
-        bases_cols.append(b_mat)
-        lifts.append(left_inverse(b_mat, QQ) if b_mat.n else None)
-    ranks = []
-    for k in range(cc.top_degree()):
-        b_k = bases_cols[k]
-        lift = lifts[k + 1]
-        if b_k.n == 0 or lift is None:
-            ranks.append(0)
-            continue
-        restricted = mat_mul(lift, mat_mul(_qq_diff(cc, k), b_k, QQ), QQ)
-        ranks.append(rank(restricted, QQ))
-    return _dims_from_ranks([b.n for b in bases_cols], ranks)
+        bases.append(column_space_basis(dm(acc, n, n)))
+    ranks = [(_diff(cc, k) * bases[k]).rank() for k in range(cc.top_degree())]
+    return _dims_from_ranks([b.shape[1] for b in bases], ranks)

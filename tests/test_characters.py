@@ -21,6 +21,7 @@ from equilef.characters import (
 )
 from equilef.cyclotomic import Cyclotomic
 from equilef.groups import element_classes, group_from_permutations, subgroups
+from equilef.scenarios import builtin_scenario
 
 PRESENTATIONS = {
     "c1": (1, []),
@@ -188,3 +189,12 @@ def test_virtual_character_algebra():
     assert 2 * a == a + a
     assert a.scale(0).is_zero()
     assert not b.is_zero()
+
+
+def test_equal_virtual_characters_hash_equal_across_builds():
+    # two builds of one scenario give distinct but equal groups
+    a = builtin_scenario("torus-involution").lattice.character()
+    b = builtin_scenario("torus-involution").lattice.character()
+    assert a.group is not b.group
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1

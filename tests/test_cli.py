@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -92,6 +93,27 @@ def test_prime_override():
     payload = json.loads(result.stdout)
     primes = [row["prime"] for row in payload["verdicts"]["modp"]]
     assert primes == [7, 11]
+
+
+def test_non_prime_flag_is_an_input_error(capsys):
+    # --prime 1 once printed a false failed identity; --prime 4 meaningless rows
+    for p in ("1", "4"):
+        assert cli.main(["verify", "torus-involution", "--prime", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --prime:"), err
+        assert f"{p} is not a prime" in err
+
+
+def test_bad_max_group_order_is_an_input_error(tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(VALID_FILE))
+    env = dict(os.environ, EQUILEF_MAX_GROUP_ORDER="abc")
+    for target in ("torus-involution", str(path)):
+        result = run_cli("verify", target, env=env)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("input error: EQUILEF_MAX_GROUP_ORDER")
+        assert "$.group" not in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_timings_flag():

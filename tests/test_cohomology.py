@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from equilef.characters import regular_character, trace_at
@@ -20,7 +21,6 @@ from equilef.cohomology import (
 )
 from equilef.complexes import exact_stratum, fixed_subcomplex
 from equilef.groups import group_from_permutations, normalizer, subgroups
-from equilef.linalg import Mat, PrimeField, rank
 
 import dense_oracle
 from dense_oracle import dense_action, dense_coboundary
@@ -351,8 +351,8 @@ def test_reduce_columns_ranks_match_sympy():
                 sum(rows[i][c] * x for c, x in v.items()) == 0 for i in range(m)
             )
         for p in (2, 3):
-            dense = Mat.from_rows([[v % p for v in row] for row in rows], n)
-            assert len(reduce_columns(columns, p)[0]) == rank(dense, PrimeField(p))
+            dense = dense_oracle.dm(rows, m, n, GF(p))
+            assert len(reduce_columns(columns, p)[0]) == dense.rank()
 
 
 def test_cochain_cache_is_keyed_by_lattice_value(by_name):

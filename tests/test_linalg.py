@@ -6,47 +6,33 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.linalg import (
-    Mat,
-    PrimeField,
-    QQ,
-    from_columns,
-    int_det,
-    left_inverse,
-    mat_mul,
-    nullspace,
-    rank,
-    rref,
-    smith_normal_form,
-)
+from equilef.linalg import Mat, int_det, reduce_columns, smith_normal_form
 
-from dense_oracle import column_space_basis, extend_basis
+from dense_oracle import column_space_basis, dm, kept_columns
 
 
 def random_int_mat(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
-def to_qq(rows, n=None):
-    return Mat.from_rows([[Fraction(x) for x in r] for r in rows], n=n)
+def sparse_columns(rows, n):
+    """The columns of a dense integer matrix as {row: value} dicts."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
 
 
-def test_rref_shape_and_pivots():
+def test_echelon_leading_ones_at_distinct_pivot_rows():
     rng = random.Random(101)
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_int_mat(rng, m, n)
-        red, pivots = rref(to_qq(rows, n))
-        assert red.m == m and red.n == n
-        # pivot columns carry identity blocks
-        for i, j in enumerate(pivots):
-            assert red.rows[i][j] == 1
-            for k in range(m):
-                if k != i:
-                    assert red.rows[k][j] == 0
-        # rows past the pivots vanish
-        for i in range(len(pivots), m):
-            assert all(v == 0 for v in red.rows[i])
+        for p in (0, 2, 5):
+            echelon, kernel = reduce_columns(sparse_columns(rows, n), p)
+            assert len(echelon) + len(kernel) == n
+            # each echelon column has a leading 1 at its own pivot row
+            for low, col in echelon.items():
+                assert 0 <= low < m and max(col) == low and col[low] == 1
+                if p:
+                    assert all(0 < v < p for v in col.values())
 
 
 def test_rank_matches_sympy():
@@ -54,7 +40,8 @@ def test_rank_matches_sympy():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_int_mat(rng, m, n)
-        assert rank(to_qq(rows, n)) == sympy.Matrix(rows).rank()
+        echelon, _ = reduce_columns(sparse_columns(rows, n))
+        assert len(echelon) == sympy.Matrix(rows).rank()
 
 
 def test_rank_over_prime_fields():
@@ -68,10 +55,9 @@ def test_rank_over_prime_fields():
             if d != 0
         ]
         for p in (2, 3, 5):
-            field = PrimeField(p)
-            mat = Mat.from_rows([[field.of(x) for x in r] for r in rows], n=n)
             expected = sum(1 for d in divisors if d % p != 0)
-            assert rank(mat, field) == expected, (rows, p)
+            echelon, _ = reduce_columns(sparse_columns(rows, n), p)
+            assert len(echelon) == expected, (rows, p)
 
 
 def test_nullspace_is_exact_kernel():
@@ -79,15 +65,15 @@ def test_nullspace_is_exact_kernel():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_int_mat(rng, m, n)
-        mat = to_qq(rows, n)
-        basis = nullspace(mat)
-        assert len(basis) == n - rank(mat)
-        for vec in basis:
-            image = [sum(Fraction(rows[i][j]) * vec[j] for j in range(n))
-                     for i in range(m)]
-            assert all(v == 0 for v in image)
-        if basis:
-            assert rank(from_columns(basis, n)) == len(basis)
+        for p in (0, 2, 3, 5):
+            echelon, kernel = reduce_columns(sparse_columns(rows, n), p, record=True)
+            assert len(kernel) == n - len(echelon)
+            for j, vec in kernel:
+                # v[j] = 1 and lower keys only: the vectors are independent
+                assert vec[j] == 1 and max(vec) == j
+                for row in rows:
+                    value = sum(Fraction(row[c]) * x for c, x in vec.items())
+                    assert (value % p if p else value) == 0, (rows, p, vec)
 
 
 def test_column_space_basis_spans():
@@ -95,29 +81,34 @@ def test_column_space_basis_spans():
     for _ in range(40):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_int_mat(rng, m, n)
-        mat = to_qq(rows, n)
-        basis = column_space_basis(mat)
-        r = rank(mat)
-        assert len(basis) == r
-        # every original column lies in the span: augmenting cannot grow rank
-        together = basis + [mat.column(j) for j in range(n)]
-        assert rank(from_columns(together, m)) == r
+        r = sympy.Matrix(rows).rank()
+        echelon, _ = reduce_columns(sparse_columns(rows, n))
+        oracle = column_space_basis(dm(rows, m, n)).to_Matrix()
+        assert len(echelon) == oracle.shape[1] == r
+        # every original column lies in each span: augmenting cannot grow rank
+        ours = sympy.Matrix(m, r, lambda i, k: list(echelon.values())[k].get(i, 0))
+        assert ours.row_join(sympy.Matrix(rows)).rank() == r
+        assert oracle.row_join(sympy.Matrix(rows)).rank() == r
 
 
-def test_left_inverse_property():
+def test_recorded_kernel_gives_coordinates():
+    # reducing [basis | basis . x] leaves one kernel vector, (-x, 1)
     rng = random.Random(106)
     built = 0
     while built < 30:
         m = rng.randint(1, 6)
         n = rng.randint(1, m)
         rows = random_int_mat(rng, m, n)
-        mat = to_qq(rows, n)
-        if rank(mat) < n:
+        if sympy.Matrix(rows).rank() < n:
             continue
         built += 1
-        linv = left_inverse(mat)
-        prod = mat_mul(linv, mat)
-        assert prod == Mat.identity(n)
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        target = {i: v for i, row in enumerate(rows)
+                  if (v := sum(a * b for a, b in zip(row, x)))}
+        _, kernel = reduce_columns(sparse_columns(rows, n) + [target], record=True)
+        assert [j for j, _ in kernel] == [n]
+        vec = kernel[0][1]
+        assert [-vec.get(i, 0) for i in range(n)] == x
 
 
 def test_extend_basis_completes():
@@ -126,15 +117,14 @@ def test_extend_basis_completes():
         m = rng.randint(2, 6)
         k = rng.randint(1, m - 1)
         base_rows = random_int_mat(rng, m, k)
-        base_mat = to_qq(base_rows, k)
-        if rank(base_mat) < k:
+        if sympy.Matrix(base_rows).rank() < k:
             continue
-        base = [base_mat.column(j) for j in range(k)]
-        candidates = [[Fraction(int(i == j)) for i in range(m)] for j in range(m)]
-        chosen = extend_basis(base, candidates, QQ)
+        base = dm(base_rows, m, k)
+        candidates = dm([[int(i == j) for j in range(m)] for i in range(m)], m, m)
+        chosen = kept_columns(base, candidates)
         assert len(chosen) == m - k
-        full = base + [candidates[i] for i in chosen]
-        assert rank(from_columns(full, m)) == m
+        full = base.hstack(candidates.extract(range(m), chosen))
+        assert full.rank() == m
 
 
 def test_int_det_matches_sympy():
@@ -165,13 +155,3 @@ def test_smith_normal_form_matches_sympy():
         # divisibility chain
         for a, b in zip(ours, ours[1:]):
             assert b % a == 0, ours
-
-
-def test_prime_field_arithmetic():
-    f = PrimeField(7)
-    for a in range(7):
-        for b in range(7):
-            assert f.add(a, b) == (a + b) % 7
-            assert f.mul(a, b) == (a * b) % 7
-            if b:
-                assert f.mul(f.div(a, b), b) == a % 7
