@@ -39,6 +39,7 @@ from .characters import (
     induce,
     inner_product,
     power_map,
+    rational_coefficients,
     rational_irreducibles,
     regular_character,
     restrict,
@@ -108,8 +109,8 @@ __all__ = [
     "CharacterTable", "ClassFunction", "IntegralityError",
     "RationalIrreducible", "VirtualCharacter", "assert_integral",
     "character_table", "induce", "inner_product", "power_map",
-    "rational_irreducibles", "regular_character", "restrict", "trace_at",
-    "trivial_character",
+    "rational_coefficients", "rational_irreducibles", "regular_character",
+    "restrict", "trace_at", "trivial_character",
     "QuotientComplex", "SimplicialGComplex", "Stratum",
     "barycentric_subdivision", "build_complex", "class_stratum",
     "exact_stratum", "filtration", "fixed_subcomplex", "quotient_complex",

@@ -8,7 +8,11 @@ values through root-of-unity multiplicities.  The eigenspaces are split by
 the sparse column reduction of ``linalg`` mod p, whose recorded kernel
 vectors combine a space's basis into eigenvectors.  On top of the table live
 Galois orbit sums (the rational-irreducible characters), induction and
-restriction, and integer-checked virtual characters.
+restriction, and virtual characters.
+
+Integrality is decided in one place, ``rational_coefficients``: a rational
+virtual character is integral when its coefficients over the rational
+irreducibles are integers and rebuild it exactly.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ class VirtualCharacter:
     """A rational-valued class function, the common currency of the engine.
 
     Supports exact addition, subtraction and rational scaling.  Whether the
-    values are an integer combination of irreducible characters is a separate
-    check (``is_integral``); engine-level violations of it are hard errors.
+    values are an integer combination of irreducible characters is decided
+    by ``rational_coefficients`` (``is_integral``, ``assert_integral``);
+    engine-level violations of it are hard errors.
     """
 
     __slots__ = ("group", "values")
@@ -119,10 +124,10 @@ class VirtualCharacter:
 
     def is_integral(self) -> bool:
         """True when every multiplicity <self, chi_i> is a rational integer."""
-        table = character_table(self.group)
-        for chi in table.irreducibles:
-            if not inner_product(self, chi).is_integer():
-                return False
+        try:
+            rational_coefficients(self, "is_integral")
+        except IntegralityError:
+            return False
         return True
 
 
@@ -396,55 +401,54 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
         r = len(table.classes)
         lookup = {table.irreducibles[t].values: t for t in range(len(table.irreducibles))}
         seen = [False] * len(table.irreducibles)
-        orbits = []
+        out = []
         for t in range(len(table.irreducibles)):
             if seen[t]:
                 continue
+            base = table.irreducibles[t].values
             orbit = set()
-            stack = [t]
-            while stack:
-                u = stack.pop()
-                if u in orbit:
-                    continue
-                orbit.add(u)
-                seen[u] = True
-                base = table.irreducibles[u].values
-                for k in range(1, m + 1):
-                    if math.gcd(k, m) != 1:
-                        continue
-                    moved = tuple(base[pm[j][k % m]] for j in range(r))
-                    v = lookup.get(moved)
-                    if v is None:
+            for k in range(1, m + 1):
+                if math.gcd(k, m) == 1:
+                    u = lookup.get(tuple(base[pm[j][k % m]] for j in range(r)))
+                    if u is None:
                         raise ArithmeticError("Galois action left the character table")
-                    if v not in orbit:
-                        stack.append(v)
-            orbits.append(tuple(sorted(orbit)))
-        orbits.sort(key=lambda o: o[0])
-
-        out = []
-        for orbit in orbits:
+                    orbit.add(u)
+                    seen[u] = True
+            orbit = tuple(sorted(orbit))
             acc = [Cyclotomic.from_rational(0)] * r
-            for t in orbit:
-                acc = [x + y for x, y in zip(acc, table.irreducibles[t].values)]
-            values = []
-            for x in acc:
-                if not x.is_integer():
-                    raise IntegralityError("Galois orbit sum has a non-integer value")
-                values.append(x.as_fraction())
-            out.append(
-                RationalIrreducible(
-                    group=g,
-                    orbit=orbit,
-                    orbit_sum=VirtualCharacter(g, values),
-                    orbit_size=len(orbit),
-                )
-            )
+            for u in orbit:
+                acc = [x + y for x, y in zip(acc, table.irreducibles[u].values)]
+            if not all(x.is_integer() for x in acc):
+                raise IntegralityError("Galois orbit sum has a non-integer value")
+            orbit_sum = VirtualCharacter(g, [x.as_fraction() for x in acc])
+            out.append(RationalIrreducible(g, orbit, orbit_sum, len(orbit)))
         g._cache["rational_irreducibles"] = out
     return g._cache["rational_irreducibles"]
 
 
+def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[Fraction, ...]:
+    """Coefficients c = <v, Phi>/|orbit| of v, one per ``rational_irreducibles``.
+
+    Raises IntegralityError unless every c is an integer and sum c Phi
+    rebuilds v.  For rational v that is "every <v, chi> is an integer":
+    Galois permutes the <v, chi> within orbits, so integers are equal there,
+    and a rebuilt v forces <v, chi> = c.  The rebuild matters: on C3,
+    v = (0, 3, -3) has every c = 0 but <v, chi_1> = -i sqrt 3.
+    """
+    irreducibles = rational_irreducibles(character_table(v.group))
+    coefficients = tuple(
+        inner_product(v, lam.orbit_sum) / lam.orbit_size for lam in irreducibles
+    )
+    rebuilt = tuple(
+        sum(c * lam.orbit_sum.values[j] for c, lam in zip(coefficients, irreducibles))
+        for j in range(len(v.values))
+    )
+    if any(c.denominator != 1 for c in coefficients) or rebuilt != v.values:
+        raise IntegralityError(f"{context}: {v!r} is not an integral virtual character")
+    return coefficients
+
+
 def assert_integral(v: VirtualCharacter, context: str) -> VirtualCharacter:
     """Raise IntegralityError unless v is an integral virtual character."""
-    if not v.is_integral():
-        raise IntegralityError(f"{context}: {v!r} is not an integral virtual character")
+    rational_coefficients(v, context)
     return v

@@ -42,7 +42,11 @@ def _load_scenario(target: str, primes) -> Scenario:
             raise ScenarioError(f"{p} is not a prime", "--prime")
     if os.path.exists(target):
         with open(target, "r", encoding="utf-8") as handle:
-            scenario = parse_scenario(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"not valid UTF-8: {exc}", "$") from None
+        scenario = parse_scenario(text)
     else:
         try:
             scenario = builtin_scenario(target)

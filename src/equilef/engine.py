@@ -9,7 +9,7 @@ characters of the group:
                  induced Euler characteristic of the stratum of points with
                  stabilizer exactly H,
   rhs_isotypic   the same sum expanded over rational irreducibles of each H,
-                 with integer coefficients c recovered by inner products,
+                 with the integer coefficients of ``rational_coefficients``,
 
 and certifies their classwise equality, along with the cyclic-subgroup
 comparison of Lefschetz numbers, the free-action vanishing and covering
@@ -17,28 +17,27 @@ identities, the regular-multiple identity for free actions, and the
 characteristic-p comparison with its per-degree reconciliation.
 
 Every number is an exact rational; a comparison either holds on the nose or
-the verdict fails.  Integrality violations (a non-integer coefficient,
-a non-integral character) raise IntegralityError: they cannot occur for a
-correct computation and are treated as bugs rather than verdicts.
+the verdict fails.  Integrality is decided by ``rational_coefficients``, the
+one routine behind ``assert_integral`` and the isotypic rows: a character
+whose coefficients over the rational irreducibles are not integers, or do
+not rebuild it, raises IntegralityError.  That cannot occur for a correct
+computation and is treated as a bug rather than a verdict.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import (
-    IntegralityError,
-    RationalIrreducible,
     VirtualCharacter,
     assert_integral,
     character_table,
     induce,
-    inner_product,
+    rational_coefficients,
     rational_irreducibles,
     regular_character,
-    trace_at,
 )
 from .cohomology import GLattice, CochainComplex, cochain_complex
 from .complexes import (
@@ -178,17 +177,8 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
                 f"{s.name}: factorized character disagrees with traced character "
                 f"on stratum of {h!r}"
             )
-        assert_integral(theta, f"{s.name}: stratum character of {h!r}")
-
-        rows = []
-        for idx, lam in enumerate(rational_irreducibles(character_table(inner))):
-            pairing = inner_product(theta, lam.orbit_sum)
-            c = pairing / lam.orbit_size
-            if c.denominator != 1:
-                raise IntegralityError(
-                    f"{s.name}: coefficient of orbit {idx} for {h!r} is {c}"
-                )
-            rows.append(IsotypicRow(idx, lam.orbit_size, c))
+        coefficients = rational_coefficients(theta, f"{s.name}: stratum character of {h!r}")
+        irreducibles = rational_irreducibles(character_table(inner))
 
         terms.append(
             ClassTerm(
@@ -202,7 +192,10 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
                 cohomology_dims=hdims,
                 theta=theta,
                 induced=induce(h, theta),
-                isotypic=tuple(rows),
+                isotypic=tuple(
+                    IsotypicRow(idx, lam.orbit_size, c)
+                    for idx, (lam, c) in enumerate(zip(irreducibles, coefficients))
+                ),
             )
         )
     s._cache["terms"] = tuple(terms)

@@ -237,8 +237,9 @@ def group_from_permutations(degree: int, generators, max_order: int | None = Non
     """Close a set of permutation generators into a Group.
 
     Elements are enumerated breadth-first over generator words (lexicographic
-    within each length), so indexing is reproducible.  Closure beyond the
-    configured order bound is rejected.
+    within each length), so indexing is reproducible.  The table is filled
+    from the products x * gen_j recorded by the closure, along each element's
+    word.  Closure beyond the configured order bound is rejected.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError("degree must be a positive integer")
@@ -254,6 +255,8 @@ def group_from_permutations(degree: int, generators, max_order: int | None = Non
     elems = [identity]
     index = {identity: 0}
     words: list[tuple[int, ...]] = [()]
+    parent = [0]
+    right = [[] for _ in gens]  # right[j][x] = index of x * gen_j; x comes in index order
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -269,14 +272,18 @@ def group_from_permutations(degree: int, generators, max_order: int | None = Non
                     index[prod] = len(elems)
                     elems.append(prod)
                     words.append(words[ei] + (j,))
+                    parent.append(ei)
                     next_frontier.append(index[prod])
+                right[j].append(index[prod])
         frontier = next_frontier
 
+    # column b is column parent(b) moved by b's last letter: a b = (a parent(b)) gen_j
     n = len(elems)
-    mul = [
-        [index[tuple(elems[a][elems[b][v]] for v in range(degree))] for b in range(n)]
-        for a in range(n)
-    ]
+    columns = [list(range(n))]
+    for b in range(1, n):
+        step = right[words[b][-1]]
+        columns.append([step[x] for x in columns[parent[b]]])
+    mul = list(zip(*columns))
     gen_elements = [index[g] for g in gens]
     return Group(mul, generator_permutations=gens, generator_elements=gen_elements, words=words)
 

@@ -99,6 +99,8 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"not valid JSON: {exc}", "$") from None
+    except RecursionError:
+        raise ScenarioError("JSON is nested too deeply", "$") from None
     _expect(isinstance(data, dict), "top level must be an object", "$")
     version = _int_field(data, "schema_version", "$")
     _expect(version == SCHEMA_VERSION,

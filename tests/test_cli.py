@@ -76,6 +76,24 @@ def test_malformed_file_is_an_input_error(tmp_path):
     assert "$.lattice.action[0]" in result.stderr
 
 
+def test_deeply_nested_file_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = run_cli("verify", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error: $: JSON is nested too deeply")
+    assert "Traceback" not in result.stderr
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    result = run_cli("verify", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error: $: not valid UTF-8")
+    assert "Traceback" not in result.stderr
+
+
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("verify", "point-trivial", "--format", "json", "--out", str(out))

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from equilef.scenarios import builtin_names, builtin_scenario
 from equilef.groups import (
     Group,
     class_index_of,
@@ -164,3 +165,43 @@ def test_generator_words_multiply_out(group):
         for gen_index in word:
             acc = group.mul[acc][group.generator_elements[gen_index]]
         assert acc == e
+
+
+def composed_table(g):
+    """The table of g recomputed by composing the permutations of its words."""
+    gens = g.generator_permutations
+    degree = len(gens[0]) if gens else 1
+    elems = []
+    for word in g.words:
+        perm = tuple(range(degree))
+        for j in word:
+            perm = tuple(perm[gens[j][v]] for v in range(degree))
+        elems.append(perm)
+    index = {perm: i for i, perm in enumerate(elems)}
+    assert len(index) == g.order
+    return tuple(
+        tuple(index[tuple(a[b[v]] for v in range(degree))] for b in elems)
+        for a in elems
+    )
+
+
+S4 = (4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+A5 = (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+S5 = (5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+# redundant generators, the identity among them
+S4_REDUNDANT = (4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 2, 3, 0)])
+
+
+@pytest.mark.parametrize("presentation, order",
+                         [(S4, 24), (A5, 60), (S5, 120), (S4_REDUNDANT, 24)],
+                         ids=["s4", "a5", "s5", "s4-redundant"])
+def test_closure_table_matches_composed_permutations(presentation, order):
+    g = group_from_permutations(*presentation)
+    assert g.order == order
+    assert g.mul == composed_table(g)
+
+
+def test_builtin_closure_tables_match_composed_permutations():
+    for name in builtin_names():
+        g = builtin_scenario(name).group
+        assert g.mul == composed_table(g), name

@@ -113,6 +113,13 @@ def test_non_json_input():
         parse_scenario_file("{not json")
 
 
+def test_deeply_nested_json_is_rejected_at_the_root():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_file("[" * 100_000)
+    assert err.value.location == "$"
+    assert "nested too deeply" in err.value.message
+
+
 def test_build_rejects_relation_violations():
     # an order-2 generator acting with order 3 parses but cannot build
     bad = mutated(
