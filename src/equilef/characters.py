@@ -1,12 +1,16 @@
 """Exact character theory of finite groups over Q.
 
 Irreducible complex character tables are computed by the class-algebra
-method: the class-sum matrices act on the centre of the group algebra over a
-prime field F_p with p = 1 (mod exponent), their common eigenvectors are the
-central characters, and eigenvalue data is lifted back to exact cyclotomic
-values through root-of-unity multiplicities.  The eigenspaces are split by
-the sparse column reduction of ``linalg`` mod p, whose recorded kernel
-vectors combine a space's basis into eigenvectors.  On top of the table live
+method (Dixon 1967): the class-sum matrices act on the centre of the group
+algebra over a prime field F_p with p = 1 (mod exponent), their common
+eigenvectors are the central characters, and eigenvalue data is lifted back
+to exact cyclotomic values through root-of-unity multiplicities.  The
+eigenspaces are split by the sparse column reduction of ``linalg`` mod p,
+whose recorded kernel vectors combine a space's basis into eigenvectors.
+Each class is lifted over its own element order o, from the o powers of its
+representative, into Q(zeta_o).  Every table is checked orthonormal in
+integer coordinates over Z[zeta_e], e the lcm of its conductors, with one
+reduction mod Phi_e per pair of characters.  On top of the table live
 Galois orbit sums (the rational-irreducible characters), induction and
 restriction, and virtual characters.
 
@@ -21,10 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _reduce_mod_phi
 from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of
 from .linalg import _apply, _sub, reduce_columns
-from .numtheory import is_prime, primitive_root, sqrt_mod
+from .numtheory import euler_phi, is_prime, primitive_root, sqrt_mod
 
 DIXON_PRIME_BOUND = 10_000_000
 
@@ -39,13 +43,6 @@ class ClassFunction:
 
     group: Group
     values: tuple[Cyclotomic, ...]
-
-    def at_element(self, e: int) -> Cyclotomic:
-        return self.values[class_index_of(self.group)[e]]
-
-    @property
-    def degree(self) -> Cyclotomic:
-        return self.values[0]
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.values)
@@ -264,13 +261,19 @@ def power_map(g: Group) -> list[tuple[int, ...]]:
 
 def _build_character_table(g: Group) -> CharacterTable:
     classes = tuple(element_classes(g))
-    r = len(classes)
-    if r == 1:
+    if len(classes) == 1:
         triv = ClassFunction(g, (Cyclotomic.from_rational(1),))
         return CharacterTable(g, classes, (triv,), (1,))
+    p = _dixon_prime(g.order, g.exponent())
+    table = _ordered_table(g, _lift(g, p, _central_characters_mod_p(g, p)))
+    _check_orthonormality(table)
+    return table
 
-    m = g.exponent()
-    p = _dixon_prime(g.order, m)
+
+def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
+    """(degree, [chi(x_j) mod p for each class j]) for every irreducible chi."""
+    classes = element_classes(g)
+    r = len(classes)
     cls_of = class_index_of(g)
     sizes = [cl.size for cl in classes]
     inv_class = [cls_of[g.inverse[cl.representative]] for cl in classes]
@@ -333,28 +336,45 @@ def _build_character_table(g: Group) -> CharacterTable:
         degree = min(root, p - root)
         row = [omega[j] * degree * inv_sizes[j] % p for j in range(r)]
         rows_mod_p.append((degree, row))
+    return rows_mod_p
 
-    # lift each value through root-of-unity multiplicities
+
+def _lift(g: Group, p: int, rows_mod_p) -> list[tuple[int, ClassFunction]]:
+    """Exact values through root-of-unity multiplicities, per element order.
+
+    chi(x^k) depends only on k mod o = o(x), so the multiplicity of zeta_o^l
+    as an eigenvalue of x is o^-1 sum_{k<o} chi(x^k) zeta_o^(-lk), taken mod p
+    with zeta_o = z^(m/o) for a primitive m-th root of unity z mod p.
+    """
+    m = g.exponent()
     pm = power_map(g)
     z = pow(primitive_root(p), (p - 1) // m, p)
-    z_pows = [pow(z, k, p) for k in range(m)]
-    z_inv_pows = [pow(z_pows[k], -1, p) for k in range(m)]
-    m_inv = pow(m % p, -1, p)
+    orders = [g.element_order(cl.representative) for cl in element_classes(g)]
+    # per order o: zeta_o^-t for t < o, and o^-1
+    inverse_roots = {}
+    for o in set(orders):
+        w = pow(z, m - m // o, p)
+        inverse_roots[o] = ([pow(w, t, p) for t in range(o)], pow(o, -1, p))
+    exact = {}  # (o, multiplicities) -> value; most values repeat within a table
     lifted = []
     for degree, row in rows_mod_p:
         values = []
-        for j in range(r):
-            mults = []
-            for l in range(m):
-                acc = 0
-                for k in range(m):
-                    acc += row[pm[j][k]] * z_inv_pows[l * k % m]
-                mults.append(acc % p * m_inv % p)
+        for j, o in enumerate(orders):
+            roots, o_inv = inverse_roots[o]
+            chi = [row[c] for c in pm[j][:o]]
+            mults = tuple(sum(v * roots[l * k % o] for k, v in enumerate(chi)) % p * o_inv % p
+                          for l in range(o))
             if sum(mults) != degree:
                 raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic.from_root_combination(m, mults))
+            if (o, mults) not in exact:
+                exact[o, mults] = Cyclotomic.from_root_combination(o, mults)
+            values.append(exact[o, mults])
         lifted.append((degree, ClassFunction(g, tuple(values))))
+    return lifted
 
+
+def _ordered_table(g: Group, lifted) -> CharacterTable:
+    """Trivial character first, the rest by (degree, values); degrees checked."""
     one = Cyclotomic.from_rational(1)
     trivial = [t for t in lifted if all(v == one for v in t[1].values)]
     rest = [t for t in lifted if not all(v == one for v in t[1].values)]
@@ -364,20 +384,53 @@ def _build_character_table(g: Group) -> CharacterTable:
     ordered = trivial + rest
     degrees = tuple(t[0] for t in ordered)
     irreducibles = tuple(t[1] for t in ordered)
-
     if sum(d * d for d in degrees) != g.order:
         raise ArithmeticError("degree squares do not sum to the group order")
-    table = CharacterTable(g, classes, irreducibles, degrees)
-    _check_orthonormality(table)
-    return table
+    return CharacterTable(g, tuple(element_classes(g)), irreducibles, degrees)
 
 
 def _check_orthonormality(table: CharacterTable):
+    """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates.
+
+    Each value is promoted once to the power basis of Z[zeta_e], e the lcm
+    of the table's conductors; character values are algebraic integers, so
+    a non-integer coordinate is an error.  Per pair, sum_k |C_k| chi_i(x_k)
+    conj chi_j(x_k) is accumulated as an integer polynomial in zeta_e and
+    reduced mod Phi_e once; it must be |G| delta_ij.
+    """
     irr = table.irreducibles
-    for i in range(len(irr)):
+    sizes = [cl.size for cl in table.classes]
+    e = math.lcm(*(v.conductor for chi in irr for v in chi.values))
+    n = euler_phi(e)
+    coords, conjugates = {}, {}
+    for chi in irr:
+        for v in chi.values:
+            if v in coords:
+                continue
+            promoted = v._promoted(e)
+            if any(c.denominator != 1 for c in promoted):
+                raise ArithmeticError(
+                    f"character value {v!r} is not an algebraic integer"
+                )
+            coords[v] = [int(c) for c in promoted]
+            raw = [0] * e
+            for t, c in enumerate(coords[v]):
+                raw[-t % e] += c
+            conjugates[v] = _reduce_mod_phi(raw, e)
+    rows = [[coords[v] for v in chi.values] for chi in irr]
+    conj_rows = [[conjugates[v] for v in chi.values] for chi in irr]
+    for i, a_row in enumerate(rows):
         for j in range(i, len(irr)):
-            expected = 1 if i == j else 0
-            if inner_product(irr[i], irr[j]) != expected:
+            acc = [0] * (2 * n - 1)
+            for size, a, b in zip(sizes, a_row, conj_rows[j]):
+                for t, x in enumerate(a):
+                    if x:
+                        x *= size
+                        for u, y in enumerate(b):
+                            if y:
+                                acc[t + u] += x * y
+            expected = [table.group.order if i == j else 0] + [0] * (n - 1)
+            if _reduce_mod_phi(acc, e) != expected:
                 raise ArithmeticError(
                     f"characters {i} and {j} are not orthonormal; lifting is inconsistent"
                 )

@@ -45,15 +45,19 @@ def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], e: int) -> list[Fraction]:
-    """Remainder of a polynomial in z modulo Phi_e, as phi(e) coefficients."""
+def _reduce_mod_phi(coeffs: list, e: int) -> list:
+    """Remainder of a polynomial in z modulo Phi_e, as phi(e) coefficients.
+
+    Phi_e is monic with integer coefficients, so integer input stays integer
+    and Fraction input stays Fraction.
+    """
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
-    a = list(coeffs) + [Fraction(0)] * max(0, deg - len(coeffs))
+    a = list(coeffs) + [0] * max(0, deg - len(coeffs))
     for i in range(len(a) - 1, deg - 1, -1):
         c = a[i]
         if c:
-            a[i] = Fraction(0)
+            a[i] = 0
             for j in range(deg):
                 a[i - deg + j] -= c * phi[j]
     return a[:deg]

@@ -51,7 +51,6 @@ from .groups import (
     Subgroup,
     conjugacy_classes_of_subgroups,
     element_classes,
-    normalizer,
 )
 
 
@@ -154,7 +153,7 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
     for cls in conjugacy_classes_of_subgroups(g):
         h = cls.representative
         inner = h.as_group()
-        n_order = normalizer(g, h).order
+        n_order = g.order // len(cls.members)
         weight = Fraction(h.order, n_order)
         stratum = exact_stratum(x, h)
         base = cochain_complex(stratum, s.base_lattice())

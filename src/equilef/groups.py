@@ -58,19 +58,15 @@ class Group:
         for i, row in enumerate(mul):
             if len(row) != n or frozenset(row) != full:
                 raise ValueError(f"row {i} of the multiplication table is not a permutation")
-        for j in range(n):
+        for j, column in enumerate(zip(*mul)):
             if mul[0][j] != j or mul[j][0] != j:
                 raise ValueError("element 0 must be the identity")
-            if frozenset(mul[i][j] for i in range(n)) != full:
+            if frozenset(column) != full:
                 raise ValueError(f"column {j} of the multiplication table is not a permutation")
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if mul[a][b] == 0:
-                    if mul[b][a] != 0:
-                        raise ValueError(f"one-sided inverse at element {a}")
-                    inverse[a] = b
-                    break
+        inverse = [row.index(0) for row in mul]
+        for a, b in enumerate(inverse):
+            if mul[b][a] != 0:
+                raise ValueError(f"one-sided inverse at element {a}")
         self.order = n
         self.mul = mul
         self.inverse = tuple(inverse)
