@@ -102,9 +102,6 @@ class VirtualCharacter:
 
     __mul__ = __rmul__
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):
             return NotImplemented
@@ -181,28 +178,29 @@ def _cyc(x) -> Cyclotomic:
     return x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
 
 
-def induce(h: Subgroup, f: VirtualCharacter) -> VirtualCharacter:
-    """The induced class function ind_H^G f.
+def _fusion(h: Subgroup) -> list[int]:
+    """Class fusion H -> G: the G-class index of each class of H, in order."""
+    parent_class = class_index_of(h.parent)
+    return [parent_class[h.to_parent(cl.representative)] for cl in element_classes(h.as_group())]
 
-    (ind f)(g) = |H|^-1 sum over x in G with x^-1 g x in H of f(x^-1 g x).
-    Induction of an integral virtual character is again integral (Frobenius
-    reciprocity pairs it with restriction, which is visibly integral).
+
+def induce(h: Subgroup, f: VirtualCharacter) -> VirtualCharacter:
+    """The induced class function ind_H^G f, through the class fusion.
+
+    (ind f)(g_k) = |G| / (|H| |C_k|) * sum of |c| f(c) over the classes c of H
+    that fuse into the G-class C_k.  Induction of an integral virtual
+    character is again integral (Frobenius reciprocity pairs it with
+    restriction, which is visibly integral).
     """
     hg = h.as_group()
     if f.group is not hg and f.group.mul != hg.mul:
         raise ValueError("the class function is not defined on the given subgroup")
-    g = h.parent
-    sub_class = class_index_of(hg)
-    values = []
-    for cl in element_classes(g):
-        rep = cl.representative
-        acc = Fraction(0)
-        for x in range(g.order):
-            y = g.mul[g.mul[g.inverse[x]][rep]][x]
-            if h.contains(y):
-                acc += f.values[sub_class[h.from_parent(y)]]
-        values.append(acc / h.order)
-    return VirtualCharacter(g, values)
+    classes = element_classes(h.parent)
+    sums = [Fraction(0)] * len(classes)
+    for k, cl, v in zip(_fusion(h), element_classes(hg), f.values):
+        sums[k] += cl.size * v
+    index = Fraction(h.parent.order, h.order)
+    return VirtualCharacter(h.parent, [index * t / cl.size for t, cl in zip(sums, classes)])
 
 
 def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
@@ -210,13 +208,7 @@ def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
     g = h.parent
     if f.group is not g and f.group.mul != g.mul:
         raise ValueError("the class function is not defined on the parent group")
-    hg = h.as_group()
-    parent_class = class_index_of(g)
-    values = [
-        f.values[parent_class[h.to_parent(cl.representative)]]
-        for cl in element_classes(hg)
-    ]
-    return VirtualCharacter(hg, values)
+    return VirtualCharacter(h.as_group(), [f.values[k] for k in _fusion(h)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, _apply, _sub, int_det, reduce_columns, smith_normal_form
+from .linalg import _apply, _sub, int_det, reduce_columns, smith_normal_form
 from .characters import VirtualCharacter
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes
@@ -86,9 +86,7 @@ def _unit_elimination(columns):
             progress = True
     row_ids = sorted({i for c in cols.values() for i in c})
     col_ids = sorted(cols)
-    return Mat.from_rows(
-        [[cols[j].get(i, 0) for j in col_ids] for i in row_ids], len(col_ids)
-    )
+    return [[cols[j].get(i, 0) for j in col_ids] for i in row_ids]
 
 
 def _int_matmul(a, b):
@@ -124,7 +122,7 @@ class GLattice:
         for e, m in enumerate(self.matrices):
             if len(m) != rank_ or any(len(row) != rank_ for row in m):
                 raise ValueError(f"matrix for element {e} has the wrong shape")
-            if abs(int_det(Mat.from_rows(m, rank_))) != 1:
+            if abs(int_det(m)) != 1:
                 raise ValueError(f"matrix for element {e} is not invertible over Z")
 
     @classmethod
@@ -258,9 +256,6 @@ class CochainComplex:
             return self._coboundaries[k]
         return None
 
-    def top_degree(self) -> int:
-        return len(self.bases) - 1
-
     # -- group action ---------------------------------------------------------
 
     def _simplex_index(self, k):
@@ -312,15 +307,14 @@ class CochainComplex:
         return out
 
     def chain_trace(self, e: int, k: int) -> int:
-        """Trace of the element on degree-k cochains (no cohomology needed)."""
-        x = self.stratum.parent
-        tr_rho = self.lattice.trace(e)
-        total = 0
-        for s in self.bases[k]:
-            image, sign = x.act_simplex_signed(e, s)
-            if image == s:
-                total += sign * tr_rho
-        return total
+        """Trace of the element on degree-k cochains (no cohomology needed).
+
+        Each simplex that e maps to itself contributes its orientation sign
+        times the lattice trace; the stratum must be invariant under e.
+        """
+        moves = self._moves(e, k)
+        fixed = sum(sign for s_i, (t_i, sign) in enumerate(moves) if t_i == s_i)
+        return fixed * self.lattice.trace(e)
 
     def hopf_trace(self, e: int) -> int:
         """Alternating chain-level trace; equals the alternating cohomology trace."""

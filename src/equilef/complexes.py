@@ -69,10 +69,6 @@ class Stratum:
                         return False
         return True
 
-    def is_invariant_under(self, e: int) -> bool:
-        own = self.simplex_set()
-        return all(self.parent.act_simplex(e, s) in own for s in own)
-
     def __repr__(self):
         return f"Stratum({self.label}, sizes={self.sizes()})"
 
@@ -137,9 +133,6 @@ class SimplicialGComplex:
         if "set" not in self._cache:
             self._cache["set"] = frozenset(s for level in self.simplices for s in level)
         return self._cache["set"]
-
-    def act_vertex(self, e: int, v: int) -> int:
-        return self.vertex_action[e][v]
 
     def act_simplex(self, e: int, s: Simplex) -> Simplex:
         row = self.vertex_action[e]
@@ -301,9 +294,9 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
     for _ in range(pre_subdivisions):
         x = barycentric_subdivision(x)
     attempts = 0
-    while x.regularity_violation() is not None:
+    while (violation := x.regularity_violation()) is not None:
         if attempts >= 2:
-            e, s = x.regularity_violation()
+            e, s = violation
             raise ValueError(
                 f"action is not regular after two subdivisions (element {e} on {s})"
             )
@@ -362,8 +355,10 @@ def _stratum_from_predicate(x: SimplicialGComplex, label: str, keep) -> Stratum:
 
 
 def fixed_subcomplex(x: SimplicialGComplex, h: Subgroup) -> Stratum:
-    """The closed subcomplex of simplices fixed pointwise by all of H."""
+    """The closed subcomplex fixed pointwise by all of H; the whole space if H is trivial."""
     _check_subgroup(x, h)
+    if h.order == 1:
+        return x.as_stratum()
     key = ("fixed", h.member_set)
     if key not in x._cache:
         members = h._members_frozen
@@ -438,16 +433,22 @@ class QuotientComplex:
         return f"QuotientComplex(counts={self.quotient.counts()})"
 
 
+def _vertex_orbits(x: SimplicialGComplex) -> tuple[list[int], int]:
+    """Orbit index of each vertex (numbered by least member), and the count."""
+    vorbit = [None] * x.n_vertices
+    count = 0
+    for v in range(x.n_vertices):
+        if vorbit[v] is None:
+            for row in x.vertex_action:
+                vorbit[row[v]] = count
+            count += 1
+    return vorbit, count
+
+
 def _quotient_obstruction(x: SimplicialGComplex) -> str | None:
     """Why the naive simplex-orbit quotient is not simplicial, if it is not."""
     order = x.group.order
-    vorbit: dict[int, int] = {}
-    next_id = 0
-    for v in range(x.n_vertices):
-        if v not in vorbit:
-            for e in range(order):
-                vorbit[x.vertex_action[e][v]] = next_id
-            next_id += 1
+    vorbit = _vertex_orbits(x)[0]
     projected: dict[tuple, Simplex] = {}
     seen_orbits: set[Simplex] = set()
     for level in x.simplices:
@@ -476,23 +477,16 @@ def quotient_complex(x: SimplicialGComplex) -> QuotientComplex:
 
     base = x
     extra = 0
-    while _quotient_obstruction(base) is not None:
+    while (obstruction := _quotient_obstruction(base)) is not None:
         if extra >= 2:
             raise ValueError(
-                f"quotient is not simplicial after two subdivisions: "
-                f"{_quotient_obstruction(base)}"
+                f"quotient is not simplicial after two subdivisions: {obstruction}"
             )
         base = barycentric_subdivision(base)
         extra += 1
 
     order = base.group.order
-    vorbit = [None] * base.n_vertices
-    next_id = 0
-    for v in range(base.n_vertices):
-        if vorbit[v] is None:
-            for e in range(order):
-                vorbit[base.vertex_action[e][v]] = next_id
-            next_id += 1
+    vorbit, next_id = _vertex_orbits(base)
 
     reps_by_dim = []
     quo_by_dim = []

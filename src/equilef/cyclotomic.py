@@ -180,9 +180,6 @@ class Cyclotomic:
 
     # -- predicates and conversions ----------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def as_fraction(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self!r} is not rational")
@@ -233,29 +230,20 @@ def _make(e: int, raw_coeffs: list[Fraction]) -> Cyclotomic:
     if all(c == 0 for c in coeffs[1:]):
         return Cyclotomic(1, (coeffs[0],))
     for d in divisors(e)[:-1]:
-        if _invariant_under_gal(coeffs, e, d):
-            return Cyclotomic(d, _express_in_subfield(coeffs, e, d))
+        sub = _express_in_subfield(coeffs, e, d)
+        if sub is not None:
+            return Cyclotomic(d, sub)
     return Cyclotomic(e, tuple(coeffs))
 
 
-def _invariant_under_gal(coeffs: list[Fraction], e: int, d: int) -> bool:
-    """True when the value is fixed by Gal(Q(zeta_e)/Q(zeta_d))."""
-    for k in range(1, e):
-        if math.gcd(k, e) == 1 and k % d == 1 % d:
-            raw = [Fraction(0)] * e
-            for i, c in enumerate(coeffs):
-                raw[(i * k) % e] += c
-            if _reduce_mod_phi(raw, e) != coeffs:
-                return False
-    return True
-
-
-def _express_in_subfield(coeffs: list[Fraction], e: int, d: int) -> tuple[Fraction, ...]:
+def _express_in_subfield(coeffs: list[Fraction], e: int,
+                         d: int) -> tuple[Fraction, ...] | None:
     """Coordinates of the value in the power basis of Q(zeta_d) inside Q(zeta_e).
 
-    Reduces the columns [z_d^0, ..., z_d^(phi(d)-1), value] over Q: only the
-    value may reduce to zero, and its recorded kernel vector v gives
-    value = -sum_i v[i] z_d^i.
+    Reduces the columns [z_d^0, ..., z_d^(phi(d)-1), value] over Q.  The
+    value lies in Q(zeta_d) exactly when its column reduces to zero, and then
+    its recorded kernel vector v gives value = -sum_i v[i] z_d^i; otherwise
+    the result is None.  The basis columns never reduce to zero.
     """
     step = e // d
     n = euler_phi(d)
@@ -268,6 +256,8 @@ def _express_in_subfield(coeffs: list[Fraction], e: int, d: int) -> tuple[Fracti
     kernel = reduce_columns(
         [{r: c for r, c in enumerate(col) if c} for col in columns], record=True
     )[1]
+    if not kernel:
+        return None
     if [j for j, _ in kernel] != [n]:
         raise ArithmeticError("subfield expression failed")
     v = kernel[0][1]

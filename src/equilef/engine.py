@@ -12,9 +12,10 @@ characters of the group:
                  with the integer coefficients of ``rational_coefficients``,
 
 and certifies their classwise equality, along with the cyclic-subgroup
-comparison of Lefschetz numbers, the free-action vanishing and covering
-identities, the regular-multiple identity for free actions, and the
-characteristic-p comparison with its per-degree reconciliation.
+comparison of Lefschetz numbers (each also checked against the Hopf
+chain-level trace), the free-action vanishing and covering identities, the
+regular-multiple identity for free actions, and the characteristic-p
+comparison with its per-degree reconciliation.
 
 Every number is an exact rational; a comparison either holds on the nose or
 the verdict fails.  Integrality is decided by ``rational_coefficients``, the
@@ -38,6 +39,7 @@ from .characters import (
     rational_coefficients,
     rational_irreducibles,
     regular_character,
+    restrict,
 )
 from .cohomology import GLattice, CochainComplex, cochain_complex
 from .complexes import (
@@ -46,12 +48,7 @@ from .complexes import (
     fixed_subcomplex,
     quotient_complex,
 )
-from .groups import (
-    Group,
-    Subgroup,
-    conjugacy_classes_of_subgroups,
-    element_classes,
-)
+from .groups import Group, Subgroup, conjugacy_classes_of_subgroups
 
 
 class Scenario:
@@ -163,13 +160,7 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
         # H fixes its stratum pointwise, so cohomology with lattice values is
         # the base cohomology tensored with the lattice: the character
         # factorizes through the lattice trace.
-        theta = VirtualCharacter(
-            inner,
-            tuple(
-                Fraction(euler * s.lattice.trace(h.to_parent(c.representative)))
-                for c in element_classes(inner)
-            ),
-        )
+        theta = restrict(s.lattice.character(), h).scale(euler)
         general = cochain_complex(stratum, s.lattice).equivariant_euler_characteristic(h)
         if theta != general:
             raise ArithmeticError(
@@ -260,11 +251,19 @@ class CorollaryReport:
 
 
 def verify_corollary(s: Scenario, g: int) -> CorollaryReport:
-    """L(g, X) against L(g, fixed set of the cyclic group generated by g)."""
-    whole = s.whole_cochains().lefschetz_number(g)
-    cyc = s.group.cyclic_subgroup(g)
-    fx = fixed_subcomplex(s.complex, cyc)
-    fixed_val = cochain_complex(fx, s.lattice).lefschetz_number(g)
+    """L(g, X) against L(g, fixed set of <g>); each is checked against the Hopf trace."""
+    whole_cc = s.whole_cochains()
+    fixed_cc = cochain_complex(
+        fixed_subcomplex(s.complex, s.group.cyclic_subgroup(g)), s.lattice
+    )
+    whole = whole_cc.lefschetz_number(g)
+    fixed_val = fixed_cc.lefschetz_number(g)
+    for where, cc, value in (("whole", whole_cc, whole), ("fixed", fixed_cc, fixed_val)):
+        if cc.hopf_trace(g) != value:
+            raise ArithmeticError(
+                f"{s.name}: Hopf trace of element {g} disagrees with its "
+                f"Lefschetz number on the {where} complex"
+            )
     return CorollaryReport(
         element=g,
         whole_value=whole,
@@ -289,19 +288,25 @@ class FreeActionReport:
         return all(c is not False for c in checks)
 
 
-def _invariant_euler(s: Scenario) -> Fraction:
-    dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
-    return Fraction(sum((-1) ** k * d for k, d in enumerate(dims)))
+def _invariant_euler(s: Scenario) -> Fraction | None:
+    """chi of the invariant cochains if the action is free, else None; cached."""
+    if "inv_euler" not in s._cache:
+        chi = None
+        if s.complex.is_free():
+            dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
+            chi = Fraction(sum((-1) ** k * d for k, d in enumerate(dims)))
+        s._cache["inv_euler"] = chi
+    return s._cache["inv_euler"]
 
 
 def verify_free_action(s: Scenario) -> FreeActionReport:
     """Vanishing of L(g), and the covering-space Euler characteristic laws."""
-    if not s.complex.is_free():
+    chi_inv = _invariant_euler(s)
+    if chi_inv is None:
         return FreeActionReport(applicable=False)
     cc = s.whole_cochains()
     vanishing = all(cc.lefschetz_number(g) == 0 for g in range(1, s.group.order))
     chi = cc.lefschetz_number(0)
-    chi_inv = _invariant_euler(s)
     covering = chi == s.group.order * chi_inv
     quotient_ok = None
     if s.has_trivial_lattice():
@@ -328,9 +333,9 @@ class VerdierReport:
 
 def verify_verdier(s: Scenario) -> VerdierReport:
     """For a free action the lhs is (invariant Euler characteristic) x regular."""
-    if not s.complex.is_free():
-        return VerdierReport(applicable=False)
     c = _invariant_euler(s)
+    if c is None:
+        return VerdierReport(applicable=False)
     expected = regular_character(s.group).scale(c)
     return VerdierReport(
         applicable=True,

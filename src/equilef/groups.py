@@ -170,9 +170,6 @@ class Subgroup:
         self._sub_index = {e: i for i, e in enumerate(members)}
         self._as_group = None
 
-    def contains(self, e: int) -> bool:
-        return e in self._members_frozen
-
     def to_parent(self, sub_elem: int) -> int:
         return self.member_set[sub_elem]
 
@@ -194,13 +191,6 @@ class Subgroup:
                 table = [[idx[self.parent.mul[a][b]] for b in mem] for a in mem]
                 self._as_group = Group(table)
         return self._as_group
-
-    def conjugate_by(self, g: int) -> "Subgroup":
-        p = self.parent
-        return p.subgroup(p.conj(g, x) for x in self.member_set)
-
-    def is_whole(self) -> bool:
-        return self.order == self.parent.order
 
     def __eq__(self, other):
         return (
@@ -229,13 +219,13 @@ class SubgroupClass:
 # construction and enumeration
 
 
-def group_from_permutations(degree: int, generators, max_order: int | None = None) -> Group:
+def group_from_permutations(degree: int, generators) -> Group:
     """Close a set of permutation generators into a Group.
 
     Elements are enumerated breadth-first over generator words (lexicographic
     within each length), so indexing is reproducible.  The table is filled
     from the products x * gen_j recorded by the closure, along each element's
-    word.  Closure beyond the configured order bound is rejected.
+    word.  Closure beyond ``max_group_order()`` is rejected.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError("degree must be a positive integer")
@@ -245,7 +235,7 @@ def group_from_permutations(degree: int, generators, max_order: int | None = Non
         if sorted(g) != list(range(degree)):
             raise ValueError(f"generator {gi} is not a permutation of 0..{degree - 1}")
         gens.append(g)
-    bound = max_order if max_order is not None else max_group_order()
+    bound = max_group_order()
 
     identity = tuple(range(degree))
     elems = [identity]

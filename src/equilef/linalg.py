@@ -5,36 +5,14 @@ reduces sparse columns ({row: value}) over Q or F_p and can record the
 column operations, which turns zero columns into kernel vectors.  Cochain
 complexes, the eigenspace split of character tables (mod p) and subfield
 coordinates of cyclotomic numbers (over Q) all run on it.  Integer matrices
-are dense lists of rows (``Mat``), for the Bareiss determinant and the Smith
-normal form.  No floating point anywhere.
+are dense lists of rows, for the Bareiss determinant and the Smith normal
+form.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-class Mat:
-    """A dense m-by-n integer matrix with explicit shape (rows may be empty)."""
-
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, m: int, n: int, rows):
-        self.m = m
-        self.n = n
-        self.rows = rows
-        if len(rows) != m or any(len(r) != n for r in rows):
-            raise ValueError("matrix shape mismatch")
-
-    @classmethod
-    def from_rows(cls, rows, n: int | None = None) -> "Mat":
-        rows = [list(r) for r in rows]
-        if rows:
-            return cls(len(rows), len(rows[0]), rows)
-        if n is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(0, n, [])
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +88,14 @@ def reduce_columns(columns, p: int = 0, record: bool = False):
 # integer routines
 
 
-def int_det(mat: Mat) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    if mat.m != mat.n:
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix (a list of rows) by Bareiss elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = mat.m
     if n == 0:
         return 1
-    a = [list(r) for r in mat.rows]
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -135,15 +113,15 @@ def int_det(mat: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(mat: Mat) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form of an integer matrix.
+def smith_normal_form(rows) -> list[int]:
+    """Nonzero diagonal entries of the Smith normal form of a list of integer rows.
 
     Row/column reduction chooses the smallest-magnitude nonzero entry as the
     pivot at each step, which keeps intermediate entries small.  The returned
     list d_1, ..., d_r is positive with d_i | d_{i+1}; its length is the rank.
     """
-    a = [list(r) for r in mat.rows]
-    m, n = mat.m, mat.n
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0]) if a else 0
     diag: list[int] = []
     top = 0
     left = 0

@@ -27,7 +27,7 @@ from .groups import (
     element_classes,
     group_from_permutations,
 )
-from .linalg import Mat, int_det
+from .linalg import int_det
 from .numtheory import is_prime
 
 SCHEMA_VERSION = 1
@@ -173,7 +173,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             f"matrix must be {rank}x{rank}", loc)
         _expect(all(_is_int(v) for r in m for v in r),
                 "matrix entries must be integers", loc)
-        det = int_det(Mat.from_rows([list(r) for r in m], rank))
+        det = int_det(m)
         _expect(abs(det) == 1,
                 "lattice generator not invertible over integers", loc)
         matrices.append(tuple(tuple(r) for r in m))

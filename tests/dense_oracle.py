@@ -73,7 +73,7 @@ def _solver(cc, k):
 
 
 def rational_dims(cc):
-    return tuple(_solver(cc, k)[0].shape[1] for k in range(cc.top_degree() + 1))
+    return tuple(_solver(cc, k)[0].shape[1] for k in range(len(cc.bases)))
 
 
 def trace_on_cohomology(cc, e, k):
@@ -99,7 +99,7 @@ def _dims_from_ranks(sizes, ranks):
 
 
 def modp_dims(cc, p):
-    ranks = [_diff(cc, k, GF(p)).rank() for k in range(cc.top_degree())]
+    ranks = [_diff(cc, k, GF(p)).rank() for k in range(len(cc.bases) - 1)]
     return _dims_from_ranks(cc.dims, ranks)
 
 
@@ -111,7 +111,7 @@ def invariant_dims(cc, acting):
     the restricted differential has the rank of d_k . B_k.
     """
     bases = []
-    for k in range(cc.top_degree() + 1):
+    for k in range(len(cc.bases)):
         n = cc.dims[k]
         acc = [[0] * n for _ in range(n)]
         for e in acting.member_set:
@@ -120,5 +120,5 @@ def invariant_dims(cc, acting):
                 for j in range(n):
                     acc[i][j] += a[i][j]
         bases.append(column_space_basis(dm(acc, n, n)))
-    ranks = [(_diff(cc, k) * bases[k]).rank() for k in range(cc.top_degree())]
+    ranks = [(_diff(cc, k) * bases[k]).rank() for k in range(len(cc.bases) - 1)]
     return _dims_from_ranks([b.shape[1] for b in bases], ranks)

@@ -8,6 +8,7 @@ import sys
 
 import equilef.cli as cli
 from equilef.characters import IntegralityError
+from equilef.cohomology import CochainComplex
 from equilef.engine import full_verification
 from equilef.scenarios import builtin_names, builtin_scenario
 
@@ -258,3 +259,13 @@ def test_integrality_error_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "full_verification", broken)
     assert cli.main(["verify", "point-trivial", "--format", "json"]) == 3
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_hopf_trace_mismatch_is_an_internal_error(monkeypatch, capsys):
+    # the element corollary confronts every Lefschetz number with the Hopf trace
+    hopf = CochainComplex.hopf_trace
+    monkeypatch.setattr(CochainComplex, "hopf_trace", lambda cc, e: hopf(cc, e) + 1)
+    assert cli.main(["verify", "point-trivial"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Hopf trace" in err

@@ -87,7 +87,7 @@ def whole_complexes(corpus, max_cells=80):
 
 def test_differential_squares_to_zero(corpus):
     for s, cc in whole_complexes(corpus):
-        for k in range(cc.top_degree() - 1):
+        for k in range(len(cc.bases) - 2):
             prod = matmul(dense_coboundary(cc, k + 1), dense_coboundary(cc, k))
             assert all(v == 0 for row in prod for v in row), s.name
 
@@ -95,7 +95,7 @@ def test_differential_squares_to_zero(corpus):
 def test_action_commutes_with_differential(corpus):
     for s, cc in whole_complexes(corpus, max_cells=40):
         for e in range(s.group.order):
-            for k in range(cc.top_degree()):
+            for k in range(len(cc.bases) - 1):
                 d_k = dense_coboundary(cc, k)
                 a_k = dense_action(cc, e, k)
                 a_k1 = dense_action(cc, e, k + 1)
@@ -111,7 +111,7 @@ def test_action_matrices_represent_the_group(corpus):
         g = s.group
         for a in range(g.order):
             for b in range(g.order):
-                for k in range(cc.top_degree() + 1):
+                for k in range(len(cc.bases)):
                     assert matmul(
                         dense_action(cc, a, k), dense_action(cc, b, k)
                     ) == dense_action(cc, g.mul[a][b], k)
@@ -136,7 +136,7 @@ def test_action_on_noninvariant_stratum_is_rejected(by_name):
 
 def snf_oracle(cc):
     """Betti numbers and torsion straight from the differentials via sympy."""
-    top = cc.top_degree()
+    top = len(cc.bases) - 1
     ranks = []
     divisors_by_degree = []
     for k in range(top):
@@ -213,7 +213,7 @@ def test_modp_dims_against_snf(corpus):
     # dim over F_p = betti + p-torsion here + p-torsion one degree up
     for s, cc in whole_complexes(corpus, max_cells=60):
         betti, torsion = cc.integral_cohomology()
-        top = cc.top_degree()
+        top = len(cc.bases) - 1
         for p in (2, 3, 5):
             dims = cc.modp_dims(p)
             for k in range(top + 1):
@@ -312,10 +312,11 @@ def test_sparse_kernel_matches_dense_oracle(corpus):
         assert cc.invariant_dims(acting) == dense_oracle.invariant_dims(
             cc, acting
         ), label
+        own = cc.stratum.simplex_set()
         for e in range(s.group.order):
-            if not cc.stratum.is_invariant_under(e):
+            if any(cc.stratum.parent.act_simplex(e, t) not in own for t in own):
                 continue
-            for k in range(cc.top_degree() + 1):
+            for k in range(len(cc.bases)):
                 assert cc.trace_on_cohomology(
                     e, k
                 ) == dense_oracle.trace_on_cohomology(cc, e, k), (label, e, k)

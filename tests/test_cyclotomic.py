@@ -104,9 +104,9 @@ def test_conjugate_of_root_multiplies_to_one():
 
 def test_rational_detection():
     z3 = Cyclotomic.root_of_unity(3)
-    assert not z3.is_rational()
+    assert z3.conductor != 1
     half = Cyclotomic.from_rational(Fraction(1, 2))
-    assert half.is_rational() and not half.is_integer()
+    assert half.conductor == 1 and not half.is_integer()
     assert half.as_fraction() == Fraction(1, 2)
     assert Cyclotomic.from_rational(-4).is_integer()
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.linalg import Mat, int_det, reduce_columns, smith_normal_form
+from equilef.linalg import int_det, reduce_columns, smith_normal_form
 
 from dense_oracle import column_space_basis, dm, kept_columns
 
@@ -132,8 +132,7 @@ def test_int_det_matches_sympy():
     for _ in range(60):
         n = rng.randint(0, 6)
         rows = random_int_mat(rng, n, n)
-        mat = Mat.from_rows(rows, n=n)
-        assert int_det(mat) == int(sympy.Matrix(n, n, lambda i, j: rows[i][j]).det())
+        assert int_det(rows) == int(sympy.Matrix(n, n, lambda i, j: rows[i][j]).det())
 
 
 def test_smith_normal_form_matches_sympy():
@@ -144,8 +143,7 @@ def test_smith_normal_form_matches_sympy():
     cases.append([[0, 0], [0, 0]])
     cases.append([[12]])
     for rows in cases:
-        n = len(rows[0])
-        ours = smith_normal_form(Mat.from_rows(rows, n=n))
+        ours = smith_normal_form(rows)
         theirs = sorted(
             abs(int(d))
             for d in sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()

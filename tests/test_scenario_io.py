@@ -82,6 +82,7 @@ ERROR_CASES = [
     (lambda d: d["lattice"].update(rank=0), "$.lattice.rank"),
     (lambda d: d["lattice"].update(action={"0": [[2]]}),
      "$.lattice.action[0]"),
+    (lambda d: d["lattice"].update(action={}), "$.lattice.action"),
     (lambda d: d.setdefault("options", {}).update(primes=[4]),
      "$.options.primes[0]"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=3),
