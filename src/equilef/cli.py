@@ -10,8 +10,8 @@ Scenarios are given as a path to a JSON file or the name of a builtin.
 Exit code 0 means every verdict passed; 1 means a verification failed;
 2 means the input was invalid; 3 means an internal invariant broke (d o d = 0,
 Euler-Poincare, class coordinates, integrality, the Hopf trace against the
-Lefschetz number), which is a bug, not a verdict.  EQUILEF_MAX_GROUP_ORDER
-caps group sizes.
+Lefschetz number, the rank of a coboundary over Z against its rank over Q),
+which is a bug, not a verdict.  EQUILEF_MAX_GROUP_ORDER caps group sizes.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Reducing d_k yields an echelon basis of im d_k and, from the recorded column
 operations, kernel vectors of d_k; those whose pivot im d_(k-1) leaves free
 represent H^k.  A trace on H^k reduces the image of each representative
 against this basis of ker d_k; a residue raises ArithmeticError.  Invariant
-cochains are spanned by signed orbit sums, and integral torsion is the Smith
-form of what is left after eliminating unit pivots over Z.  The chain-level
-alternating trace is exposed separately so callers can confront the two.
+cochains are spanned by signed orbit sums, and integral torsion is read off
+the Smith invariants of the same sparse columns (``linalg.smith_invariants``),
+whose count must match the rank over Q.  The chain-level alternating trace
+is exposed separately so callers can confront the two.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _apply, _sub, int_det, reduce_columns, smith_normal_form
+from .linalg import _apply, _sub, int_det, reduce_columns, smith_invariants
 from .characters import VirtualCharacter
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes
@@ -45,48 +46,6 @@ def _euler_checked(cells, dims, where):
             f"Euler-Poincare mismatch {where}: cells {lhs}, cohomology {rhs}"
         )
     return dims
-
-
-def _unit_elimination(columns):
-    """The dense block left after eliminating unit pivots over Z.
-
-    Each step clears the row of an entry +-1 by column operations, then
-    drops its row and column; the Smith form loses one 1 per step.
-    """
-    cols = {j: dict(c) for j, c in enumerate(columns) if c}
-    rows: dict = {}
-    for j, c in cols.items():
-        for i in c:
-            rows.setdefault(i, set()).add(j)
-    progress = True
-    while progress:
-        progress = False
-        for j in list(cols):
-            col = cols.get(j)
-            if col is None:
-                continue
-            units = [i for i, v in col.items() if v in (1, -1)]
-            if not units:
-                continue
-            i = min(units, key=lambda r: len(rows[r]))
-            u = col[i]
-            for j2 in rows[i] - {j}:
-                other = cols[j2]
-                before = set(other)
-                _sub(other, other[i] * u, col)
-                for r in before - other.keys():
-                    rows[r].discard(j2)
-                for r in other.keys() - before:
-                    rows.setdefault(r, set()).add(j2)
-                if not other:
-                    del cols[j2]
-            for r in col:
-                rows[r].discard(j)
-            del cols[j]
-            progress = True
-    row_ids = sorted({i for c in cols.values() for i in c})
-    col_ids = sorted(cols)
-    return [[cols[j].get(i, 0) for j in col_ids] for i in row_ids]
 
 
 def _int_matmul(a, b):
@@ -412,13 +371,23 @@ class CochainComplex:
     # -- cohomology over Z and F_p ---------------------------------------------
 
     def integral_cohomology(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(betti numbers, torsion coefficients per degree), from Smith form."""
+        """(betti numbers, torsion coefficients per degree), from Smith invariants.
+
+        The torsion of H^(k+1) is the invariants of d_k above 1; their count,
+        the rank of d_k over Z, must equal its rank over Q.
+        """
         if "integral" not in self._cache:
-            torsion = []
-            for k in range(len(self.bases)):
-                residual = _unit_elimination(self.coboundary(k - 1) or ())
-                torsion.append(tuple(v for v in smith_normal_form(residual) if v > 1))
-            self._cache["integral"] = (self.rational_dims(), tuple(torsion))
+            betti = self.rational_dims()
+            torsion = [()]
+            for k, columns in enumerate(self._coboundaries):
+                invariants = smith_invariants(columns)
+                rank = len(self._reduction(k)[0])
+                if len(invariants) != rank:
+                    raise ArithmeticError(
+                        f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
+                    )
+                torsion.append(tuple(v for v in invariants if v > 1))
+            self._cache["integral"] = (betti, tuple(torsion))
         return self._cache["integral"]
 
     def modp_dims(self, p: int) -> tuple[int, ...]:

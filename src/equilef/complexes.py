@@ -445,25 +445,30 @@ def _vertex_orbits(x: SimplicialGComplex) -> tuple[list[int], int]:
     return vorbit, count
 
 
-def _quotient_obstruction(x: SimplicialGComplex) -> str | None:
-    """Why the naive simplex-orbit quotient is not simplicial, if it is not."""
-    order = x.group.order
-    vorbit = _vertex_orbits(x)[0]
-    projected: dict[tuple, Simplex] = {}
-    seen_orbits: set[Simplex] = set()
+def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
+    """Per level, the least simplex of each orbit, in sorted order."""
+    reps_by_dim = []
     for level in x.simplices:
+        covered: set = set()
+        reps = []
         for s in level:
-            img = tuple(sorted(vorbit[v] for v in s))
-            if len(set(img)) != len(s):
-                return f"projection collapses simplex {s}"
-            rep = min(x.act_simplex(e, s) for e in range(order))
-            if rep in seen_orbits:
-                continue
-            seen_orbits.add(rep)
+            if s not in covered:
+                orbit = {x.act_simplex(e, s) for e in range(x.group.order)}
+                covered |= orbit
+                reps.append(min(orbit))
+        reps_by_dim.append(tuple(sorted(reps)))
+    return reps_by_dim
+
+
+def _quotient_obstruction(reps_by_dim, quo_by_dim) -> str | None:
+    """Why the naive simplex-orbit quotient is not simplicial, if it is not."""
+    projected: dict[tuple, Simplex] = {}
+    for reps, images in zip(reps_by_dim, quo_by_dim):
+        for rep, img in zip(reps, images):
+            if len(set(img)) != len(rep):
+                return f"projection collapses simplex {rep}"
             if img in projected:
-                return (
-                    f"orbits of {projected[img]} and {rep} project to the same set"
-                )
+                return f"orbits of {projected[img]} and {rep} project to the same set"
             projected[img] = rep
     return None
 
@@ -477,25 +482,23 @@ def quotient_complex(x: SimplicialGComplex) -> QuotientComplex:
 
     base = x
     extra = 0
-    while (obstruction := _quotient_obstruction(base)) is not None:
+    while True:
+        vorbit, next_id = _vertex_orbits(base)
+        reps_by_dim = _orbit_representatives(base)
+        quo_by_dim = [[tuple(sorted(vorbit[v] for v in s)) for s in reps]
+                      for reps in reps_by_dim]
+        obstruction = _quotient_obstruction(reps_by_dim, quo_by_dim)
+        if obstruction is None:
+            break
         if extra >= 2:
             raise ValueError(
                 f"quotient is not simplicial after two subdivisions: {obstruction}"
             )
         base = barycentric_subdivision(base)
         extra += 1
-
-    order = base.group.order
-    vorbit, next_id = _vertex_orbits(base)
-
-    reps_by_dim = []
-    quo_by_dim = []
-    for level in base.simplices:
-        reps = sorted({min(base.act_simplex(e, s) for e in range(order)) for s in level})
-        if len(reps) * order != len(level):
+    for reps, level in zip(reps_by_dim, base.simplices):
+        if len(reps) * base.group.order != len(level):
             raise ArithmeticError("orbit count mismatch for a free action")
-        reps_by_dim.append(tuple(reps))
-        quo_by_dim.append([tuple(sorted(vorbit[v] for v in s)) for s in reps])
 
     trivial = Group(((0,),))
     quotient = SimplicialGComplex(

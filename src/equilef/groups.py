@@ -87,14 +87,6 @@ class Group:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inverse[g]]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse[a], -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.mul[acc][a]
-        return acc
-
     def element_order(self, a: int) -> int:
         orders = self._cache.get("element_orders")
         if orders is None:
@@ -172,9 +164,6 @@ class Subgroup:
 
     def to_parent(self, sub_elem: int) -> int:
         return self.member_set[sub_elem]
-
-    def from_parent(self, parent_elem: int) -> int:
-        return self._sub_index[parent_elem]
 
     def as_group(self) -> Group:
         """This subgroup as a group in its own right (indices re-based).

@@ -4,9 +4,10 @@
 reduces sparse columns ({row: value}) over Q or F_p and can record the
 column operations, which turns zero columns into kernel vectors.  Cochain
 complexes, the eigenspace split of character tables (mod p) and subfield
-coordinates of cyclotomic numbers (over Q) all run on it.  Integer matrices
-are dense lists of rows, for the Bareiss determinant and the Smith normal
-form.  No floating point anywhere.
+coordinates of cyclotomic numbers (over Q) all run on it.
+``smith_invariants`` is the only elimination over Z: it takes the same
+sparse columns and computes torsion.  ``int_det`` (Bareiss, on a list of
+rows) decides unimodularity.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -113,70 +114,73 @@ def int_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(rows) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form of a list of integer rows.
+def smith_invariants(columns) -> list[int]:
+    """Nonzero Smith invariants d_1 | d_2 | ... of sparse integer columns.
 
-    Row/column reduction chooses the smallest-magnitude nonzero entry as the
-    pivot at each step, which keeps intermediate entries small.  The returned
-    list d_1, ..., d_r is positive with d_i | d_{i+1}; its length is the rank.
+    Its length is the rank.  A pivot u clears its row by column operations;
+    then clearing its column by row operations touches only u's column,
+    which reduces mod u.  A nonzero remainder, smaller than u, is the next
+    pivot; otherwise row and column are dropped and |u| is recorded.  Passes
+    over the columns take units, each in its sparsest row, and only a pass
+    that finds none pivots on the smallest entry.
     """
-    a = [list(r) for r in rows]
-    m, n = len(a), len(a[0]) if a else 0
-    diag: list[int] = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(left, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[left], row[pj] = row[pj], row[left]
-        # clear the pivot row and column; restart if remainders appear
+    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows: dict = {}
+    for j, c in cols.items():
+        for i in c:
+            rows.setdefault(i, set()).add(j)
+
+    def sub_column(j2, f, j):
+        other, col = cols[j2], cols[j]
+        _sub(other, f, col)
+        for r in col:
+            if r in other:
+                rows[r].add(j2)
+            else:
+                rows[r].discard(j2)
+        if not other:
+            del cols[j2]
+
+    def pivot(i, j):
         while True:
-            pivot = a[top][left]
-            done = True
-            for i in range(top + 1, m):
-                if a[i][left]:
-                    q = a[i][left] // pivot
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][left]:
-                        a[top], a[i] = a[i], a[top]
-                        done = False
-                        break
-            if not done:
+            u = cols[j][i]
+            for j2 in rows[i] - {j}:
+                sub_column(j2, cols[j2][i] // u, j)
+            rest = rows[i] - {j}
+            if rest:
+                j = min(rest, key=lambda c: abs(cols[c][i]))
                 continue
-            for j in range(left + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // pivot
-                    for row in a:
-                        row[j] -= q * row[left]
-                    if a[top][j]:
-                        for row in a:
-                            row[left], row[j] = row[j], row[left]
-                        done = False
-                        break
-            if done:
-                break
-        diag.append(abs(a[top][left]))
-        top += 1
-        left += 1
-    # enforce the divisibility chain d_i | d_{i+1}
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i]:
-                g = math.gcd(diag[i], diag[j])
-                diag[j] = diag[i] * diag[j] // g
-                diag[i] = g
-    return diag
+            col = cols[j]
+            for r in [r for r in col if r != i]:
+                w = col[r] % u
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+                    rows[r].discard(j)
+            if len(col) > 1:
+                i = min((r for r in col if r != i), key=lambda r: abs(col[r]))
+                continue
+            del cols[j]
+            rows[i].discard(j)
+            return abs(u)
+
+    diag: list[int] = []
+    while cols:
+        found = len(diag)
+        for j in list(cols):
+            units = [i for i, v in cols.get(j, {}).items() if v in (1, -1)]
+            if units:
+                diag.append(pivot(min(units, key=lambda r: len(rows[r])), j))
+        if len(diag) == found:
+            _, i, j = min((abs(v), i, j) for j, c in cols.items() for i, v in c.items())
+            diag.append(pivot(i, j))
+    # enforce the divisibility chain d_i | d_{i+1}; units divide everything
+    chain = [d for d in diag if d > 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            if chain[j] % chain[i]:
+                g = math.gcd(chain[i], chain[j])
+                chain[j] = chain[i] * chain[j] // g
+                chain[i] = g
+    return [1] * (len(diag) - len(chain)) + chain

@@ -230,12 +230,10 @@ def build_scenario(sf: ScenarioFile) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc), "$.lattice.action") from None
-    scenario = Scenario(
+    return Scenario(
         sf.name, group, complex_, lattice,
         description=sf.description, primes=sf.primes,
     )
-    scenario._cache["file"] = sf
-    return scenario
 
 
 def parse_scenario(text: str) -> Scenario:

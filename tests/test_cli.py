@@ -1,6 +1,7 @@
 """The command line front end: exit codes, formats, output files."""
 
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -269,3 +270,15 @@ def test_hopf_trace_mismatch_is_an_internal_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Hopf trace" in err
+
+
+def test_smith_rank_mismatch_is_an_internal_error(monkeypatch, capsys):
+    # the rank of each coboundary over Z (its Smith invariants) is checked
+    # against its rank over Q
+    module = importlib.import_module("equilef.cohomology")
+    smith = module.smith_invariants
+    monkeypatch.setattr(module, "smith_invariants", lambda columns: smith(columns)[:-1])
+    assert cli.main(["verify", "projective-plane"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "over Z" in err

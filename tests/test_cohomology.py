@@ -19,7 +19,7 @@ from equilef.cohomology import (
     modp_euler_characteristic,
     reduce_columns,
 )
-from equilef.complexes import exact_stratum, fixed_subcomplex
+from equilef.complexes import barycentric_subdivision, exact_stratum, fixed_subcomplex
 from equilef.groups import group_from_permutations, normalizer, subgroups
 
 import dense_oracle
@@ -182,9 +182,15 @@ KNOWN_TOPOLOGY = {
 
 
 def test_known_integral_cohomology(by_name):
+    # torsion is a topological invariant: subdividing keeps it, and the
+    # subdivided projective plane runs the non-unit Smith step on larger blocks
     for name, (betti, torsion) in KNOWN_TOPOLOGY.items():
-        cc = by_name[name].whole_cochains()
-        assert cc.integral_cohomology() == (betti, torsion), name
+        s = by_name[name]
+        x = s.complex
+        for subdivisions in range(3):
+            cc = cochain_complex(x.as_stratum(), s.lattice)
+            assert cc.integral_cohomology() == (betti, torsion), (name, subdivisions)
+            x = barycentric_subdivision(x)
 
 
 def test_rational_dims_match_betti_for_trivial_lattices(corpus):

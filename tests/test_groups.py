@@ -114,7 +114,10 @@ def test_cyclic_subgroups_and_orders(group):
     for a in range(group.order):
         cyc = group.cyclic_subgroup(a)
         assert cyc.order == group.element_order(a)
-        assert group.power(a, group.element_order(a)) == 0
+        power = 0
+        for _ in range(group.element_order(a)):
+            power = group.mul[power][a]
+        assert power == 0
         assert group.mul[a][group.inverse[a]] == 0
     assert group.exponent() == math.lcm(
         *(group.element_order(a) for a in range(group.order))
@@ -131,7 +134,7 @@ def test_subgroup_as_group_is_isomorphic_image(group):
         for a in range(h.order):
             for b in range(h.order):
                 product = group.mul[h.to_parent(a)][h.to_parent(b)]
-                assert inner.mul[a][b] == h.from_parent(product)
+                assert inner.mul[a][b] == h.member_set.index(product)
 
 
 def test_rejects_bad_presentations(monkeypatch):

@@ -1,12 +1,13 @@
 """Exact linear algebra against sympy oracles and algebraic laws."""
 
+import math
 import random
 from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.linalg import int_det, reduce_columns, smith_normal_form
+from equilef.linalg import int_det, reduce_columns, smith_invariants
 
 from dense_oracle import column_space_basis, dm, kept_columns
 
@@ -135,6 +136,13 @@ def test_int_det_matches_sympy():
         assert int_det(rows) == int(sympy.Matrix(n, n, lambda i, j: rows[i][j]).det())
 
 
+def sympy_invariants(rows):
+    if not rows or not rows[0]:
+        return []
+    diagonal = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()
+    return sorted(abs(int(d)) for d in diagonal if d != 0)
+
+
 def test_smith_normal_form_matches_sympy():
     rng = random.Random(109)
     cases = [random_int_mat(rng, rng.randint(1, 5), rng.randint(1, 5))
@@ -142,14 +150,36 @@ def test_smith_normal_form_matches_sympy():
     cases.append([[2, 4], [6, 8]])
     cases.append([[0, 0], [0, 0]])
     cases.append([[12]])
+    # no unit entry: only the general step runs, and remainders occur
+    cases.append([[2, 3], [3, 5]])
+    cases.append([[4, 6], [6, 9]])
+    cases.append([[6, 10], [10, 15]])
+    # no columns, zero columns among nonzero ones, tall and wide shapes
+    cases.append([])
+    cases.append([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    cases.append([[0], [-4], [0]])
+    cases.append([[0, 4, 0], [0, 6, 0]])
+    cases.append([[2, 0], [4, 0], [6, 3], [0, 9], [8, 12]])
+    cases.append([[6, 4, 10, 0, 14, 2], [9, 6, 15, 3, 21, 0]])
+    cases.extend(random_int_mat(rng, rng.randint(6, 9), rng.randint(1, 3), -12, 12)
+                 for _ in range(5))
+    cases.extend(random_int_mat(rng, rng.randint(1, 3), rng.randint(6, 9), -12, 12)
+                 for _ in range(5))
     for rows in cases:
-        ours = smith_normal_form(rows)
-        theirs = sorted(
-            abs(int(d))
-            for d in sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()
-            if d != 0
-        )
-        assert sorted(ours) == theirs, rows
+        # the columns of the transpose: a transpose has the same Smith form
+        ours = smith_invariants([{j: v for j, v in enumerate(row) if v} for row in rows])
+        assert ours == sympy_invariants(rows), rows
         # divisibility chain
         for a, b in zip(ours, ours[1:]):
             assert b % a == 0, ours
+
+
+def test_smith_invariants_multiply_to_the_determinant():
+    # independent oracle: for a nonsingular square matrix, prod d_i = |det|
+    rng = random.Random(40)
+    rows = random_int_mat(rng, 40, 40, -9, 9)
+    ours = smith_invariants(sparse_columns(rows, 40))
+    det = int_det(rows)
+    assert det != 0
+    assert len(ours) == 40
+    assert math.prod(ours) == abs(det)
