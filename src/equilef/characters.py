@@ -58,6 +58,11 @@ class CharacterTable:
     degrees: tuple[int, ...]
 
 
+def _same_group(g: Group, h: Group) -> bool:
+    """One group: the same object, or equal multiplication tables."""
+    return g is h or g.mul == h.mul
+
+
 class VirtualCharacter:
     """A rational-valued class function, the common currency of the engine.
 
@@ -76,16 +81,16 @@ class VirtualCharacter:
         self.group = group
         self.values = values
 
-    def _same_group(self, other: "VirtualCharacter"):
-        if self.group is not other.group and self.group.mul != other.group.mul:
+    def _check_group(self, other: "VirtualCharacter"):
+        if not _same_group(self.group, other.group):
             raise ValueError("class functions live on different groups")
 
     def __add__(self, other):
-        self._same_group(other)
+        self._check_group(other)
         return VirtualCharacter(self.group, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        self._same_group(other)
+        self._check_group(other)
         return VirtualCharacter(self.group, [a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self):
@@ -105,10 +110,7 @@ class VirtualCharacter:
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):
             return NotImplemented
-        return (
-            (self.group is other.group or self.group.mul == other.group.mul)
-            and self.values == other.values
-        )
+        return _same_group(self.group, other.group) and self.values == other.values
 
     def __hash__(self):
         return hash(self.values)
@@ -159,7 +161,7 @@ def inner_product(a, b):
     characters and a Cyclotomic otherwise.
     """
     ga = a.group
-    if ga is not b.group and ga.mul != b.group.mul:
+    if not _same_group(ga, b.group):
         raise ValueError("inner product needs class functions on one group")
     classes = element_classes(ga)
     if isinstance(a, VirtualCharacter) and isinstance(b, VirtualCharacter):
@@ -193,7 +195,7 @@ def induce(h: Subgroup, f: VirtualCharacter) -> VirtualCharacter:
     restriction, which is visibly integral).
     """
     hg = h.as_group()
-    if f.group is not hg and f.group.mul != hg.mul:
+    if not _same_group(f.group, hg):
         raise ValueError("the class function is not defined on the given subgroup")
     classes = element_classes(h.parent)
     sums = [Fraction(0)] * len(classes)
@@ -206,7 +208,7 @@ def induce(h: Subgroup, f: VirtualCharacter) -> VirtualCharacter:
 def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
     """res_H^G f: the same function evaluated on H's own classes."""
     g = h.parent
-    if f.group is not g and f.group.mul != g.mul:
+    if not _same_group(f.group, g):
         raise ValueError("the class function is not defined on the parent group")
     return VirtualCharacter(h.as_group(), [f.values[k] for k in _fusion(h)])
 

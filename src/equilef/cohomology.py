@@ -1,9 +1,12 @@
 """Cochain complexes of strata with lattice coefficients, over Q, Z, and F_p.
 
-A GLattice is an integer representation of the group on Z^r.  For a locally
-closed stratum S the complex restricts the full simplicial coboundary to the
-simplices of S; its cohomology is the compactly supported cohomology of the
-open union of S.  All arithmetic is exact.
+A GLattice is an integer representation of the group on Z^r; matrices given
+per generator are extended to every element by
+``groups.extend_from_generators``, the routine that also extends the vertex
+maps of a complex.  For a locally closed stratum S the complex restricts the
+full simplicial coboundary to the simplices of S; its cohomology is the
+compactly supported cohomology of the open union of S.  All arithmetic is
+exact.
 
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
@@ -27,7 +30,7 @@ from fractions import Fraction
 from .linalg import _apply, _sub, int_det, reduce_columns, smith_invariants
 from .characters import VirtualCharacter
 from .complexes import Stratum
-from .groups import Group, Subgroup, element_classes
+from .groups import Group, Subgroup, element_classes, extend_from_generators
 
 
 def _dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
@@ -86,29 +89,11 @@ class GLattice:
 
     @classmethod
     def from_generator_matrices(cls, group: Group, rank_: int, generator_matrices):
-        """Extend generator matrices along the group's words; checks relations."""
-        gens = [tuple(tuple(int(v) for v in row) for row in m) for m in generator_matrices]
-        expected = len(group.generator_permutations or ()) if group.order > 1 else 0
-        if group.order > 1 and group.words is None:
-            raise ValueError("group was not built from generators")
-        if len(gens) != expected:
-            raise ValueError(f"need one matrix per generator ({expected} expected)")
+        """Extend generator matrices to the group (``groups.extend_from_generators``,
+        which checks the relations)."""
+        gens = [[[int(v) for v in row] for row in m] for m in generator_matrices]
         ident = [[1 if i == j else 0 for j in range(rank_)] for i in range(rank_)]
-        mats = []
-        for word in group.words if group.words is not None else [()]:
-            m = ident
-            for j in word:
-                m = _int_matmul(m, [list(r) for r in gens[j]])
-            mats.append(m)
-        for j, ge in enumerate(group.generator_elements or ()):
-            gm = [list(r) for r in gens[j]]
-            for e in range(group.order):
-                prod = group.mul[ge][e]
-                if _int_matmul(gm, mats[e]) != mats[prod]:
-                    raise ValueError(
-                        f"matrices violate the relation gen[{j}] * element[{e}]"
-                    )
-        return cls(group, rank_, mats)
+        return cls(group, rank_, extend_from_generators(group, gens, ident, _int_matmul, "matrix"))
 
     @classmethod
     def trivial(cls, group: Group) -> "GLattice":

@@ -2,8 +2,8 @@
 
 Simplices are sorted vertex tuples, kept face-closed and ordered per
 dimension.  A complex carries the full per-element vertex action, extended
-from generator images through the group's generator words and checked
-against the multiplication table.
+from generator images by ``groups.extend_from_generators``, which also
+checks it against the multiplication table.
 
 The action is forced to be regular (an element fixing a simplex setwise
 fixes it pointwise) by barycentric subdivision, applied at most twice.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, extend_from_generators, is_permutation
 
 Simplex = tuple[int, ...]
 
@@ -105,9 +105,8 @@ class SimplicialGComplex:
     def _validate(self):
         if len(self.vertex_action) != self.group.order:
             raise ValueError("vertex action must list one permutation per group element")
-        full = set(range(self.n_vertices))
         for e, row in enumerate(self.vertex_action):
-            if set(row) != full:
+            if not is_permutation(row, self.n_vertices):
                 raise ValueError(f"action of element {e} is not a vertex permutation")
         seen = self.simplex_set()
         for dim, level in enumerate(self.simplices):
@@ -217,55 +216,6 @@ def _face_closure(maximal) -> list[list[Simplex]]:
     return [sorted(level) for level in by_dim]
 
 
-def _extend_vertex_action(group: Group, n_vertices: int, generator_images) -> list[tuple[int, ...]]:
-    """Per-element vertex permutations from generator images, word by word.
-
-    Verifies the assignment is a homomorphism: the image of gen_j * e must be
-    the composite of the generator image with the image of e, for all j, e.
-    """
-    gen_count = len(group.generator_permutations or ()) if group.order > 1 else 0
-    if group.generator_permutations is None and group.order > 1:
-        raise ValueError("group was not built from generators; cannot extend an action")
-    images = []
-    if group.order > 1 or generator_images:
-        if isinstance(generator_images, dict):
-            items = [generator_images.get(j) for j in range(gen_count)]
-        else:
-            items = list(generator_images)
-        if len(items) != gen_count:
-            raise ValueError(
-                f"action must give one vertex map per generator ({gen_count} expected)"
-            )
-        for j, img in enumerate(items):
-            img = tuple(img)
-            if sorted(img) != list(range(n_vertices)):
-                raise ValueError(f"action of generator {j} is not a vertex permutation")
-            images.append(img)
-
-    identity = tuple(range(n_vertices))
-    action = []
-    for word in group.words if group.words is not None else [()]:
-        perm = identity
-        for j in reversed(word):
-            g = images[j]
-            perm = tuple(g[perm[v]] for v in range(n_vertices))
-        action.append(perm)
-    if len(action) != group.order:
-        raise ValueError("internal: word list does not cover the group")
-
-    gen_elems = group.generator_elements or ()
-    for j, ge in enumerate(gen_elems):
-        gimg = images[j]
-        for e in range(group.order):
-            prod = group.mul[ge][e]
-            composed = tuple(gimg[action[e][v]] for v in range(n_vertices))
-            if action[prod] != composed:
-                raise ValueError(
-                    f"vertex action violates the relation gen[{j}] * element[{e}]"
-                )
-    return action
-
-
 def build_complex(maximal_simplices, group: Group, vertex_action,
                   n_vertices: int | None = None, pre_subdivisions: int = 0) -> SimplicialGComplex:
     """Build a G-complex from maximal simplices and generator vertex images.
@@ -289,7 +239,12 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
             levels[0].append((v,))
         levels[0].sort()
 
-    action = _extend_vertex_action(group, n_vertices, vertex_action)
+    images = [tuple(img) for img in vertex_action]
+    for j, img in enumerate(images):
+        if not is_permutation(img, n_vertices):
+            raise ValueError(f"action of generator {j} is not a vertex permutation")
+    action = extend_from_generators(group, images, tuple(range(n_vertices)),
+                                    lambda a, b: tuple(a[v] for v in b), "vertex map")
     x = SimplicialGComplex(group, n_vertices, levels, action, subdivision_count=0)
     for _ in range(pre_subdivisions):
         x = barycentric_subdivision(x)

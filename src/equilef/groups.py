@@ -2,8 +2,10 @@
 
 A group is a table over element indices 0..n-1 with 0 the identity.  Groups
 built from permutation generators remember, for every element, a shortest
-generator word; those words are what extend a generator-level action (on
-vertices of a complex, or on a lattice) to the whole group.
+generator word.  ``extend_from_generators`` is the one routine that turns
+data given per generator (vertex maps of a complex, matrices of a lattice)
+into data per element: it walks those words and checks the result against
+the table.  ``is_permutation`` is the one test of a permutation row.
 
 Enumeration order is deterministic everywhere: elements appear in
 breadth-first order over generator words with lexicographic tie-break,
@@ -208,25 +210,31 @@ class SubgroupClass:
 # construction and enumeration
 
 
+def is_permutation(row, n: int) -> bool:
+    """True when row lists 0..n-1 in some order; the length is compared first,
+    so a short row against a huge n costs nothing."""
+    return len(row) == n and sorted(row) == list(range(n))
+
+
 def group_from_permutations(degree: int, generators) -> Group:
     """Close a set of permutation generators into a Group.
 
     Elements are enumerated breadth-first over generator words (lexicographic
     within each length), so indexing is reproducible.  The table is filled
     from the products x * gen_j recorded by the closure, along each element's
-    word.  Closure beyond ``max_group_order()`` is rejected.
+    word.  Identity and redundant generators are allowed.  Closure beyond
+    ``max_group_order()`` is rejected.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError("degree must be a positive integer")
-    gens = []
-    for gi, g in enumerate(generators):
-        g = tuple(g)
-        if sorted(g) != list(range(degree)):
+    gens = [tuple(g) for g in generators]
+    for gi, g in enumerate(gens):
+        if not is_permutation(g, degree):
             raise ValueError(f"generator {gi} is not a permutation of 0..{degree - 1}")
-        gens.append(g)
     bound = max_group_order()
 
-    identity = tuple(range(degree))
+    # without generators the group is trivial: no permutation of the degree is built
+    identity = tuple(range(degree)) if gens else ()
     elems = [identity]
     index = {identity: 0}
     words: list[tuple[int, ...]] = [()]
@@ -261,6 +269,39 @@ def group_from_permutations(degree: int, generators) -> Group:
     mul = list(zip(*columns))
     gen_elements = [index[g] for g in gens]
     return Group(mul, generator_permutations=gens, generator_elements=gen_elements, words=words)
+
+
+def extend_from_generators(group: Group, images, identity, compose, what: str) -> list:
+    """The image of every element under a homomorphism given on the generators.
+
+    ``images[j]`` is the image of generator j, ``identity`` that of element
+    0, and ``compose(a, b)`` the image of x * y when a, b are those of x, y.
+    Elements are visited in index order; each one's image is its parent's
+    image composed with the image of its word's last generator, the parent
+    of b = parent * gen_j being mul[b][inverse[gen_j]].  Then every product
+    gen_j * e is checked against the table, which also checks that identity
+    and redundant generators act as the table says; a violation raises
+    ValueError naming the relation.  ``what`` names one image in messages.
+    """
+    gens = group.generator_elements
+    if gens is None:
+        if group.order > 1:
+            raise ValueError(f"group was not built from generators; cannot extend a {what}")
+        gens = ()
+    if len(images) != len(gens):
+        raise ValueError(f"need one {what} per generator ({len(gens)} expected)")
+    mul, inverse, words = group.mul, group.inverse, group.words
+    out = [identity]
+    for b in range(1, group.order):
+        j = words[b][-1]
+        out.append(compose(out[mul[b][inverse[gens[j]]]], images[j]))
+    for j, (ge, image) in enumerate(zip(gens, images)):
+        row = mul[ge]
+        for e in range(group.order):
+            if out[row[e]] != compose(image, out[e]):
+                raise ValueError(
+                    f"the {what} of generator {j} violates the relation gen[{j}] * element[{e}]")
+    return out
 
 
 def element_classes(g: Group) -> list[ElementClass]:

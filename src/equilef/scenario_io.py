@@ -26,6 +26,7 @@ from .groups import (
     conjugacy_classes_of_subgroups,
     element_classes,
     group_from_permutations,
+    is_permutation,
 )
 from .linalg import int_det
 from .numtheory import is_prime
@@ -85,11 +86,8 @@ def _permutation(row, degree, location):
     _expect(isinstance(row, list), "permutation must be a list", location)
     _expect(all(_is_int(v) for v in row), "permutation entries must be integers",
             location)
-    _expect(
-        sorted(row) == list(range(degree)),
-        f"not a permutation of 0..{degree - 1}",
-        location,
-    )
+    _expect(is_permutation(row, degree), f"not a permutation of 0..{degree - 1}",
+            location)
     return tuple(row)
 
 

@@ -28,6 +28,14 @@ VALID_FILE = {
 }
 
 
+# the same front end in a process whose address space is capped at 1 GiB, as
+# perfbench/ladder.py caps its rungs: an allocation sized by a declared count
+# fails fast instead of filling the host's memory
+CAPPED_RUN = [sys.executable, "-c", (
+    "import resource; cap = 1 << 30; resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "from equilef.cli import main; raise SystemExit(main())")]
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         RUN + list(args), capture_output=True, text=True, **kwargs
@@ -282,3 +290,63 @@ def test_smith_rank_mismatch_is_an_internal_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "over Z" in err
+
+
+IDENTITY_GENERATOR = {
+    "schema_version": 1,
+    "name": "trivial-by-identity",
+    "group": {"degree": 2, "generators": [[0, 1]]},
+    "complex": {"vertices": 2, "maximal_simplices": [[0, 1]], "action": [[0, 1]]},
+    "lattice": {"rank": 1, "action": {"0": [[1]]}},
+}
+
+
+def test_trivial_group_by_identity_generator_verifies(tmp_path):
+    result = _verify_file(tmp_path, IDENTITY_GENERATOR)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
+
+
+def test_identity_generator_acting_by_minus_one_is_an_input_error(tmp_path):
+    doc = dict(IDENTITY_GENERATOR, lattice={"rank": 1, "action": {"0": [[-1]]}})
+    result = _verify_file(tmp_path, doc)
+    assert result.returncode == 2, result.stderr
+    assert "$.lattice.action" in result.stderr
+    assert "relation" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _verify_capped(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run(CAPPED_RUN + ["verify", str(path), "--format", "json"],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_huge_degree_with_short_generator_is_an_input_error(tmp_path):
+    doc = dict(VALID_FILE, group={"degree": 10**12, "generators": [[1, 0]]})
+    result = _verify_capped(tmp_path, doc)
+    assert result.returncode == 2, result.stderr
+    assert "$.group.generators[0]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_huge_degree_without_generators_verifies(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "name": "huge-degree-point",
+        "group": {"degree": 10**12, "generators": []},
+        "complex": {"vertices": 1, "maximal_simplices": [[0]], "action": []},
+        "lattice": {"rank": 1, "action": {}},
+    }
+    result = _verify_capped(tmp_path, doc)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
+
+
+def test_huge_vertex_count_with_short_action_is_an_input_error(tmp_path):
+    comp = {"vertices": 10**12, "maximal_simplices": [[0]], "action": [[0]]}
+    result = _verify_capped(tmp_path, dict(VALID_FILE, complex=comp))
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.action[0]" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -53,6 +53,20 @@ def test_lattice_validation():
         GLattice.sign(c2, [2])
 
 
+def test_identity_generator_must_act_trivially_on_the_lattice():
+    # C2 presented with an extra identity generator, first in the list
+    c2 = group_from_permutations(2, [(0, 1), (1, 0)])
+    assert c2.order == 2
+    sign = GLattice.from_generator_matrices(c2, 1, [[[1]], [[-1]]])
+    assert sign.matrices == GLattice.sign(group_from_permutations(2, [(1, 0)]), [-1]).matrices
+    with pytest.raises(ValueError, match="relation"):
+        GLattice.from_generator_matrices(c2, 1, [[[-1]], [[-1]]])
+    trivial = group_from_permutations(2, [(0, 1)])
+    assert GLattice.from_generator_matrices(trivial, 1, [[[1]]]).matrices == (((1,),),)
+    with pytest.raises(ValueError, match="relation"):
+        GLattice.from_generator_matrices(trivial, 1, [[[-1]]])
+
+
 def test_lattice_characters():
     c2 = group_from_permutations(2, [(1, 0)])
     assert GLattice.trivial(c2).character().values == (Fraction(1), Fraction(1))

@@ -44,6 +44,22 @@ def test_rejects_broken_input():
     assert "relation" in str(err.value)
 
 
+def test_identity_generator_must_act_trivially_on_vertices():
+    # C2 presented with an extra identity generator, first in the list
+    c2 = group_from_permutations(2, [(0, 1), (1, 0)])
+    x = build_complex([(0, 1)], c2, [(0, 1), (1, 0)])
+    plain = build_complex([(0, 1)], group_from_permutations(2, [(1, 0)]), [(1, 0)])
+    assert x.vertex_action == plain.vertex_action
+    assert x.simplices == plain.simplices
+    with pytest.raises(ValueError, match="relation"):
+        build_complex([(0, 1)], c2, [(1, 0), (1, 0)])
+    # the trivial group presented by an identity generator
+    trivial = group_from_permutations(2, [(0, 1)])
+    assert build_complex([(0, 1)], trivial, [(0, 1)]).vertex_action == ((0, 1),)
+    with pytest.raises(ValueError, match="relation"):
+        build_complex([(0, 1)], trivial, [(1, 0)])
+
+
 def test_sign_cocycle(corpus):
     # epsilon(gh, s) = epsilon(g, hs) * epsilon(h, s)
     for s in corpus:
