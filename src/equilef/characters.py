@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
 from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of
 from .linalg import _apply, _sub, reduce_columns
-from .numtheory import euler_phi, is_prime, primitive_root, sqrt_mod
+from .numtheory import euler_phi, is_prime, primitive_root
 
 DIXON_PRIME_BOUND = 10_000_000
 
@@ -326,11 +326,23 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
         omega = [w.get(j, 0) * scale % p for j in range(r)]
         s_sum = sum(omega[j] * omega[inv_class[j]] * inv_sizes[j] for j in range(r)) % p
         deg_sq = g.order * pow(s_sum, -1, p) % p
-        root = sqrt_mod(deg_sq, p)
-        degree = min(root, p - root)
+        degree = _degree_mod_p(g.order, deg_sq, p)
         row = [omega[j] * degree * inv_sizes[j] % p for j in range(r)]
         rows_mod_p.append((degree, row))
     return rows_mod_p
+
+
+def _degree_mod_p(order: int, deg_sq: int, p: int) -> int:
+    """The degree d <= isqrt(order) with d^2 = deg_sq (mod p).
+
+    A degree is at most sqrt|G|, and p^2 > 4|G| (``_dixon_prime``) makes
+    two such d with equal squares mod p equal: the search finds the only one.
+    """
+    bound = math.isqrt(order)
+    for d in range(1, bound + 1):
+        if d * d % p == deg_sq:
+            return d
+    raise ArithmeticError(f"no degree up to {bound} squares to {deg_sq} mod {p}")
 
 
 def _lift(g: Group, p: int, rows_mod_p) -> list[tuple[int, ClassFunction]]:

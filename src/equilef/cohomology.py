@@ -157,7 +157,7 @@ class CochainComplex:
         if stratum.parent.group is not lattice.group:
             raise ValueError("stratum and lattice belong to different groups")
         if not stratum.is_locally_closed():
-            raise ValueError(f"stratum {stratum.label} is not locally closed")
+            raise ValueError(f"stratum of sizes {stratum.sizes()} is not locally closed")
         self.stratum = stratum
         self.lattice = lattice
         self.bases = tuple(stratum.simplices)
@@ -220,7 +220,8 @@ class CochainComplex:
                 t_i = index.get(image)
                 if t_i is None:
                     raise ValueError(
-                        f"stratum {self.stratum.label} is not invariant under element {e}"
+                        f"stratum of sizes {self.stratum.sizes()} is not invariant "
+                        f"under element {e}"
                     )
                 moves.append((t_i, sign))
             self._cache[key] = moves
@@ -422,16 +423,22 @@ class CochainComplex:
 
     def __repr__(self):
         return (
-            f"CochainComplex({self.stratum.label}, rank={self.lattice.rank}, "
+            f"CochainComplex({self.stratum!r}, rank={self.lattice.rank}, "
             f"dims={self.dims})"
         )
 
 
 def cochain_complex(stratum: Stratum, lattice: GLattice) -> CochainComplex:
-    """Cached cochain complex of a stratum, keyed by the lattice's matrices."""
+    """Cached cochain complex of a stratum, keyed by the lattice's matrices.
+
+    A stratum is shared by every constructor that selects its cells, so one
+    complex serves them all; the lattice must act through the stratum's group.
+    """
+    if stratum.parent.group is not lattice.group:
+        raise ValueError("stratum and lattice belong to different groups")
     cache = stratum._cache.setdefault("cochains", {})
     cc = cache.get(lattice.matrices)
-    if cc is None or cc.lattice.group is not lattice.group:
+    if cc is None:
         cc = cache[lattice.matrices] = CochainComplex(stratum, lattice)
     return cc
 

@@ -10,6 +10,10 @@ fixes it pointwise) by barycentric subdivision, applied at most twice.
 Under regularity the open simplices with pointwise stabilizer exactly H
 tile the space; those tiles, fixed subcomplexes, and the order filtration
 are all returned as Stratum objects which the cohomology layer consumes.
+A stratum is its cells: every constructor goes through one routine that
+returns the single Stratum of a cell set, cached on the complex and keyed
+by the cells, so the whole space, X^H for an H fixing everything and every
+empty stratum are each one object with one set of cochain complexes.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ Simplex = tuple[int, ...]
 
 
 class Stratum:
-    """A locally closed union of open simplices of a parent complex."""
+    """A locally closed union of open simplices of a parent complex.
 
-    __slots__ = ("parent", "label", "simplices", "_cache")
+    Built only by ``_stratum``: ``simplices`` holds one sorted tuple of
+    cells per degree of the parent, and no other Stratum has the same cells.
+    """
 
-    def __init__(self, parent: "SimplicialGComplex", label: str, simplices):
+    __slots__ = ("parent", "simplices", "_cache")
+
+    def __init__(self, parent: "SimplicialGComplex", simplices):
         self.parent = parent
-        self.label = label
-        self.simplices = tuple(tuple(sorted(set(s))) for s in simplices)
+        self.simplices = simplices
         self._cache: dict = {}
 
     def sizes(self) -> tuple[int, ...]:
@@ -70,7 +77,7 @@ class Stratum:
         return True
 
     def __repr__(self):
-        return f"Stratum({self.label}, sizes={self.sizes()})"
+        return f"Stratum(sizes={self.sizes()})"
 
 
 class SimplicialGComplex:
@@ -188,9 +195,7 @@ class SimplicialGComplex:
         return tuple(len(level) for level in self.simplices)
 
     def as_stratum(self) -> Stratum:
-        if "whole" not in self._cache:
-            self._cache["whole"] = Stratum(self, "space", self.simplices)
-        return self._cache["whole"]
+        return _stratum(self, lambda s: True)
 
     def __repr__(self):
         return (
@@ -304,58 +309,41 @@ def barycentric_subdivision(x: SimplicialGComplex) -> SimplicialGComplex:
 # strata
 
 
-def _stratum_from_predicate(x: SimplicialGComplex, label: str, keep) -> Stratum:
-    levels = [[s for s in level if keep(s)] for level in x.simplices]
-    return Stratum(x, label, levels)
+def _stratum(x: SimplicialGComplex, keep) -> Stratum:
+    """The one Stratum of the cells that keep selects, cached by those cells."""
+    cells = tuple(tuple(s for s in level if keep(s)) for level in x.simplices)
+    strata = x._cache.setdefault("strata", {})
+    stratum = strata.get(cells)
+    if stratum is None:
+        stratum = strata[cells] = Stratum(x, cells)
+    return stratum
 
 
 def fixed_subcomplex(x: SimplicialGComplex, h: Subgroup) -> Stratum:
     """The closed subcomplex fixed pointwise by all of H; the whole space if H is trivial."""
     _check_subgroup(x, h)
-    if h.order == 1:
-        return x.as_stratum()
-    key = ("fixed", h.member_set)
-    if key not in x._cache:
-        members = h._members_frozen
-        x._cache[key] = _stratum_from_predicate(
-            x, f"fixed{h.member_set}", lambda s: members <= x.stabilizer(s)
-        )
-    return x._cache[key]
+    members = h._members_frozen
+    return _stratum(x, lambda s: members <= x.stabilizer(s))
 
 
 def exact_stratum(x: SimplicialGComplex, h: Subgroup) -> Stratum:
     """Open simplices whose stabilizer is exactly H (locally closed)."""
     _check_subgroup(x, h)
-    key = ("exact", h.member_set)
-    if key not in x._cache:
-        members = h._members_frozen
-        x._cache[key] = _stratum_from_predicate(
-            x, f"exact{h.member_set}", lambda s: x.stabilizer(s) == members
-        )
-    return x._cache[key]
+    members = h._members_frozen
+    return _stratum(x, lambda s: x.stabilizer(s) == members)
 
 
 def class_stratum(x: SimplicialGComplex, subgroups) -> Stratum:
     """Union of the exact strata of a family of subgroups (e.g. a conjugacy
     class); locally closed when the family is closed under conjugation."""
     member_sets = [h._members_frozen for h in subgroups]
-    label = "class" + "".join(str(sorted(m)) for m in member_sets[:1]) + (
-        f"x{len(member_sets)}" if len(member_sets) > 1 else ""
-    )
-    return _stratum_from_predicate(x, label, lambda s: x.stabilizer(s) in member_sets)
+    return _stratum(x, lambda s: x.stabilizer(s) in member_sets)
 
 
 def filtration(x: SimplicialGComplex) -> list[Stratum]:
     """X^i = union of fixed sets of subgroups of order >= i, for i = 1..|G|."""
-    if "filtration" not in x._cache:
-        out = [
-            _stratum_from_predicate(
-                x, f"filtration>={i}", lambda s, i=i: len(x.stabilizer(s)) >= i
-            )
-            for i in range(1, x.group.order + 1)
-        ]
-        x._cache["filtration"] = out
-    return x._cache["filtration"]
+    return [_stratum(x, lambda s, i=i: len(x.stabilizer(s)) >= i)
+            for i in range(1, x.group.order + 1)]
 
 
 def _check_subgroup(x: SimplicialGComplex, h: Subgroup):

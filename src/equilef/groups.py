@@ -171,7 +171,9 @@ class Subgroup:
         """This subgroup as a group in its own right (indices re-based).
 
         The whole subgroup returns the parent itself, so characters computed
-        on it live on the original group object.
+        on it live on the original group object.  Any other is interned on
+        the parent by its table: subgroups with equal re-based tables share
+        one Group, and with it its classes and character table.
         """
         if self._as_group is None:
             if self.order == self.parent.order:
@@ -179,8 +181,11 @@ class Subgroup:
             else:
                 mem = self.member_set
                 idx = self._sub_index
-                table = [[idx[self.parent.mul[a][b]] for b in mem] for a in mem]
-                self._as_group = Group(table)
+                table = tuple(tuple(idx[self.parent.mul[a][b]] for b in mem) for a in mem)
+                interned = self.parent._cache.setdefault("rebased", {})
+                self._as_group = interned.get(table)
+                if self._as_group is None:
+                    self._as_group = interned[table] = Group(table)
         return self._as_group
 
     def __eq__(self, other):

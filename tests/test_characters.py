@@ -85,6 +85,14 @@ def test_known_table_s3():
     assert values == sorted([(1, 1, 1), (1, 1, -1), (2, -1, 0)])
 
 
+def test_degree_search_without_a_root_raises(monkeypatch):
+    # degrees are searched up to isqrt|G|; S3 has a degree-2 character
+    monkeypatch.setattr(math, "isqrt", lambda n: 1)
+    degree, gens = PRESENTATIONS["s3"]
+    with pytest.raises(ArithmeticError, match="no degree up to 1"):
+        character_table(group_from_permutations(degree, gens))
+
+
 def test_known_table_c4_has_fourth_root():
     degree, gens = PRESENTATIONS["c4"]
     group = group_from_permutations(degree, gens)

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -290,6 +291,21 @@ def test_smith_rank_mismatch_is_an_internal_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "over Z" in err
+
+
+def test_missing_character_degree_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # S3 on a point, read from a file so that its group is built afresh
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "name": "s3-point",
+        "group": {"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
+        "complex": {"vertices": 1, "maximal_simplices": [[0]], "action": [[0], [0]]},
+        "lattice": {"rank": 1, "action": {"0": [[1]], "1": [[1]]}},
+    }))
+    monkeypatch.setattr(math, "isqrt", lambda n: 1)
+    assert cli.main(["chartab", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: no degree up to 1")
 
 
 IDENTITY_GENERATOR = {

@@ -325,7 +325,7 @@ def small_complexes(corpus, max_cells=80):
 def test_sparse_kernel_matches_dense_oracle(corpus):
     checked = 0
     for s, cc, acting in small_complexes(corpus):
-        label = (s.name, cc.stratum.label)
+        label = (s.name, cc.stratum)
         assert cc.rational_dims() == dense_oracle.rational_dims(cc), label
         for p in (2, 3, 5):
             assert cc.modp_dims(p) == dense_oracle.modp_dims(cc, p), (label, p)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equilef.cohomology import cochain_complex
 from equilef.complexes import (
     barycentric_subdivision,
     build_complex,
@@ -217,3 +218,28 @@ def test_triangle_action_needs_one_subdivision(by_name):
     x = by_name["triangle-s3"].complex
     assert x.subdivision_count == 1
     assert x.counts() == (6, 6)
+
+
+def test_a_cell_set_is_one_stratum_with_one_cochain_complex(by_name):
+    # the action is free: the stratum of the trivial subgroup is the whole space
+    s = by_name["octahedron-antipodal"]
+    x = s.complex
+    whole, trivial = x.as_stratum(), exact_stratum(x, s.group.subgroup([0]))
+    assert trivial is whole
+    assert cochain_complex(trivial, s.lattice) is cochain_complex(whole, s.lattice)
+    # every element fixes the point
+    point = by_name["point-c2"]
+    for a in range(point.group.order):
+        h = point.group.cyclic_subgroup(a)
+        assert fixed_subcomplex(point.complex, h) is point.complex.as_stratum()
+
+
+def test_empty_strata_are_one_object():
+    s4 = group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    x = build_complex([(0,)], s4, [(0,), (0,)])
+    *proper, whole = subgroups(s4)
+    empty = [exact_stratum(x, h) for h in proper]
+    assert len(proper) == 29
+    assert all(st is empty[0] for st in empty)
+    assert empty[0].sizes() == (0,)
+    assert exact_stratum(x, whole) is x.as_stratum()

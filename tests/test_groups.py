@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from equilef.characters import character_table
 from equilef.scenarios import builtin_names, builtin_scenario
 from equilef.groups import (
     Group,
@@ -135,6 +136,15 @@ def test_subgroup_as_group_is_isomorphic_image(group):
             for b in range(h.order):
                 product = group.mul[h.to_parent(a)][h.to_parent(b)]
                 assert inner.mul[a][b] == h.member_set.index(product)
+
+
+def test_subgroups_with_equal_tables_share_one_group():
+    # S4 generated by a transposition, a double transposition and a 4-cycle
+    s4 = group_from_permutations(4, [(1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 3, 0)])
+    transposition, double = (s4.cyclic_subgroup(e) for e in s4.generator_elements[:2])
+    assert transposition != double
+    assert transposition.as_group() is double.as_group()
+    assert character_table(transposition.as_group()) is character_table(double.as_group())
 
 
 def test_rejects_bad_presentations(monkeypatch):

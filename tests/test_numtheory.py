@@ -11,7 +11,6 @@ from equilef.numtheory import (
     factorize,
     is_prime,
     primitive_root,
-    sqrt_mod,
 )
 
 
@@ -65,11 +64,3 @@ def test_primitive_root_generates():
             seen.add(x)
         assert len(seen) == p - 1, p
 
-
-def test_sqrt_mod_squares():
-    rng = random.Random(13)
-    for p in [2, 3, 5, 7, 11, 13, 17, 101, 997]:
-        for _ in range(20):
-            x = rng.randrange(p)
-            r = sqrt_mod(x * x % p, p)
-            assert r * r % p == x * x % p, (p, x)
