@@ -14,7 +14,7 @@ from equilef import (
     parse_scenario_file,
     serialize_scenario,
 )
-from equilef.scenario_io import ScenarioError, summary_to_text
+from equilef.scenario_io import ScenarioError, summary_to_dict, summary_to_text
 
 scenario_text = json.dumps({
     "schema_version": 1,
@@ -39,7 +39,7 @@ print(f"parsed scenario {scenario.name!r}: group order {scenario.group.order}, "
 
 summary = full_verification(scenario)
 print()
-print(summary_to_text(summary, scenario))
+print(summary_to_text(summary_to_dict(summary, scenario), scenario))
 
 print("canonical serialization round-trips:")
 sf = parse_scenario_file(scenario_text)

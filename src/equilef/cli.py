@@ -11,7 +11,11 @@ Exit code 0 means every verdict passed; 1 means a verification failed;
 2 means the input was invalid; 3 means an internal invariant broke (d o d = 0,
 Euler-Poincare, class coordinates, integrality, the Hopf trace against the
 Lefschetz number, the rank of a coboundary over Z against its rank over Q),
-which is a bug, not a verdict.  EQUILEF_MAX_GROUP_ORDER caps group sizes.
+which is a bug, not a verdict.  EQUILEF_MAX_GROUP_ORDER caps group sizes;
+a file or builtin over the cap is an input error.
+
+Each subcommand builds one canonical report dict; --format json writes it
+as canonical JSON, --format text renders the same dict as text.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .engine import Scenario, full_verification
 from .groups import max_group_order
@@ -57,75 +62,51 @@ def _load_scenario(target: str, primes) -> Scenario:
                 f"(builtins: {', '.join(builtin_names())})",
                 "$",
             ) from None
+        except ValueError as exc:
+            raise ScenarioError(f"builtin {target!r}: {exc}", "$") from None
     if primes:
         scenario.primes = tuple(primes)
     return scenario
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+def _summary_dict(target: str, args) -> tuple[dict, Scenario]:
+    scenario = _load_scenario(target, args.prime)
+    summary = full_verification(scenario)
+    return summary_to_dict(summary, scenario, include_timings=args.timings), scenario
+
+
+def _corpus_text(data: dict) -> str:
+    lines = [
+        f"{block['scenario']:32s} {'pass' if block['passed'] else 'FAIL'}"
+        for block in data["scenarios"]
+    ]
+    passed = sum(block["passed"] for block in data["scenarios"])
+    lines.append(f"{passed}/{len(data['scenarios'])} scenarios passed")
+    return "\n".join(lines) + "\n"
+
+
+def _run(args) -> int:
+    """Build the subcommand's report dict once, then write it as JSON or text."""
+    if args.command == "verify":
+        data, scenario = _summary_dict(args.scenario, args)
+        render = partial(summary_to_text, scenario=scenario)
+    elif args.command == "chartab":
+        data = chartab_dict(_load_scenario(args.scenario, None))
+        render = chartab_text
+    elif args.command == "strata":
+        data = strata_dict(_load_scenario(args.scenario, None))
+        render = strata_text
+    else:
+        blocks = [_summary_dict(name, args)[0] for name in builtin_names()]
+        data = {"scenarios": blocks, "passed": all(b["passed"] for b in blocks)}
+        render = _corpus_text
+    text = canonical_json(data) if args.format == "json" else render(data)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _cmd_verify(args) -> int:
-    scenario = _load_scenario(args.scenario, args.prime)
-    summary = full_verification(scenario)
-    if args.format == "json":
-        text = canonical_json(
-            summary_to_dict(summary, scenario, include_timings=args.timings)
-        )
-    else:
-        text = summary_to_text(summary, scenario)
-    _emit(text, args.out)
-    return 0 if summary.passed else 1
-
-
-def _cmd_chartab(args) -> int:
-    scenario = _load_scenario(args.scenario, None)
-    if args.format == "json":
-        text = canonical_json(chartab_dict(scenario))
-    else:
-        text = chartab_text(scenario)
-    _emit(text, args.out)
-    return 0
-
-
-def _cmd_strata(args) -> int:
-    scenario = _load_scenario(args.scenario, None)
-    if args.format == "json":
-        text = canonical_json(strata_dict(scenario))
-    else:
-        text = strata_text(scenario)
-    _emit(text, args.out)
-    return 0
-
-
-def _cmd_corpus(args) -> int:
-    failures = 0
-    blocks = []
-    for name in builtin_names():
-        scenario = _load_scenario(name, args.prime)
-        summary = full_verification(scenario)
-        if not summary.passed:
-            failures += 1
-        if args.format == "json":
-            blocks.append(
-                summary_to_dict(summary, scenario, include_timings=args.timings)
-            )
-        else:
-            blocks.append(
-                f"{scenario.name:32s} {'pass' if summary.passed else 'FAIL'}"
-            )
-    if args.format == "json":
-        text = canonical_json({"scenarios": blocks, "passed": failures == 0})
-    else:
-        tail = f"{len(blocks) - failures}/{len(blocks)} scenarios passed"
-        text = "\n".join(blocks) + "\n" + tail + "\n"
-    _emit(text, args.out)
-    return 0 if failures == 0 else 1
+    return 0 if data.get("passed", True) else 1
 
 
 def _add_common(sub, with_primes: bool):
@@ -154,23 +135,19 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="verify one scenario (file path or builtin name)")
     p_verify.add_argument("scenario")
     _add_common(p_verify, with_primes=True)
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_chartab = subs.add_parser(
         "chartab", help="character table of a scenario's group")
     p_chartab.add_argument("scenario")
     _add_common(p_chartab, with_primes=False)
-    p_chartab.set_defaults(func=_cmd_chartab)
 
     p_strata = subs.add_parser(
         "strata", help="fixed sets and strata of a scenario")
     p_strata.add_argument("scenario")
     _add_common(p_strata, with_primes=False)
-    p_strata.set_defaults(func=_cmd_strata)
 
     p_corpus = subs.add_parser("corpus", help="verify every builtin scenario")
     _add_common(p_corpus, with_primes=True)
-    p_corpus.set_defaults(func=_cmd_corpus)
 
     return parser
 
@@ -184,7 +161,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return _run(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

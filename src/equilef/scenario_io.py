@@ -9,6 +9,8 @@ relations) and reports failures as ScenarioError with a location path.
 Reports serialize to canonical JSON: fixed key order, rationals as
 {"num": ..., "den": ...} strings, no timestamps; two runs on the same
 input produce byte-identical output.  Timings are added only on request.
+Text reports are rendered from the same canonical dicts, so the two
+formats cannot disagree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .characters import character_table, rational_irreducibles
 from .cohomology import GLattice
 from .complexes import build_complex, exact_stratum, fixed_subcomplex
-from .engine import Scenario, VerificationSummary, full_verification
+from .engine import Scenario, VerificationSummary
 from .groups import (
     Group,
     conjugacy_classes_of_subgroups,
@@ -280,9 +282,9 @@ def _rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def _rat_str(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _rat_text(r: dict) -> str:
+    """A {"num", "den"} rational as text: "3" or "-1/2"."""
+    return r["num"] if r["den"] == "1" else f"{r['num']}/{r['den']}"
 
 
 def _character_values(v) -> list:
@@ -394,70 +396,75 @@ def summary_to_dict(summary: VerificationSummary, scenario: Scenario,
     return out
 
 
-def summary_to_text(summary: VerificationSummary, scenario: Scenario) -> str:
-    th = summary.theorem
+def summary_to_text(data: dict, scenario: Scenario) -> str:
+    """Text of a ``summary_to_dict`` report; ``scenario`` gives only the
+    description and lattice rank, the two facts the JSON does not carry."""
+    chars = data["characters"]
+    verdicts = data["verdicts"]
     lines = []
 
     def ok(flag):
         return "pass" if flag else "FAIL"
 
-    lines.append(f"scenario {summary.scenario_name}: {ok(summary.passed)}")
+    lines.append(f"scenario {data['scenario']}: {ok(data['passed'])}")
     if scenario.description:
         lines.append(f"  {scenario.description}")
     lines.append(
-        f"  complex: counts {tuple(th.complex_counts)}, "
-        f"{th.subdivision_count} subdivision(s); lattice rank {scenario.lattice.rank}"
+        f"  complex: counts {tuple(data['complex']['counts'])}, "
+        f"{data['complex']['subdivisions']} subdivision(s); "
+        f"lattice rank {scenario.lattice.rank}"
     )
-    reps = [c.representative for c in element_classes(scenario.group)]
+    reps = [c["representative"] for c in chars["classes"]]
     lines.append(f"  classes (representatives): {reps}")
-    lines.append(f"  lhs            : {[_rat_str(v) for v in th.lhs.values]}")
-    lines.append(f"  rhs (induction): {[_rat_str(v) for v in th.rhs_induction.values]}")
-    lines.append(f"  rhs (isotypic) : {[_rat_str(v) for v in th.rhs_isotypic.values]}")
-    lines.append(f"  theorem: {ok(th.passed)}")
-    for t in th.terms:
+    lines.append(f"  lhs            : {[_rat_text(r) for r in chars['lhs']]}")
+    lines.append(f"  rhs (induction): {[_rat_text(r) for r in chars['rhs_induction']]}")
+    lines.append(f"  rhs (isotypic) : {[_rat_text(r) for r in chars['rhs_isotypic']]}")
+    lines.append(f"  theorem: {ok(verdicts['theorem'])}")
+    for t in data["tables"]["subgroup_classes"]:
         lines.append(
-            f"  [H] order {t.subgroup_order} members {list(t.subgroup.member_set)}: "
-            f"|N(H)| = {t.normalizer_order}, weight {_rat_str(t.weight)}, "
-            f"stratum sizes {tuple(t.stratum_sizes)}, chi_c = {t.stratum_euler}"
+            f"  [H] order {t['subgroup_order']} members {t['subgroup_members']}: "
+            f"|N(H)| = {t['normalizer_order']}, weight {_rat_text(t['weight'])}, "
+            f"stratum sizes {tuple(t['stratum_sizes'])}, chi_c = {t['stratum_euler']}"
         )
         lines.append(
-            f"      cohomology dims {tuple(t.cohomology_dims)}, "
-            f"theta {[_rat_str(v) for v in t.theta.values]}, "
-            f"coefficients {[_rat_str(r.coefficient) for r in t.isotypic]}"
+            f"      cohomology dims {tuple(t['cohomology_dims'])}, "
+            f"theta {[_rat_text(r) for r in t['theta']]}, "
+            f"coefficients {[_rat_text(r['coefficient']) for r in t['isotypic']]}"
         )
-    cor_bad = [c for c in summary.corollaries if not c.passed]
+    corollaries = verdicts["corollary"]
     lines.append(
-        f"  corollary (fixed-set Lefschetz) over {len(summary.corollaries)} "
-        f"elements: {ok(not cor_bad)}"
+        f"  corollary (fixed-set Lefschetz) over {len(corollaries)} "
+        f"elements: {ok(all(c['passed'] for c in corollaries))}"
     )
-    for c in summary.corollaries:
+    for c in corollaries:
         lines.append(
-            f"      g = {c.element}: L(X) = {_rat_str(c.whole_value)}, "
-            f"L(fixed) = {_rat_str(c.fixed_value)}"
-            + ("" if c.passed else "  MISMATCH")
+            f"      g = {c['element']}: L(X) = {_rat_text(c['whole'])}, "
+            f"L(fixed) = {_rat_text(c['fixed'])}"
+            + ("" if c["passed"] else "  MISMATCH")
         )
-    fa = summary.free_action
-    if fa.applicable:
+    fa = verdicts["free_action"]
+    if fa["applicable"]:
         lines.append(
-            f"  free action: vanishing {ok(fa.vanishing_ok)}, covering "
-            f"{ok(fa.covering_ok)}"
-            + (f", quotient {ok(fa.quotient_ok)}" if fa.quotient_ok is not None else "")
-            + f" (invariant chi = {_rat_str(fa.invariant_euler)})"
+            f"  free action: vanishing {ok(fa['vanishing'])}, covering "
+            f"{ok(fa['covering'])}"
+            + (f", quotient {ok(fa['quotient'])}" if fa["quotient"] is not None else "")
+            + f" (invariant chi = {_rat_text(fa['invariant_euler'])})"
         )
         lines.append(
-            f"  regular multiple: {ok(summary.verdier.passed)} "
-            f"(lhs = {_rat_str(summary.verdier.multiple)} x regular)"
+            f"  regular multiple: {ok(verdicts['verdier']['passed'])} "
+            f"(lhs = {_rat_text(verdicts['verdier']['multiple'])} x regular)"
         )
     else:
         lines.append("  free action: not applicable (action has fixed simplices)")
-    for m in summary.modp:
+    for m in verdicts["modp"]:
         detail = ", ".join(
-            f"H^{r.degree}: {r.modp_dim} = {r.betti}+{r.torsion_here}+{r.torsion_above}"
-            for r in m.rows
+            f"H^{r['degree']}: {r['dim_modp']} = "
+            f"{r['betti']}+{r['torsion_here']}+{r['torsion_above']}"
+            for r in m["degrees"]
         )
         lines.append(
-            f"  mod {m.prime}: chi {m.chi_modp} vs {m.chi_rational} {ok(m.passed)} "
-            f"({detail})"
+            f"  mod {m['prime']}: chi {m['chi_modp']} vs {m['chi_rational']} "
+            f"{ok(m['passed'])} ({detail})"
         )
     return "\n".join(lines) + "\n"
 
@@ -474,22 +481,26 @@ def _cyclotomic_dict(v) -> dict:
 
 
 def cyclotomic_str(v) -> str:
-    if v.conductor == 1:
-        return _rat_str(v.coeffs[0])
-    e = v.conductor
+    """Text of a cyclotomic value, given as its canonical dict or a Cyclotomic."""
+    if not isinstance(v, dict):
+        v = _cyclotomic_dict(v)
+    e, coeffs = v["conductor"], v["coeffs"]
+    if e == 1:
+        return _rat_text(coeffs[0])
     parts = []
-    for k, c in enumerate(v.coeffs):
-        if c == 0:
+    for k, c in enumerate(coeffs):
+        if c["num"] == "0":
             continue
         if k == 0:
-            parts.append(_rat_str(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{_rat_str(abs(c))}*"
-            power = f"z{e}" if k == 1 else f"z{e}^{k}"
-            parts.append(
-                (("-" if c < 0 else "+") if parts else ("-" if c < 0 else ""))
-                + f"{mag}{power}"
-            )
+            parts.append(_rat_text(c))
+            continue
+        negative = c["num"].startswith("-")
+        mag = _rat_text({"num": c["num"].lstrip("-"), "den": c["den"]})
+        parts.append(
+            ("-" if negative else "+" if parts else "")
+            + ("" if mag == "1" else f"{mag}*")
+            + (f"z{e}" if k == 1 else f"z{e}^{k}")
+        )
     return "".join(parts) if parts else "0"
 
 
@@ -519,23 +530,21 @@ def chartab_dict(scenario: Scenario) -> dict:
     }
 
 
-def chartab_text(scenario: Scenario) -> str:
-    g = scenario.group
-    table = character_table(g)
-    rats = rational_irreducibles(table)
-    lines = [f"group of order {g.order} ({scenario.name})"]
-    reps = [c.representative for c in element_classes(g)]
-    sizes = [c.size for c in element_classes(g)]
+def chartab_text(data: dict) -> str:
+    """Text of a ``chartab_dict`` report."""
+    lines = [f"group of order {data['group_order']} ({data['scenario']})"]
+    reps = [c["representative"] for c in data["classes"]]
+    sizes = [c["size"] for c in data["classes"]]
     lines.append(f"  class representatives: {reps}")
     lines.append(f"  class sizes:           {sizes}")
-    for i, chi in enumerate(table.irreducibles):
-        vals = ", ".join(cyclotomic_str(v) for v in chi.values)
+    for i, chi in enumerate(data["irreducibles"]):
+        vals = ", ".join(cyclotomic_str(v) for v in chi["values"])
         lines.append(f"  chi_{i}: [{vals}]")
     lines.append("  rational irreducibles (orbit sums):")
-    for lam in rats:
-        vals = ", ".join(_rat_str(v) for v in lam.orbit_sum.values)
+    for lam in data["rational_irreducibles"]:
+        vals = ", ".join(_rat_text(r) for r in lam["values"])
         lines.append(
-            f"    orbit {list(lam.orbit)} (size {lam.orbit_size}): [{vals}]"
+            f"    orbit {lam['orbit']} (size {lam['orbit_size']}): [{vals}]"
         )
     return "\n".join(lines) + "\n"
 
@@ -569,10 +578,10 @@ def strata_dict(scenario: Scenario) -> dict:
     }
 
 
-def strata_text(scenario: Scenario) -> str:
-    data = strata_dict(scenario)
+def strata_text(data: dict) -> str:
+    """Text of a ``strata_dict`` report."""
     lines = [
-        f"scenario {scenario.name}: counts {tuple(data['complex']['counts'])}, "
+        f"scenario {data['scenario']}: counts {tuple(data['complex']['counts'])}, "
         f"{data['complex']['subdivisions']} subdivision(s)"
     ]
     for row in data["subgroup_classes"]:

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import equilef.cli as cli
 from equilef.characters import IntegralityError
 from equilef.cohomology import CochainComplex
@@ -143,6 +145,17 @@ def test_bad_max_group_order_is_an_input_error(tmp_path):
         assert result.stderr.startswith("input error: EQUILEF_MAX_GROUP_ORDER")
         assert "$.group" not in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [["verify", "octahedron-klein4"], ["corpus"]],
+                         ids=["verify", "corpus"])
+def test_builtin_over_max_group_order_is_an_input_error(args):
+    env = dict(os.environ, EQUILEF_MAX_GROUP_ORDER="2")
+    result = run_cli(*args, env=env)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error: "), result.stderr
+    assert "exceeds the order bound 2" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_timings_flag():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -181,7 +182,7 @@ def test_summary_dict_shape():
 def test_summary_text_mentions_verdicts():
     s = builtin_scenario("point-c2")
     summary = full_verification(s)
-    text = summary_to_text(summary, s)
+    text = summary_to_text(summary_to_dict(summary, s), s)
     assert "point-c2" in text
     assert "pass" in text
     assert "MISMATCH" not in text
@@ -192,6 +193,15 @@ def test_cyclotomic_rendering():
     assert cyclotomic_str(z3) == "z3"
     assert cyclotomic_str(Cyclotomic.from_rational(1) + Cyclotomic.root_of_unity(8)) == "1+z8"
     assert cyclotomic_str(Cyclotomic.from_rational(-2)) == "-2"
+    z5 = Cyclotomic.root_of_unity(5)
+    z5_2, z5_3 = Cyclotomic.root_of_unity(5, 2), Cyclotomic.root_of_unity(5, 3)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert cyclotomic_str(-half * z5_2) == "-1/2*z5^2"
+    assert cyclotomic_str(3 * half - 3 * Cyclotomic.root_of_unity(8, 3)) == "3/2-3*z8^3"
+    assert cyclotomic_str(z5 + 2 * third * z5_3) == "z5+2/3*z5^3"
+    assert cyclotomic_str(Cyclotomic.from_rational(-third)) == "-1/3"
+    assert cyclotomic_str(Cyclotomic.from_rational(0)) == "0"
+    assert cyclotomic_str(Cyclotomic(5, (0, 0, 0, 0))) == "0"
 
 
 def test_chartab_output():
@@ -202,7 +212,7 @@ def test_chartab_output():
     assert len(d["rational_irreducibles"]) == 2
     orbit_sizes = sorted(r["orbit_size"] for r in d["rational_irreducibles"])
     assert orbit_sizes == [1, 2]
-    text = chartab_text(s)
+    text = chartab_text(d)
     assert "z3" in text
     assert "rational irreducibles" in text
 
@@ -219,7 +229,7 @@ def test_strata_output():
     assert trivial_row["exact_euler_compact"] == -2
     assert whole_row["exact_sizes"] == [2, 0]
     assert whole_row["exact_euler_compact"] == 2
-    text = strata_text(s)
+    text = strata_text(d)
     assert "square-reflection" in text
 
 
