@@ -22,11 +22,11 @@ irreducibles are integers and rebuild it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
-from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of
+from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of, memo
 from .linalg import _apply, _sub, reduce_columns
 from .numtheory import euler_phi, is_prime, primitive_root
 
@@ -56,6 +56,7 @@ class CharacterTable:
     classes: tuple[ElementClass, ...]
     irreducibles: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _same_group(g: Group, h: Group) -> bool:
@@ -217,10 +218,9 @@ def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
 # character table by exact diagonalization of the class algebra mod p
 
 
+@memo
 def character_table(g: Group) -> CharacterTable:
-    if "character_table" not in g._cache:
-        g._cache["character_table"] = _build_character_table(g)
-    return g._cache["character_table"]
+    return _build_character_table(g)
 
 
 def _dixon_prime(order: int, exponent: int) -> int:
@@ -235,22 +235,20 @@ def _dixon_prime(order: int, exponent: int) -> int:
     )
 
 
+@memo
 def power_map(g: Group) -> list[tuple[int, ...]]:
     """pm[j][k] = class index of (rep of class j)^k, for k = 0..exponent-1."""
-    if "power_map" not in g._cache:
-        classes = element_classes(g)
-        cls_of = class_index_of(g)
-        m = g.exponent()
-        pm = []
-        for cl in classes:
-            rep = cl.representative
-            row, x = [], 0
-            for _ in range(m):
-                row.append(cls_of[x])
-                x = g.mul[x][rep]
-            pm.append(tuple(row))
-        g._cache["power_map"] = pm
-    return g._cache["power_map"]
+    cls_of = class_index_of(g)
+    m = g.exponent()
+    pm = []
+    for cl in element_classes(g):
+        rep = cl.representative
+        row, x = [], 0
+        for _ in range(m):
+            row.append(cls_of[x])
+            x = g.mul[x][rep]
+        pm.append(tuple(row))
+    return pm
 
 
 def _build_character_table(g: Group) -> CharacterTable:
@@ -446,6 +444,7 @@ def _check_orthonormality(table: CharacterTable):
 # rational irreducibles as Galois orbit sums
 
 
+@memo
 def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     """Galois orbits of the irreducibles under zeta -> zeta^k, with orbit sums.
 
@@ -454,35 +453,33 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     trivial orbit comes first.
     """
     g = table.group
-    if "rational_irreducibles" not in g._cache:
-        m = g.exponent()
-        pm = power_map(g)
-        r = len(table.classes)
-        lookup = {table.irreducibles[t].values: t for t in range(len(table.irreducibles))}
-        seen = [False] * len(table.irreducibles)
-        out = []
-        for t in range(len(table.irreducibles)):
-            if seen[t]:
-                continue
-            base = table.irreducibles[t].values
-            orbit = set()
-            for k in range(1, m + 1):
-                if math.gcd(k, m) == 1:
-                    u = lookup.get(tuple(base[pm[j][k % m]] for j in range(r)))
-                    if u is None:
-                        raise ArithmeticError("Galois action left the character table")
-                    orbit.add(u)
-                    seen[u] = True
-            orbit = tuple(sorted(orbit))
-            acc = [Cyclotomic.from_rational(0)] * r
-            for u in orbit:
-                acc = [x + y for x, y in zip(acc, table.irreducibles[u].values)]
-            if not all(x.is_integer() for x in acc):
-                raise IntegralityError("Galois orbit sum has a non-integer value")
-            orbit_sum = VirtualCharacter(g, [x.as_fraction() for x in acc])
-            out.append(RationalIrreducible(g, orbit, orbit_sum, len(orbit)))
-        g._cache["rational_irreducibles"] = out
-    return g._cache["rational_irreducibles"]
+    m = g.exponent()
+    pm = power_map(g)
+    r = len(table.classes)
+    lookup = {table.irreducibles[t].values: t for t in range(len(table.irreducibles))}
+    seen = [False] * len(table.irreducibles)
+    out = []
+    for t in range(len(table.irreducibles)):
+        if seen[t]:
+            continue
+        base = table.irreducibles[t].values
+        orbit = set()
+        for k in range(1, m + 1):
+            if math.gcd(k, m) == 1:
+                u = lookup.get(tuple(base[pm[j][k % m]] for j in range(r)))
+                if u is None:
+                    raise ArithmeticError("Galois action left the character table")
+                orbit.add(u)
+                seen[u] = True
+        orbit = tuple(sorted(orbit))
+        acc = [Cyclotomic.from_rational(0)] * r
+        for u in orbit:
+            acc = [x + y for x, y in zip(acc, table.irreducibles[u].values)]
+        if not all(x.is_integer() for x in acc):
+            raise IntegralityError("Galois orbit sum has a non-integer value")
+        orbit_sum = VirtualCharacter(g, [x.as_fraction() for x in acc])
+        out.append(RationalIrreducible(g, orbit, orbit_sum, len(orbit)))
+    return out
 
 
 def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[Fraction, ...]:

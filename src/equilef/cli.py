@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .engine import Scenario, full_verification
 from .groups import max_group_order
@@ -122,6 +122,7 @@ def _add_common(sub, with_primes: bool):
                          help="include timing data in JSON output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equilef",

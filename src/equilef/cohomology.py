@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _apply, _sub, int_det, reduce_columns, smith_invariants
+from .linalg import _apply, _sub, is_unimodular, reduce_columns, smith_invariants
 from .characters import VirtualCharacter
 from .complexes import Stratum
-from .groups import Group, Subgroup, element_classes, extend_from_generators
+from .groups import Group, Subgroup, element_classes, extend_from_generators, memo
 
 
 def _dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
@@ -84,7 +84,7 @@ class GLattice:
         for e, m in enumerate(self.matrices):
             if len(m) != rank_ or any(len(row) != rank_ for row in m):
                 raise ValueError(f"matrix for element {e} has the wrong shape")
-            if abs(int_det(m)) != 1:
+            if not is_unimodular(m):
                 raise ValueError(f"matrix for element {e} is not invertible over Z")
 
     @classmethod
@@ -128,15 +128,14 @@ class GLattice:
         m = self.matrices[e]
         return sum(m[i][i] for i in range(self.rank))
 
+    @memo
     def character(self) -> VirtualCharacter:
         """Trace function as a virtual character of the acting group."""
-        if "char" not in self._cache:
-            classes = element_classes(self.group)
-            self._cache["char"] = VirtualCharacter(
-                self.group,
-                tuple(Fraction(self.trace(c.representative)) for c in classes),
-            )
-        return self._cache["char"]
+        classes = element_classes(self.group)
+        return VirtualCharacter(
+            self.group,
+            tuple(Fraction(self.trace(c.representative)) for c in classes),
+        )
 
     def __repr__(self):
         return f"GLattice(|G|={self.group.order}, rank={self.rank})"
@@ -202,30 +201,26 @@ class CochainComplex:
 
     # -- group action ---------------------------------------------------------
 
+    @memo
     def _simplex_index(self, k):
-        key = ("index", k)
-        if key not in self._cache:
-            self._cache[key] = {s: i for i, s in enumerate(self.bases[k])}
-        return self._cache[key]
+        return {s: i for i, s in enumerate(self.bases[k])}
 
+    @memo
     def _moves(self, e: int, k: int):
         """(image index, orientation sign) of each degree-k simplex under e."""
-        key = ("moves", e, k)
-        if key not in self._cache:
-            x = self.stratum.parent
-            index = self._simplex_index(k)
-            moves = []
-            for s in self.bases[k]:
-                image, sign = x.act_simplex_signed(e, s)
-                t_i = index.get(image)
-                if t_i is None:
-                    raise ValueError(
-                        f"stratum of sizes {self.stratum.sizes()} is not invariant "
-                        f"under element {e}"
-                    )
-                moves.append((t_i, sign))
-            self._cache[key] = moves
-        return self._cache[key]
+        x = self.stratum.parent
+        index = self._simplex_index(k)
+        moves = []
+        for s in self.bases[k]:
+            image, sign = x.act_simplex_signed(e, s)
+            t_i = index.get(image)
+            if t_i is None:
+                raise ValueError(
+                    f"stratum of sizes {self.stratum.sizes()} is not invariant "
+                    f"under element {e}"
+                )
+            moves.append((t_i, sign))
+        return moves
 
     def apply_action(self, e: int, k: int, cochain: dict) -> dict:
         """Image of a sparse degree-k cochain under the element's action.
@@ -269,14 +264,13 @@ class CochainComplex:
 
     # -- cohomology over Q ----------------------------------------------------
 
+    @memo
     def _reduction(self, k):
         """reduce_columns of d_k over Q with kernel vectors; d_top has no rows."""
-        key = ("reduction", k)
-        if key not in self._cache:
-            columns = self.coboundary(k) or [{}] * self.dims[k]
-            self._cache[key] = reduce_columns(columns, record=True)
-        return self._cache[key]
+        columns = self.coboundary(k) or [{}] * self.dims[k]
+        return reduce_columns(columns, record=True)
 
+    @memo
     def _cocycles(self, k):
         """(basis, representatives) of ker d_k in echelon form.
 
@@ -284,16 +278,13 @@ class CochainComplex:
         echelon of im d_(k-1), completed by the kernel vectors of d_k whose
         pivot it leaves free.  Those are the representatives of H^k.
         """
-        key = ("cocycles", k)
-        if key not in self._cache:
-            basis = dict(self._reduction(k - 1)[0]) if k >= 1 else {}
-            representatives = []
-            for j, v in self._reduction(k)[1]:
-                if j not in basis:
-                    basis[j] = v
-                    representatives.append(j)
-            self._cache[key] = (basis, tuple(representatives))
-        return self._cache[key]
+        basis = dict(self._reduction(k - 1)[0]) if k >= 1 else {}
+        representatives = []
+        for j, v in self._reduction(k)[1]:
+            if j not in basis:
+                basis[j] = v
+                representatives.append(j)
+        return basis, tuple(representatives)
 
     def class_coordinates(self, k: int, cocycle: dict) -> dict:
         """Coordinates of a degree-k cocycle's class on the representatives.
@@ -315,24 +306,21 @@ class CochainComplex:
             _sub(w, f, b)
         return coords
 
+    @memo
     def rational_dims(self) -> tuple[int, ...]:
         """dim_Q H^k for k = 0..top; checked against Euler-Poincare."""
-        if "qdims" not in self._cache:
-            dims = tuple(len(self._cocycles(k)[1]) for k in range(len(self.bases)))
-            self._cache["qdims"] = _euler_checked(self.dims, dims, "over Q")
-        return self._cache["qdims"]
+        dims = tuple(len(self._cocycles(k)[1]) for k in range(len(self.bases)))
+        return _euler_checked(self.dims, dims, "over Q")
 
+    @memo
     def trace_on_cohomology(self, e: int, k: int) -> Fraction:
         """Trace of the element on H^k over Q (an exact rational)."""
-        key = ("trace", e, k)
-        if key not in self._cache:
-            basis, representatives = self._cocycles(k)
-            total = Fraction(0)
-            for j in representatives:
-                image = self.apply_action(e, k, basis[j])
-                total += self.class_coordinates(k, image).get(j, 0)
-            self._cache[key] = total
-        return self._cache[key]
+        basis, representatives = self._cocycles(k)
+        total = Fraction(0)
+        for j in representatives:
+            image = self.apply_action(e, k, basis[j])
+            total += self.class_coordinates(k, image).get(j, 0)
+        return total
 
     def lefschetz_number(self, e: int) -> Fraction:
         """Alternating trace on cohomology; always an integer, checked."""
@@ -356,34 +344,31 @@ class CochainComplex:
 
     # -- cohomology over Z and F_p ---------------------------------------------
 
+    @memo
     def integral_cohomology(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(betti numbers, torsion coefficients per degree), from Smith invariants.
 
         The torsion of H^(k+1) is the invariants of d_k above 1; their count,
         the rank of d_k over Z, must equal its rank over Q.
         """
-        if "integral" not in self._cache:
-            betti = self.rational_dims()
-            torsion = [()]
-            for k, columns in enumerate(self._coboundaries):
-                invariants = smith_invariants(columns)
-                rank = len(self._reduction(k)[0])
-                if len(invariants) != rank:
-                    raise ArithmeticError(
-                        f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
-                    )
-                torsion.append(tuple(v for v in invariants if v > 1))
-            self._cache["integral"] = (betti, tuple(torsion))
-        return self._cache["integral"]
+        betti = self.rational_dims()
+        torsion = [()]
+        for k, columns in enumerate(self._coboundaries):
+            invariants = smith_invariants(columns)
+            rank = len(self._reduction(k)[0])
+            if len(invariants) != rank:
+                raise ArithmeticError(
+                    f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
+                )
+            torsion.append(tuple(v for v in invariants if v > 1))
+        return betti, tuple(torsion)
 
+    @memo
     def modp_dims(self, p: int) -> tuple[int, ...]:
         """dim_{F_p} H^k for k = 0..top; checked against Euler-Poincare."""
-        key = ("modp", p)
-        if key not in self._cache:
-            ranks = [len(reduce_columns(cols, p)[0]) for cols in self._coboundaries]
-            dims = _dims_from_ranks(self.dims, ranks)
-            self._cache[key] = _euler_checked(self.dims, dims, f"mod {p}")
-        return self._cache[key]
+        ranks = [len(reduce_columns(cols, p)[0]) for cols in self._coboundaries]
+        dims = _dims_from_ranks(self.dims, ranks)
+        return _euler_checked(self.dims, dims, f"mod {p}")
 
     # -- invariants -------------------------------------------------------------
 
@@ -404,22 +389,20 @@ class CochainComplex:
                     sums.append(acc)
         return sums
 
+    @memo
     def invariant_dims(self, acting: Subgroup) -> tuple[int, ...]:
         """dim_Q of the cohomology of the subcomplex of acting-invariant cochains."""
-        key = ("invariant", acting.member_set)
-        if key not in self._cache:
-            members = acting.member_set
-            sizes = []
-            ranks = []
-            for k in range(len(self.bases)):
-                sums = self._orbit_sums(members, k)
-                sizes.append(len(reduce_columns(sums)[0]))
-                columns = self.coboundary(k)
-                if columns is not None:
-                    images = [_apply(columns, v) for v in sums]
-                    ranks.append(len(reduce_columns(images)[0]))
-            self._cache[key] = _dims_from_ranks(sizes, ranks)
-        return self._cache[key]
+        members = acting.member_set
+        sizes = []
+        ranks = []
+        for k in range(len(self.bases)):
+            sums = self._orbit_sums(members, k)
+            sizes.append(len(reduce_columns(sums)[0]))
+            columns = self.coboundary(k)
+            if columns is not None:
+                images = [_apply(columns, v) for v in sums]
+                ranks.append(len(reduce_columns(images)[0]))
+        return _dims_from_ranks(sizes, ranks)
 
     def __repr__(self):
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groups import Group, Subgroup, extend_from_generators, is_permutation
+from .groups import Group, Subgroup, extend_from_generators, is_permutation, memo
 
 Simplex = tuple[int, ...]
 
@@ -28,7 +28,7 @@ Simplex = tuple[int, ...]
 class Stratum:
     """A locally closed union of open simplices of a parent complex.
 
-    Built only by ``_stratum``: ``simplices`` holds one sorted tuple of
+    Built only by ``_stratum_of``: ``simplices`` holds one sorted tuple of
     cells per degree of the parent, and no other Stratum has the same cells.
     """
 
@@ -50,20 +50,19 @@ class Stratum:
         """Compactly supported Euler characteristic: alternating cell count."""
         return sum((-1) ** dim * len(group) for dim, group in enumerate(self.simplices))
 
+    @memo
     def simplex_set(self) -> frozenset:
-        if "set" not in self._cache:
-            self._cache["set"] = frozenset(s for group in self.simplices for s in group)
-        return self._cache["set"]
+        """Every cell, in one set."""
+        return frozenset(s for group in self.simplices for s in group)
 
+    @memo
     def closure_set(self) -> frozenset:
-        if "closure" not in self._cache:
-            out = set()
-            for group in self.simplices:
-                for s in group:
-                    for k in range(1, len(s) + 1):
-                        out.update(combinations(s, k))
-            self._cache["closure"] = frozenset(out)
-        return self._cache["closure"]
+        out = set()
+        for group in self.simplices:
+            for s in group:
+                for k in range(1, len(s) + 1):
+                    out.update(combinations(s, k))
+        return frozenset(out)
 
     def is_locally_closed(self) -> bool:
         """closure(S) minus S must be face-closed."""
@@ -135,10 +134,7 @@ class SimplicialGComplex:
 
     # -- basic queries -------------------------------------------------------
 
-    def simplex_set(self) -> frozenset:
-        if "set" not in self._cache:
-            self._cache["set"] = frozenset(s for level in self.simplices for s in level)
-        return self._cache["set"]
+    simplex_set = Stratum.simplex_set
 
     def act_simplex(self, e: int, s: Simplex) -> Simplex:
         row = self.vertex_action[e]
@@ -155,25 +151,22 @@ class SimplicialGComplex:
                     sign = -sign
         return tuple(sorted(image)), sign
 
+    @memo
     def vertex_stabilizers(self) -> list[frozenset]:
-        if "vstab" not in self._cache:
-            order = self.group.order
-            self._cache["vstab"] = [
-                frozenset(e for e in range(order) if self.vertex_action[e][v] == v)
-                for v in range(self.n_vertices)
-            ]
-        return self._cache["vstab"]
+        order = self.group.order
+        return [
+            frozenset(e for e in range(order) if self.vertex_action[e][v] == v)
+            for v in range(self.n_vertices)
+        ]
 
+    @memo
     def stabilizer(self, s: Simplex) -> frozenset:
         """Pointwise stabilizer of a simplex (equals setwise under regularity)."""
-        stabs = self._cache.setdefault("stab", {})
-        if s not in stabs:
-            vstab = self.vertex_stabilizers()
-            acc = vstab[s[0]]
-            for v in s[1:]:
-                acc = acc & vstab[v]
-            stabs[s] = acc
-        return stabs[s]
+        vstab = self.vertex_stabilizers()
+        acc = vstab[s[0]]
+        for v in s[1:]:
+            acc = acc & vstab[v]
+        return acc
 
     def regularity_violation(self):
         """A pair (element, simplex) fixed setwise but not pointwise, or None."""
@@ -195,7 +188,7 @@ class SimplicialGComplex:
         return tuple(len(level) for level in self.simplices)
 
     def as_stratum(self) -> Stratum:
-        return _stratum(self, lambda s: True)
+        return _stratum_of(self, self.simplices)
 
     def __repr__(self):
         return (
@@ -312,11 +305,12 @@ def barycentric_subdivision(x: SimplicialGComplex) -> SimplicialGComplex:
 def _stratum(x: SimplicialGComplex, keep) -> Stratum:
     """The one Stratum of the cells that keep selects, cached by those cells."""
     cells = tuple(tuple(s for s in level if keep(s)) for level in x.simplices)
-    strata = x._cache.setdefault("strata", {})
-    stratum = strata.get(cells)
-    if stratum is None:
-        stratum = strata[cells] = Stratum(x, cells)
-    return stratum
+    return _stratum_of(x, cells)
+
+
+@memo
+def _stratum_of(x: SimplicialGComplex, cells: tuple) -> Stratum:
+    return Stratum(x, cells)
 
 
 def fixed_subcomplex(x: SimplicialGComplex, h: Subgroup) -> Stratum:

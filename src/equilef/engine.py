@@ -48,7 +48,7 @@ from .complexes import (
     fixed_subcomplex,
     quotient_complex,
 )
-from .groups import Group, Subgroup, conjugacy_classes_of_subgroups
+from .groups import Group, Subgroup, conjugacy_classes_of_subgroups, memo
 
 
 class Scenario:
@@ -77,11 +77,10 @@ class Scenario:
     def whole_cochains(self) -> CochainComplex:
         return cochain_complex(self.complex.as_stratum(), self.lattice)
 
+    @memo
     def base_lattice(self) -> GLattice:
         """Rank-one trivial coefficients on the same group."""
-        if "triv" not in self._cache:
-            self._cache["triv"] = GLattice.trivial(self.group)
-        return self._cache["triv"]
+        return GLattice.trivial(self.group)
 
     def has_trivial_lattice(self) -> bool:
         ident = self.lattice.matrices[0]
@@ -130,20 +129,18 @@ class LefschetzReport:
     elapsed_seconds: float
 
 
+@memo
 def lhs_character(s: Scenario) -> VirtualCharacter:
     """Equivariant Euler characteristic of the whole complex, as a character."""
-    if "lhs" not in s._cache:
-        chi = s.whole_cochains().equivariant_euler_characteristic(
-            s.group.whole_subgroup()
-        )
-        s._cache["lhs"] = assert_integral(chi, f"{s.name}: lhs")
-    return s._cache["lhs"]
+    chi = s.whole_cochains().equivariant_euler_characteristic(
+        s.group.whole_subgroup()
+    )
+    return assert_integral(chi, f"{s.name}: lhs")
 
 
+@memo
 def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
     """Per-[H] tables shared by both right-hand sides."""
-    if "terms" in s._cache:
-        return s._cache["terms"]
     g = s.group
     x = s.complex
     terms = []
@@ -188,38 +185,35 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
                 ),
             )
         )
-    s._cache["terms"] = tuple(terms)
-    return s._cache["terms"]
+    return tuple(terms)
 
 
+@memo
 def rhs_induction(s: Scenario) -> VirtualCharacter:
     """Sum over [H] of |H|/|N(H)| times the induced stratum character."""
-    if "rhs_ind" not in s._cache:
-        total = None
-        for term in _class_terms(s):
-            piece = term.induced.scale(term.weight)
-            total = piece if total is None else total + piece
-        s._cache["rhs_ind"] = assert_integral(total, f"{s.name}: rhs (induction)")
-    return s._cache["rhs_ind"]
+    total = None
+    for term in _class_terms(s):
+        piece = term.induced.scale(term.weight)
+        total = piece if total is None else total + piece
+    return assert_integral(total, f"{s.name}: rhs (induction)")
 
 
+@memo
 def rhs_isotypic(s: Scenario) -> VirtualCharacter:
     """The same sum expanded over rational irreducibles of each H."""
-    if "rhs_iso" not in s._cache:
-        total = None
-        for term in _class_terms(s):
-            inner = term.subgroup.as_group()
-            irreducibles = rational_irreducibles(character_table(inner))
-            for row in term.isotypic:
-                if row.coefficient == 0:
-                    continue
-                piece = induce(term.subgroup, irreducibles[row.orbit_index].orbit_sum)
-                piece = piece.scale(term.weight * row.coefficient)
-                total = piece if total is None else total + piece
-        if total is None:
-            total = lhs_character(s).scale(Fraction(0))
-        s._cache["rhs_iso"] = assert_integral(total, f"{s.name}: rhs (isotypic)")
-    return s._cache["rhs_iso"]
+    total = None
+    for term in _class_terms(s):
+        inner = term.subgroup.as_group()
+        irreducibles = rational_irreducibles(character_table(inner))
+        for row in term.isotypic:
+            if row.coefficient == 0:
+                continue
+            piece = induce(term.subgroup, irreducibles[row.orbit_index].orbit_sum)
+            piece = piece.scale(term.weight * row.coefficient)
+            total = piece if total is None else total + piece
+    if total is None:
+        total = lhs_character(s).scale(Fraction(0))
+    return assert_integral(total, f"{s.name}: rhs (isotypic)")
 
 
 def verify_theorem(s: Scenario) -> LefschetzReport:
@@ -288,15 +282,13 @@ class FreeActionReport:
         return all(c is not False for c in checks)
 
 
+@memo
 def _invariant_euler(s: Scenario) -> Fraction | None:
     """chi of the invariant cochains if the action is free, else None; cached."""
-    if "inv_euler" not in s._cache:
-        chi = None
-        if s.complex.is_free():
-            dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
-            chi = Fraction(sum((-1) ** k * d for k, d in enumerate(dims)))
-        s._cache["inv_euler"] = chi
-    return s._cache["inv_euler"]
+    if not s.complex.is_free():
+        return None
+    dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
+    return Fraction(sum((-1) ** k * d for k, d in enumerate(dims)))
 
 
 def verify_free_action(s: Scenario) -> FreeActionReport:

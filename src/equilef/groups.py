@@ -12,10 +12,14 @@ breadth-first order over generator words with lexicographic tie-break,
 subgroups are sorted by (order, member tuple), conjugacy classes by their
 least member.  Subgroup classes come from cyclic extension over class
 representatives (``conjugacy_classes_of_subgroups``).
+
+``memo`` is how every derived fact is cached, on its owner; a cache keyed by
+a value normalises the value and passes it to a memoized function of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -36,6 +40,20 @@ def max_group_order() -> int:
     if value < 1:
         raise ValueError(f"{ORDER_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def memo(f):
+    """Compute f(owner, *args) once: owner._cache keeps it under (f, *args)."""
+    @functools.wraps(f)
+    def cached(owner, *args):
+        key = (f, *args)
+        try:
+            return owner._cache[key]
+        except KeyError:
+            pass
+        value = owner._cache[key] = f(owner, *args)
+        return value
+    return cached
 
 
 class Group:
@@ -89,33 +107,30 @@ class Group:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inverse[g]]
 
+    @memo
     def element_order(self, a: int) -> int:
-        orders = self._cache.get("element_orders")
-        if orders is None:
-            orders = {}
-            self._cache["element_orders"] = orders
-        if a not in orders:
-            k, x = 1, a
-            while x != 0:
-                x = self.mul[x][a]
-                k += 1
-            orders[a] = k
-        return orders[a]
+        k, x = 1, a
+        while x != 0:
+            x = self.mul[x][a]
+            k += 1
+        return k
 
+    @memo
     def exponent(self) -> int:
-        if "exponent" not in self._cache:
-            self._cache["exponent"] = math.lcm(
-                *(self.element_order(a) for a in range(self.order))
-            )
-        return self._cache["exponent"]
+        return math.lcm(*(self.element_order(a) for a in range(self.order)))
 
     def subgroup(self, members) -> "Subgroup":
         """The subgroup with the given member set (canonical, cached instance)."""
-        key = tuple(sorted(set(members)))
-        cache = self._cache.setdefault("subgroup_instances", {})
-        if key not in cache:
-            cache[key] = Subgroup(self, key)
-        return cache[key]
+        return self._subgroup(tuple(sorted(set(members))))
+
+    @memo
+    def _subgroup(self, members: tuple) -> "Subgroup":
+        return Subgroup(self, members)
+
+    @memo
+    def _rebased(self, table: tuple) -> "Group":
+        """The one Group of a re-based subgroup table, interned by the table."""
+        return Group(table)
 
     def cyclic_subgroup(self, a: int) -> "Subgroup":
         return self.subgroup(_orbit(0, lambda x: (self.mul[x][a],)))
@@ -142,7 +157,7 @@ class ElementClass:
 class Subgroup:
     """A subgroup of a parent group, stored as a sorted member tuple."""
 
-    __slots__ = ("parent", "member_set", "order", "_members_frozen", "_sub_index", "_as_group")
+    __slots__ = ("parent", "member_set", "order", "_members_frozen", "_cache")
 
     def __init__(self, parent: Group, members):
         members = tuple(sorted(set(members)))
@@ -161,12 +176,12 @@ class Subgroup:
         self.member_set = members
         self.order = len(members)
         self._members_frozen = frozen
-        self._sub_index = {e: i for i, e in enumerate(members)}
-        self._as_group = None
+        self._cache: dict = {}
 
     def to_parent(self, sub_elem: int) -> int:
         return self.member_set[sub_elem]
 
+    @memo
     def as_group(self) -> Group:
         """This subgroup as a group in its own right (indices re-based).
 
@@ -175,18 +190,12 @@ class Subgroup:
         the parent by its table: subgroups with equal re-based tables share
         one Group, and with it its classes and character table.
         """
-        if self._as_group is None:
-            if self.order == self.parent.order:
-                self._as_group = self.parent
-            else:
-                mem = self.member_set
-                idx = self._sub_index
-                table = tuple(tuple(idx[self.parent.mul[a][b]] for b in mem) for a in mem)
-                interned = self.parent._cache.setdefault("rebased", {})
-                self._as_group = interned.get(table)
-                if self._as_group is None:
-                    self._as_group = interned[table] = Group(table)
-        return self._as_group
+        if self.order == self.parent.order:
+            return self.parent
+        mem = self.member_set
+        idx = {e: i for i, e in enumerate(mem)}
+        table = tuple(tuple(idx[self.parent.mul[a][b]] for b in mem) for a in mem)
+        return self.parent._rebased(table)
 
     def __eq__(self, other):
         return (
@@ -309,36 +318,30 @@ def extend_from_generators(group: Group, images, identity, compose, what: str) -
     return out
 
 
+@memo
 def element_classes(g: Group) -> list[ElementClass]:
     """Conjugacy classes of elements; the identity class comes first."""
-    if "element_classes" not in g._cache:
-        seen = [False] * g.order
-        classes = []
-        for a in range(g.order):
-            if seen[a]:
-                continue
-            orbit = sorted({g.conj(x, a) for x in range(g.order)})
-            for m in orbit:
-                seen[m] = True
-            classes.append(ElementClass(representative=orbit[0], members=tuple(orbit)))
-        classes.sort(key=lambda c: c.members[0])
-        g._cache["element_classes"] = classes
-        g._cache["class_index"] = _class_index(g.order, classes)
-    return g._cache["element_classes"]
+    seen = [False] * g.order
+    classes = []
+    for a in range(g.order):
+        if seen[a]:
+            continue
+        orbit = sorted({g.conj(x, a) for x in range(g.order)})
+        for m in orbit:
+            seen[m] = True
+        classes.append(ElementClass(representative=orbit[0], members=tuple(orbit)))
+    classes.sort(key=lambda c: c.members[0])
+    return classes
 
 
-def _class_index(order: int, classes) -> tuple[int, ...]:
-    idx = [0] * order
-    for ci, cl in enumerate(classes):
+@memo
+def class_index_of(g: Group) -> tuple[int, ...]:
+    """Map element -> index of its conjugacy class."""
+    idx = [0] * g.order
+    for ci, cl in enumerate(element_classes(g)):
         for m in cl.members:
             idx[m] = ci
     return tuple(idx)
-
-
-def class_index_of(g: Group) -> tuple[int, ...]:
-    """Map element -> index of its conjugacy class."""
-    element_classes(g)
-    return g._cache["class_index"]
 
 
 def _orbit(start, moves) -> set:
@@ -352,14 +355,14 @@ def _orbit(start, moves) -> set:
     return seen
 
 
+@memo
 def subgroups(g: Group) -> list[Subgroup]:
     """All subgroups, sorted by (order, member tuple): the classes flattened."""
-    if "subgroups" not in g._cache:
-        subs = [h for c in conjugacy_classes_of_subgroups(g) for h in c.members]
-        g._cache["subgroups"] = sorted(subs, key=lambda h: (h.order, h.member_set))
-    return g._cache["subgroups"]
+    subs = [h for c in conjugacy_classes_of_subgroups(g) for h in c.members]
+    return sorted(subs, key=lambda h: (h.order, h.member_set))
 
 
+@memo
 def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
     """Subgroups up to conjugacy, by cyclic extension over class representatives.
 
@@ -374,37 +377,35 @@ def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
     Classes are sorted by (order, representative member tuple); the
     representative is the lexicographically least member.
     """
-    if "subgroup_classes" not in g._cache:
-        mul, conj, movers = g.mul, g.conj, g.generator_elements or range(g.order)
+    mul, conj, movers = g.mul, g.conj, g.generator_elements or range(g.order)
 
-        def generated(gens) -> frozenset:
-            return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
+    def generated(gens) -> frozenset:
+        return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
 
-        cyclic: dict = {}
-        canon = {a: cyclic.setdefault(generated((a,)), a) for a in range(1, g.order)}
-        trivial = frozenset({0})
-        known, orbits, work = {trivial}, [{trivial}], [(trivial, ())]
-        for members, gens in work:
-            norm = [x for x in range(g.order) if all(conj(x, s) in members for s in gens)]
-            done: set = set()
-            for c in cyclic.values():
-                if c in members or c in done:
-                    continue
-                done.update(canon[conj(x, c)] for x in norm)
-                join = generated(gens + (c,))
-                if join not in known:
-                    orbit = _orbit(
-                        join, lambda k: [frozenset(conj(x, m) for m in k) for x in movers])
-                    known |= orbit
-                    orbits.append(orbit)
-                    work.append((join, gens + (c,)))
-        classes = []
-        for orbit in orbits:
-            subs = tuple(g.subgroup(m) for m in sorted(tuple(sorted(m)) for m in orbit))
-            classes.append(SubgroupClass(subs[0], subs, subs[0].order))
-        classes.sort(key=lambda c: (c.order, c.representative.member_set))
-        g._cache["subgroup_classes"] = classes
-    return g._cache["subgroup_classes"]
+    cyclic: dict = {}
+    canon = {a: cyclic.setdefault(generated((a,)), a) for a in range(1, g.order)}
+    trivial = frozenset({0})
+    known, orbits, work = {trivial}, [{trivial}], [(trivial, ())]
+    for members, gens in work:
+        norm = [x for x in range(g.order) if all(conj(x, s) in members for s in gens)]
+        done: set = set()
+        for c in cyclic.values():
+            if c in members or c in done:
+                continue
+            done.update(canon[conj(x, c)] for x in norm)
+            join = generated(gens + (c,))
+            if join not in known:
+                orbit = _orbit(
+                    join, lambda k: [frozenset(conj(x, m) for m in k) for x in movers])
+                known |= orbit
+                orbits.append(orbit)
+                work.append((join, gens + (c,)))
+    classes = []
+    for orbit in orbits:
+        subs = tuple(g.subgroup(m) for m in sorted(tuple(sorted(m)) for m in orbit))
+        classes.append(SubgroupClass(subs[0], subs, subs[0].order))
+    classes.sort(key=lambda c: (c.order, c.representative.member_set))
+    return classes
 
 
 def normalizer(g: Group, h: Subgroup) -> Subgroup:

@@ -6,8 +6,8 @@ column operations, which turns zero columns into kernel vectors.  Cochain
 complexes, the eigenspace split of character tables (mod p) and subfield
 coordinates of cyclotomic numbers (over Q) all run on it.
 ``smith_invariants`` is the only elimination over Z: it takes the same
-sparse columns and computes torsion.  ``int_det`` (Bareiss, on a list of
-rows) decides unimodularity.  No floating point anywhere.
+sparse columns and computes torsion; ``is_unimodular`` reads invertibility
+over Z off it.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -89,31 +89,6 @@ def reduce_columns(columns, p: int = 0, record: bool = False):
 # integer routines
 
 
-def int_det(rows) -> int:
-    """Determinant of a square integer matrix (a list of rows) by Bareiss elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_invariants(columns) -> list[int]:
     """Nonzero Smith invariants d_1 | d_2 | ... of sparse integer columns.
 
@@ -184,3 +159,10 @@ def smith_invariants(columns) -> list[int]:
                 chain[j] = chain[i] * chain[j] // g
                 chain[i] = g
     return [1] * (len(diag) - len(chain)) + chain
+
+
+def is_unimodular(rows) -> bool:
+    """Whether a square integer matrix (a list of rows) is invertible over Z: its
+    Smith invariants are n ones (rows as columns; the transpose has the same)."""
+    columns = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return smith_invariants(columns) == [1] * len(rows)

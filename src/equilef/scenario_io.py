@@ -3,8 +3,8 @@
 Scenario files are JSON: group generators as permutations, a complex as
 maximal simplices plus per-generator vertex images, a lattice as
 per-generator integer matrices, and optional run options.  Parsing
-validates everything (permutations, face data, invertibility, group
-relations) and reports failures as ScenarioError with a location path.
+validates everything (known fields, permutations, faces, invertibility,
+group relations) and reports failures as ScenarioError with a location path.
 
 Reports serialize to canonical JSON: fixed key order, rationals as
 {"num": ..., "den": ...} strings, no timestamps; two runs on the same
@@ -30,7 +30,7 @@ from .groups import (
     group_from_permutations,
     is_permutation,
 )
-from .linalg import int_det
+from .linalg import is_unimodular
 from .numtheory import is_prime
 
 SCHEMA_VERSION = 1
@@ -74,6 +74,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _known_fields(obj, location, *fields):
+    for key in obj:
+        _expect(key in fields, f"unknown field {key!r}", location)
+
+
 def _int_field(obj, key, location, minimum=None):
     _expect(key in obj, f"missing required field {key!r}", location)
     v = obj[key]
@@ -102,6 +107,8 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     except RecursionError:
         raise ScenarioError("JSON is nested too deeply", "$") from None
     _expect(isinstance(data, dict), "top level must be an object", "$")
+    _known_fields(data, "$", "schema_version", "name", "description", "group", "complex",
+                  "lattice", "options")
     version = _int_field(data, "schema_version", "$")
     _expect(version == SCHEMA_VERSION,
             f"unsupported schema_version {version}", "$.schema_version")
@@ -114,6 +121,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
 
     group = data.get("group")
     _expect(isinstance(group, dict), "field 'group' must be an object", "$.group")
+    _known_fields(group, "$.group", "degree", "generators")
     degree = _int_field(group, "degree", "$.group", minimum=1)
     raw_gens = group.get("generators")
     _expect(isinstance(raw_gens, list), "field 'generators' must be a list",
@@ -125,6 +133,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
 
     comp = data.get("complex")
     _expect(isinstance(comp, dict), "field 'complex' must be an object", "$.complex")
+    _known_fields(comp, "$.complex", "vertices", "maximal_simplices", "action")
     vertices = _int_field(comp, "vertices", "$.complex", minimum=1)
     raw_max = comp.get("maximal_simplices")
     _expect(isinstance(raw_max, list) and raw_max,
@@ -154,6 +163,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
 
     lat = data.get("lattice")
     _expect(isinstance(lat, dict), "field 'lattice' must be an object", "$.lattice")
+    _known_fields(lat, "$.lattice", "rank", "action")
     rank = _int_field(lat, "rank", "$.lattice", minimum=1)
     raw_mats = lat.get("action")
     _expect(isinstance(raw_mats, dict), "field 'action' must be an object",
@@ -173,14 +183,13 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             f"matrix must be {rank}x{rank}", loc)
         _expect(all(_is_int(v) for r in m for v in r),
                 "matrix entries must be integers", loc)
-        det = int_det(m)
-        _expect(abs(det) == 1,
-                "lattice generator not invertible over integers", loc)
+        _expect(is_unimodular(m), "lattice generator not invertible over integers", loc)
         matrices.append(tuple(tuple(r) for r in m))
 
     options = data.get("options", {})
     _expect(isinstance(options, dict), "field 'options' must be an object",
             "$.options")
+    _known_fields(options, "$.options", "primes", "subdivisions")
     primes = options.get("primes", list(DEFAULT_PRIMES))
     _expect(isinstance(primes, list) and primes,
             "option 'primes' must be a nonempty list", "$.options.primes")

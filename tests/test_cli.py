@@ -379,3 +379,27 @@ def test_huge_vertex_count_with_short_action_is_an_input_error(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "$.complex.action[0]" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # reports of repeated calls in one process are byte-identical, also when a
+    # call with --prime comes in between (no option state leaks between calls)
+    runs = [["--format", "json"], ["--format", "json", "--prime", "7"],
+            ["--format", "json"], []]
+    reports = []
+    for i, extra in enumerate(runs + runs):
+        path = tmp_path / f"report{i}"
+        assert cli.main(["verify", "octahedron-klein4", *extra, "--out", str(path)]) == 0
+        reports.append(path.read_bytes())
+    assert reports[:4] == reports[4:]
+    assert reports[0] == reports[2] != reports[1]
+    assert reports[3].startswith(b"scenario octahedron-klein4: pass")
+
+
+def test_unknown_option_key_is_an_input_error(tmp_path):
+    # a misspelt option used to be ignored: "subdivision" ran with 0 subdivisions
+    result = _verify_file(tmp_path, dict(VALID_FILE, options={"subdivision": 2}))
+    assert result.returncode == 2, result.stderr
+    assert "input error: $.options: unknown field 'subdivision'" in result.stderr
+    assert "Traceback" not in result.stderr

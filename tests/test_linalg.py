@@ -7,7 +7,7 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.linalg import int_det, reduce_columns, smith_invariants
+from equilef.linalg import is_unimodular, reduce_columns, smith_invariants
 
 from dense_oracle import column_space_basis, dm, kept_columns
 
@@ -128,12 +128,32 @@ def test_extend_basis_completes():
         assert full.rank() == m
 
 
-def test_int_det_matches_sympy():
+def sympy_det(rows) -> int:
+    """The determinant of a square integer matrix, by sympy over ZZ."""
+    return int(dm(rows, len(rows), len(rows), sympy.ZZ).det())
+
+
+def test_is_unimodular_matches_sympy():
     rng = random.Random(108)
     for _ in range(60):
         n = rng.randint(0, 6)
         rows = random_int_mat(rng, n, n)
-        assert int_det(rows) == int(sympy.Matrix(n, n, lambda i, j: rows[i][j]).det())
+        assert is_unimodular(rows) == (abs(sympy_det(rows)) == 1)
+    # random matrices are rarely unimodular: also walk away from the identity
+    # by row operations (unimodular), then double one row (determinant +-2)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                f = rng.randint(-3, 3)
+                rows[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
+            else:
+                rows[a] = [-x for x in rows[a]]
+        assert abs(sympy_det(rows)) == 1 and is_unimodular(rows)
+        doubled = [[2 * x for x in rows[0]]] + rows[1:]
+        assert abs(sympy_det(doubled)) == 2 and not is_unimodular(doubled)
 
 
 def sympy_invariants(rows):
@@ -179,7 +199,7 @@ def test_smith_invariants_multiply_to_the_determinant():
     rng = random.Random(40)
     rows = random_int_mat(rng, 40, 40, -9, 9)
     ours = smith_invariants(sparse_columns(rows, 40))
-    det = int_det(rows)
+    det = sympy_det(rows)
     assert det != 0
     assert len(ours) == 40
     assert math.prod(ours) == abs(det)

@@ -1,0 +1,172 @@
+"""The memo contract: every derived fact is computed once per owner.
+
+``groups.memo`` is the one cache of the package.  A guard reads the source
+with ``ast`` so that no module grows a hand-rolled ``_cache`` again, and a
+second verification of a warmed scenario must run no elimination and build
+no character table.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from equilef import builtin_names, builtin_scenario, full_verification
+from equilef.groups import memo
+
+# by import_module: the package exports a function named cohomology
+characters, cohomology, cyclotomic = (
+    importlib.import_module(f"equilef.{name}") for name in ("characters", "cohomology", "cyclotomic"))
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equilef").glob("*.py"))
+
+# (module, outermost function) allowed to read or write an owner's _cache:
+# the memo itself, and cochain_complex, whose key (the lattice's matrices) is
+# not the lattice argument it is called with
+ALLOWED = {("groups", "memo"), ("cohomology", "cochain_complex")}
+
+
+def _is_cache(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+
+def _cache_uses(tree):
+    """(outermost function, line) of every _cache subscript, .get or .setdefault."""
+    found = []
+
+    def visit(node, owner):
+        hit = (
+            isinstance(node, ast.Subscript) and _is_cache(node.value)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "setdefault") and _is_cache(node.func.value)
+        )
+        if hit:
+            found.append((owner, node.lineno))
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for top in tree.body:
+        # methods count under their own name, module functions under theirs
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                visit(item, None)
+        else:
+            visit(top, None)
+    return found
+
+
+def _memo_decorated(tree) -> list[str]:
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(d, ast.Name) and d.id == "memo" for d in node.decorator_list)
+    ]
+
+
+def test_only_memo_and_cochain_complex_touch_a_cache():
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            (path.stem, owner, line)
+            for owner, line in _cache_uses(tree)
+            if (path.stem, owner) not in ALLOWED
+        ]
+    assert offenders == []
+
+
+def test_the_guard_sees_a_hand_rolled_cache():
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self):\n"
+        "        if 'k' not in self._cache:\n"
+        "            self._cache['k'] = 1\n"
+        "        return self._cache.get('k')\n"
+        "def g(x):\n"
+        "    return x._cache.setdefault('s', {})\n"
+    )
+    assert _cache_uses(tree) == [("f", 4), ("f", 5), ("g", 7)]
+
+
+def test_at_least_thirty_facts_are_memoized():
+    names = [
+        name
+        for path in SOURCES
+        for name in _memo_decorated(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(names) >= 30, names
+
+
+class Owner:
+    def __init__(self):
+        self._cache = {}
+        self.calls = []
+
+    @memo
+    def square(self, x):
+        """x squared, counted."""
+        self.calls.append(x)
+        return x * x
+
+
+def test_memo_computes_once_per_owner_and_arguments():
+    a, b = Owner(), Owner()
+    assert [a.square(3), a.square(3), a.square(4), b.square(3)] == [9, 9, 16, 9]
+    assert a.calls == [3, 4] and b.calls == [3]
+    assert Owner.square.__doc__ == "x squared, counted."
+
+
+def test_memo_caches_no_failure():
+    class Failing(Owner):
+        @memo
+        def boom(self):
+            self.calls.append("boom")
+            raise ArithmeticError("boom")
+
+    f = Failing()
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            f.boom()
+    assert f.calls == ["boom", "boom"]
+
+
+def test_second_verification_recomputes_nothing(monkeypatch):
+    scenarios = [builtin_scenario(name) for name in builtin_names()]
+    first = [full_verification(s) for s in scenarios]
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (
+        (cohomology, "reduce_columns"),
+        (cohomology, "smith_invariants"),
+        (characters, "reduce_columns"),
+        (characters, "_build_character_table"),
+        (cyclotomic, "reduce_columns"),
+    ):
+        counted(module, name)
+    second = [full_verification(s) for s in scenarios]
+    assert calls == []
+    assert [s.passed for s in second] == [s.passed for s in first]
+    assert all(a.theorem.lhs == b.theorem.lhs for a, b in zip(first, second))
+    # the counters do see the work: a fresh build of the same scenarios runs it
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    assert set(calls) == {
+        "equilef.cohomology.reduce_columns",
+        "equilef.cohomology.smith_invariants",
+        "equilef.characters.reduce_columns",
+        "equilef.characters._build_character_table",
+        "equilef.cyclotomic.reduce_columns",
+    }

@@ -90,6 +90,10 @@ ERROR_CASES = [
      "$.options.subdivisions"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=True),
      "$.options.subdivisions"),
+    # every object takes only its documented fields
+    (lambda d: d.update(comment="stray"), "$"),
+    (lambda d: d.setdefault("options", {}).update(subdivision=2), "$.options"),
+    (lambda d: d["group"].update(generator=[[1, 0]]), "$.group"),
 ]
 
 
@@ -100,6 +104,19 @@ def test_error_locations(case):
         parse_scenario_file(mutated(mutate))
     assert err.value.location == location
     assert str(err.value).startswith(location + ":")
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda d: d.update(comment="stray"), "comment"),
+    (lambda d: d.setdefault("options", {}).update(subdivision=2), "subdivision"),
+    (lambda d: d["group"].update(generator=[[1, 0]]), "generator"),
+    (lambda d: d["complex"].update(actions=[]), "actions"),
+    (lambda d: d["lattice"].update(matrices={}), "matrices"),
+])
+def test_unknown_fields_are_named(mutate, key):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_file(mutated(mutate))
+    assert err.value.message == f"unknown field {key!r}"
 
 
 def test_unimodularity_message():
