@@ -3,8 +3,10 @@
 A reflection of a square-shaped circle: the group C2 acts on the boundary
 of a square by the diagonal flip, fixing two opposite vertices.  The engine
 computes the equivariant Euler characteristic of the whole circle (lhs) and
-the sum over subgroup classes of induced stratum characters (rhs), and
-checks they agree classwise, exactly.
+the sum of induced stratum characters (rhs) over the isotropy classes, the
+subgroup classes whose stratum is non-empty (here both: the swapped
+vertices with all four edges, and the two fixed vertices), and checks they
+agree classwise, exactly.
 """
 
 from equilef import (

@@ -56,6 +56,7 @@ from .complexes import (
     exact_stratum,
     filtration,
     fixed_subcomplex,
+    isotropy_classes,
     quotient_complex,
 )
 from .cohomology import (
@@ -113,7 +114,8 @@ __all__ = [
     "restrict", "trace_at", "trivial_character",
     "QuotientComplex", "SimplicialGComplex", "Stratum",
     "barycentric_subdivision", "build_complex", "class_stratum",
-    "exact_stratum", "filtration", "fixed_subcomplex", "quotient_complex",
+    "exact_stratum", "filtration", "fixed_subcomplex", "isotropy_classes",
+    "quotient_complex",
     "CochainComplex", "CohomologySummary", "GLattice", "cochain_complex",
     "cohomology", "hopf_trace", "invariant_cohomology", "lefschetz_number",
     "modp_euler_characteristic",

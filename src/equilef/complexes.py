@@ -10,6 +10,8 @@ fixes it pointwise) by barycentric subdivision, applied at most twice.
 Under regularity the open simplices with pointwise stabilizer exactly H
 tile the space; those tiles, fixed subcomplexes, and the order filtration
 are all returned as Stratum objects which the cohomology layer consumes.
+The classes of H that occur, ``isotropy_classes``, come from the cell
+stabilizers alone; every other exact stratum is empty.
 A stratum is its cells: every constructor goes through one routine that
 returns the single Stratum of a cell set, cached on the complex and keyed
 by the cells, so the whole space, X^H for an H fixing everything and every
@@ -20,7 +22,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groups import Group, Subgroup, extend_from_generators, is_permutation, memo
+from .groups import (
+    Group,
+    Subgroup,
+    SubgroupClass,
+    _classes_of_orbits,
+    _conjugates,
+    extend_from_generators,
+    is_permutation,
+    memo,
+)
 
 Simplex = tuple[int, ...]
 
@@ -332,6 +343,18 @@ def class_stratum(x: SimplicialGComplex, subgroups) -> Stratum:
     class); locally closed when the family is closed under conjugation."""
     member_sets = [h._members_frozen for h in subgroups]
     return _stratum(x, lambda s: x.stabilizer(s) in member_sets)
+
+
+@memo
+def isotropy_classes(x: SimplicialGComplex) -> list[SubgroupClass]:
+    """The classes [H] whose exact stratum is non-empty: the cell stabilizers
+    up to conjugacy, as ``conjugacy_classes_of_subgroups`` would list them
+    (same representatives, conjugates and order) but without the lattice."""
+    orbits: list[set] = []
+    for stab in {x.stabilizer(s) for level in x.simplices for s in level}:
+        if not any(stab in orbit for orbit in orbits):
+            orbits.append(_conjugates(x.group, stab))
+    return _classes_of_orbits(x.group, orbits)
 
 
 def filtration(x: SimplicialGComplex) -> list[Stratum]:

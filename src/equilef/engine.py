@@ -17,6 +17,10 @@ chain-level trace), the free-action vanishing and covering identities, the
 regular-multiple identity for free actions, and the characteristic-p
 comparison with its per-degree reconciliation.
 
+The term of [H] vanishes when that stratum is empty, so both sums run over
+the isotropy classes only (``complexes.isotropy_classes``, the cell
+stabilizers up to conjugacy) and the subgroup lattice is never built.
+
 Every number is an exact rational; a comparison either holds on the nose or
 the verdict fails.  Integrality is decided by ``rational_coefficients``, the
 one routine behind ``assert_integral`` and the isotypic rows: a character
@@ -46,9 +50,10 @@ from .complexes import (
     SimplicialGComplex,
     exact_stratum,
     fixed_subcomplex,
+    isotropy_classes,
     quotient_complex,
 )
-from .groups import Group, Subgroup, conjugacy_classes_of_subgroups, memo
+from .groups import Group, Subgroup, memo
 
 
 class Scenario:
@@ -140,11 +145,12 @@ def lhs_character(s: Scenario) -> VirtualCharacter:
 
 @memo
 def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
-    """Per-[H] tables shared by both right-hand sides."""
+    """Per-[H] tables shared by both right-hand sides, one per isotropy class:
+    a class whose exact stratum is empty contributes nothing."""
     g = s.group
     x = s.complex
     terms = []
-    for cls in conjugacy_classes_of_subgroups(g):
+    for cls in isotropy_classes(x):
         h = cls.representative
         inner = h.as_group()
         n_order = g.order // len(cls.members)

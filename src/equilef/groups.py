@@ -377,7 +377,7 @@ def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
     Classes are sorted by (order, representative member tuple); the
     representative is the lexicographically least member.
     """
-    mul, conj, movers = g.mul, g.conj, g.generator_elements or range(g.order)
+    mul, conj = g.mul, g.conj
 
     def generated(gens) -> frozenset:
         return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
@@ -395,11 +395,23 @@ def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
             done.update(canon[conj(x, c)] for x in norm)
             join = generated(gens + (c,))
             if join not in known:
-                orbit = _orbit(
-                    join, lambda k: [frozenset(conj(x, m) for m in k) for x in movers])
+                orbit = _conjugates(g, join)
                 known |= orbit
                 orbits.append(orbit)
                 work.append((join, gens + (c,)))
+    return _classes_of_orbits(g, orbits)
+
+
+def _conjugates(g: Group, members: frozenset) -> set:
+    """Member sets of every conjugate of a subgroup, conjugating under the generators."""
+    conj, movers = g.conj, g.generator_elements or range(g.order)
+    return _orbit(members, lambda k: [frozenset(conj(x, m) for m in k) for x in movers])
+
+
+def _classes_of_orbits(g: Group, orbits) -> list[SubgroupClass]:
+    """Subgroup classes from conjugation orbits of member sets, sorted by
+    (order, representative member tuple); the representative is the
+    lexicographically least member."""
     classes = []
     for orbit in orbits:
         subs = tuple(g.subgroup(m) for m in sorted(tuple(sorted(m)) for m in orbit))
