@@ -65,7 +65,7 @@ def _int_matmul(a, b):
 class GLattice:
     """A finite group acting on Z^r by invertible integer matrices."""
 
-    __slots__ = ("group", "rank", "matrices", "_cache")
+    __slots__ = ("group", "rank", "matrices", "_hash", "_cache")
 
     def __init__(self, group: Group, rank_: int, matrices):
         self.group = group
@@ -86,6 +86,15 @@ class GLattice:
                 raise ValueError(f"matrix for element {e} has the wrong shape")
             if not is_unimodular(m):
                 raise ValueError(f"matrix for element {e} is not invertible over Z")
+        self._hash = hash(self.matrices)
+
+    def __eq__(self, other):
+        """The same group object acting by equal matrices (hashed once, above)."""
+        return (isinstance(other, GLattice) and self.group is other.group
+                and self.matrices == other.matrices)
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_generator_matrices(cls, group: Group, rank_: int, generator_matrices):
@@ -411,19 +420,10 @@ class CochainComplex:
         )
 
 
+@memo
 def cochain_complex(stratum: Stratum, lattice: GLattice) -> CochainComplex:
-    """Cached cochain complex of a stratum, keyed by the lattice's matrices.
-
-    A stratum is shared by every constructor that selects its cells, so one
-    complex serves them all; the lattice must act through the stratum's group.
-    """
-    if stratum.parent.group is not lattice.group:
-        raise ValueError("stratum and lattice belong to different groups")
-    cache = stratum._cache.setdefault("cochains", {})
-    cc = cache.get(lattice.matrices)
-    if cc is None:
-        cc = cache[lattice.matrices] = CochainComplex(stratum, lattice)
-    return cc
+    """Cached cochain complex: one per stratum (its cells) and equal lattice."""
+    return CochainComplex(stratum, lattice)
 
 
 def _as_stratum(space) -> Stratum:

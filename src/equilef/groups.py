@@ -7,11 +7,15 @@ data given per generator (vertex maps of a complex, matrices of a lattice)
 into data per element: it walks those words and checks the result against
 the table.  ``is_permutation`` is the one test of a permutation row.
 
+``generated`` is the one routine that generates a subgroup, as the orbit of
+the identity under right multiplication.  A ``Subgroup`` checks that its
+members are closed under products by generating them from at most log2 |H| of
+them, its ``generators``; normalizers and lattice joins work from those.
+
 Enumeration order is deterministic everywhere: elements appear in
 breadth-first order over generator words with lexicographic tie-break,
 subgroups are sorted by (order, member tuple), conjugacy classes by their
-least member.  Subgroup classes come from cyclic extension over class
-representatives (``conjugacy_classes_of_subgroups``).
+least member.
 
 ``memo`` is how every derived fact is cached, on its owner; a cache keyed by
 a value normalises the value and passes it to a memoized function of it.
@@ -133,7 +137,7 @@ class Group:
         return Group(table)
 
     def cyclic_subgroup(self, a: int) -> "Subgroup":
-        return self.subgroup(_orbit(0, lambda x: (self.mul[x][a],)))
+        return self.subgroup(generated(self, (a,)))
 
     def whole_subgroup(self) -> "Subgroup":
         return self.subgroup(range(self.order))
@@ -155,26 +159,26 @@ class ElementClass:
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as a sorted member tuple."""
+    """A subgroup of a parent group: its sorted member tuple, and members that generate it."""
 
-    __slots__ = ("parent", "member_set", "order", "_members_frozen", "_cache")
+    __slots__ = ("parent", "member_set", "order", "generators", "_members_frozen", "_cache")
 
     def __init__(self, parent: Group, members):
         members = tuple(sorted(set(members)))
         if not members or members[0] != 0:
             raise ValueError("a subgroup must contain the identity")
         frozen = frozenset(members)
+        gens, span = (), frozenset({0})
         for a in members:
-            if parent.inverse[a] not in frozen:
-                raise ValueError(f"member set not closed under inverse at {a}")
-            for b in members:
-                if parent.mul[a][b] not in frozen:
-                    raise ValueError(f"member set not closed under product at ({a}, {b})")
-        if parent.order % len(members) != 0:
-            raise ValueError("subgroup order does not divide the group order")
+            if a not in span:
+                gens += (a,)
+                span = generated(parent, gens)
+                if not span <= frozen:
+                    raise ValueError(f"member set not closed under products with {a}")
         self.parent = parent
         self.member_set = members
         self.order = len(members)
+        self.generators = gens
         self._members_frozen = frozen
         self._cache: dict = {}
 
@@ -320,17 +324,15 @@ def extend_from_generators(group: Group, images, identity, compose, what: str) -
 
 @memo
 def element_classes(g: Group) -> list[ElementClass]:
-    """Conjugacy classes of elements; the identity class comes first."""
-    seen = [False] * g.order
+    """Conjugacy classes of elements by least member: orbits under the movers of ``_conjugates``."""
+    conj, movers = g.conj, g.generator_elements or range(g.order)
+    seen: set = set()
     classes = []
     for a in range(g.order):
-        if seen[a]:
-            continue
-        orbit = sorted({g.conj(x, a) for x in range(g.order)})
-        for m in orbit:
-            seen[m] = True
-        classes.append(ElementClass(representative=orbit[0], members=tuple(orbit)))
-    classes.sort(key=lambda c: c.members[0])
+        if a not in seen:
+            orbit = _orbit(a, lambda y: [conj(x, y) for x in movers])
+            seen |= orbit
+            classes.append(ElementClass(representative=a, members=tuple(sorted(orbit))))
     return classes
 
 
@@ -355,6 +357,13 @@ def _orbit(start, moves) -> set:
     return seen
 
 
+def generated(g: Group, gens) -> frozenset:
+    """Members of the subgroup generated by gens: the orbit of the identity
+    under right multiplication by them (a finite group needs no inverses)."""
+    mul = g.mul
+    return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
+
+
 @memo
 def subgroups(g: Group) -> list[Subgroup]:
     """All subgroups, sorted by (order, member tuple): the classes flattened."""
@@ -368,37 +377,32 @@ def conjugacy_classes_of_subgroups(g: Group) -> list[SubgroupClass]:
 
     Starting from the trivial subgroup, each class representative H is
     joined with the cyclic subgroups <c> it does not contain, one c per
-    N(H)-orbit (conjugating by N(H) conjugates the join).  The join is
-    generated breadth first by H's recorded generators plus c; a new one
-    starts a class, filled in at once by conjugation.  Every subgroup is
-    generated by cyclic ones, so every class is reached (Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005).
+    N(H)-orbit (conjugating by N(H) conjugates the join).  A new join, generated
+    by H's generators and c, starts a class filled in at once by conjugation.
+    Every subgroup is generated by cyclic ones, so every class is reached
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 
     Classes are sorted by (order, representative member tuple); the
     representative is the lexicographically least member.
     """
-    mul, conj = g.mul, g.conj
-
-    def generated(gens) -> frozenset:
-        return frozenset(_orbit(0, lambda x: [mul[x][s] for s in gens]))
-
+    conj = g.conj
     cyclic: dict = {}
-    canon = {a: cyclic.setdefault(generated((a,)), a) for a in range(1, g.order)}
+    canon = {a: cyclic.setdefault(generated(g, (a,)), a) for a in range(1, g.order)}
     trivial = frozenset({0})
-    known, orbits, work = {trivial}, [{trivial}], [(trivial, ())]
-    for members, gens in work:
-        norm = [x for x in range(g.order) if all(conj(x, s) in members for s in gens)]
+    known, orbits, work = {trivial}, [{trivial}], [g.subgroup(trivial)]
+    for h in work:
+        norm = normalizer(g, h).member_set
         done: set = set()
         for c in cyclic.values():
-            if c in members or c in done:
+            if c in h._members_frozen or c in done:
                 continue
             done.update(canon[conj(x, c)] for x in norm)
-            join = generated(gens + (c,))
+            join = generated(g, h.generators + (c,))
             if join not in known:
                 orbit = _conjugates(g, join)
                 known |= orbit
                 orbits.append(orbit)
-                work.append((join, gens + (c,)))
+                work.append(g.subgroup(join))
     return _classes_of_orbits(g, orbits)
 
 
@@ -421,13 +425,9 @@ def _classes_of_orbits(g: Group, orbits) -> list[SubgroupClass]:
 
 
 def normalizer(g: Group, h: Subgroup) -> Subgroup:
-    """N_G(H) = {x : x H x^-1 = H}."""
+    """N_G(H): the x with x H x^-1 inside H, i.e. conjugating H's generators into H."""
     if h.parent is not g:
         raise ValueError("subgroup does not belong to this group")
-    target = h._members_frozen
-    members = [
-        x
-        for x in range(g.order)
-        if frozenset(g.conj(x, m) for m in h.member_set) == target
-    ]
-    return g.subgroup(members)
+    inside = h._members_frozen
+    return g.subgroup(
+        x for x in range(g.order) if all(g.conj(x, s) in inside for s in h.generators))

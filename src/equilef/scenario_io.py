@@ -150,6 +150,13 @@ def parse_scenario_file(text: str) -> ScenarioFile:
                 "simplex has a repeated vertex", loc)
         maximal.append(tuple(sorted(simplex)))
     maximal = tuple(sorted(set(maximal)))
+    # each vertex map lists every vertex; without generators, a vertex that no
+    # simplex names is an isolated point that nothing lists, so it must be [v]
+    top = max(v for simplex in maximal for v in simplex)
+    _expect(generators or vertices <= top + 1,
+            f"without group generators 'vertices' may not exceed {top + 1}, one more than "
+            "the largest listed vertex; list an isolated point v as [v]",
+            "$.complex.vertices")
     raw_act = comp.get("action")
     _expect(isinstance(raw_act, list), "field 'action' must be a list",
             "$.complex.action")

@@ -373,6 +373,30 @@ def test_huge_degree_without_generators_verifies(tmp_path):
     assert json.loads(result.stdout)["passed"] is True
 
 
+HUGE_VERTICES_WITHOUT_GENERATORS = {
+    "schema_version": 1,
+    "name": "huge-vertex-count-point",
+    "group": {"degree": 1, "generators": []},
+    "complex": {"vertices": 10**12, "maximal_simplices": [[0]], "action": []},
+    "lattice": {"rank": 1, "action": {}},
+}
+
+
+def test_huge_vertex_count_without_generators_is_an_input_error(tmp_path):
+    # no vertex map bounds the count; building the complex listed every vertex
+    result = _verify_capped(tmp_path, HUGE_VERTICES_WITHOUT_GENERATORS)
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.vertices" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_isolated_points_listed_without_generators_verify(tmp_path):
+    comp = {"vertices": 4, "maximal_simplices": [[0, 1], [2], [3]], "action": []}
+    result = _verify_capped(tmp_path, dict(HUGE_VERTICES_WITHOUT_GENERATORS, complex=comp))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
+
+
 def test_huge_vertex_count_with_short_action_is_an_input_error(tmp_path):
     comp = {"vertices": 10**12, "maximal_simplices": [[0]], "action": [[0]]}
     result = _verify_capped(tmp_path, dict(VALID_FILE, complex=comp))

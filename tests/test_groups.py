@@ -12,6 +12,7 @@ from equilef.groups import (
     class_index_of,
     conjugacy_classes_of_subgroups,
     element_classes,
+    generated,
     group_from_permutations,
     max_group_order,
     normalizer,
@@ -219,3 +220,59 @@ def test_builtin_closure_tables_match_composed_permutations():
     for name in builtin_names():
         g = builtin_scenario(name).group
         assert g.mul == composed_table(g), name
+
+
+VALIDATION_GROUPS = {
+    "c4": PRESENTATIONS["c4"],
+    "klein4": PRESENTATIONS["klein4"],
+    "s3": PRESENTATIONS["s3"],
+    "d4": (4, [(1, 2, 3, 0), (0, 3, 2, 1)]),
+}
+
+
+def closed_under_products(g, members):
+    """The old validation, kept as the oracle: every product of two members."""
+    return all(g.mul[a][b] in members for a in members for b in members)
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_GROUPS))
+def test_subgroup_validation_matches_the_product_oracle(name):
+    g = group_from_permutations(*VALIDATION_GROUPS[name])
+    accepted = 0
+    for size in range(g.order):
+        for rest in combinations(range(1, g.order), size):
+            members = (0, *rest)
+            if not closed_under_products(g, set(members)):
+                with pytest.raises(ValueError, match="not closed under products"):
+                    g.subgroup(members)
+                continue
+            h = g.subgroup(members)
+            accepted += 1
+            assert h.member_set == members
+            assert generated(g, h.generators) == frozenset(members)
+            assert len(h.generators) <= math.log2(h.order)
+    assert accepted == len(subgroups(g))
+
+
+def brute_force_element_classes(g):
+    classes = {tuple(sorted({g.conj(x, a) for x in range(g.order)})) for a in range(g.order)}
+    return sorted(classes)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_from_permutations(*S4),
+    lambda: group_from_permutations(*A5),
+    # a bare table has no generators: classes conjugate under every element
+    lambda: Group(group_from_permutations(*S4).mul),
+], ids=["s4", "a5", "s4-bare-table"])
+def test_element_classes_match_brute_force(make):
+    g = make()
+    classes = element_classes(g)
+    assert [c.members for c in classes] == brute_force_element_classes(g)
+    assert all(c.representative == c.members[0] for c in classes)
+
+
+def test_builtin_element_classes_match_brute_force():
+    for name in builtin_names():
+        g = builtin_scenario(name).group
+        assert [c.members for c in element_classes(g)] == brute_force_element_classes(g), name

@@ -22,9 +22,8 @@ characters, cohomology, cyclotomic = (
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equilef").glob("*.py"))
 
 # (module, outermost function) allowed to read or write an owner's _cache:
-# the memo itself, and cochain_complex, whose key (the lattice's matrices) is
-# not the lattice argument it is called with
-ALLOWED = {("groups", "memo"), ("cohomology", "cochain_complex")}
+# the memo itself
+ALLOWED = {("groups", "memo")}
 
 
 def _is_cache(node) -> bool:
@@ -67,7 +66,7 @@ def _memo_decorated(tree) -> list[str]:
     ]
 
 
-def test_only_memo_and_cochain_complex_touch_a_cache():
+def test_only_memo_touches_a_cache():
     offenders = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -94,6 +94,11 @@ ERROR_CASES = [
     (lambda d: d.update(comment="stray"), "$"),
     (lambda d: d.setdefault("options", {}).update(subdivision=2), "$.options"),
     (lambda d: d["group"].update(generator=[[1, 0]]), "$.group"),
+    # without generators every vertex must be named by a listed simplex
+    (lambda d: d.update(group={"degree": 2, "generators": []},
+                        complex={"vertices": 3, "maximal_simplices": [[0, 1]], "action": []},
+                        lattice={"rank": 1, "action": {}}),
+     "$.complex.vertices"),
 ]
 
 
