@@ -1,12 +1,12 @@
 """Cochain complexes of strata with lattice coefficients, over Q, Z, and F_p.
 
 A GLattice is an integer representation of the group on Z^r; matrices given
-per generator are extended to every element by
+per generator are checked for shape and extended to every element by
 ``groups.extend_from_generators``, the routine that also extends the vertex
-maps of a complex.  For a locally closed stratum S the complex restricts the
-full simplicial coboundary to the simplices of S; its cohomology is the
-compactly supported cohomology of the open union of S.  All arithmetic is
-exact.
+maps of a complex; its relations make every matrix invertible over Z.  For a
+locally closed stratum S the complex restricts the full simplicial coboundary
+to the simplices of S; its cohomology is the compactly supported cohomology
+of the open union of S.  All arithmetic is exact.
 
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _apply, _sub, is_unimodular, reduce_columns, smith_invariants
+from .linalg import _apply, _sub, reduce_columns, smith_invariants
 from .characters import VirtualCharacter
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes, extend_from_generators, memo
@@ -63,7 +63,12 @@ def _int_matmul(a, b):
 
 
 class GLattice:
-    """A finite group acting on Z^r by invertible integer matrices."""
+    """A finite group acting on Z^r by invertible integer matrices.
+
+    Built only by ``trivial``, ``regular`` and ``from_generator_matrices``:
+    ``matrices`` holds one r x r matrix per element, a homomorphism, so each
+    is invertible over Z (rho(x) rho(x^-1) = I).
+    """
 
     __slots__ = ("group", "rank", "matrices", "_hash", "_cache")
 
@@ -74,18 +79,6 @@ class GLattice:
             tuple(tuple(row) for row in m) for m in matrices
         )
         self._cache: dict = {}
-        if len(self.matrices) != group.order:
-            raise ValueError("need one matrix per group element")
-        ident = tuple(
-            tuple(1 if i == j else 0 for j in range(rank_)) for i in range(rank_)
-        )
-        if self.matrices[0] != ident:
-            raise ValueError("identity element must act by the identity matrix")
-        for e, m in enumerate(self.matrices):
-            if len(m) != rank_ or any(len(row) != rank_ for row in m):
-                raise ValueError(f"matrix for element {e} has the wrong shape")
-            if not is_unimodular(m):
-                raise ValueError(f"matrix for element {e} is not invertible over Z")
         self._hash = hash(self.matrices)
 
     def __eq__(self, other):
@@ -99,8 +92,11 @@ class GLattice:
     @classmethod
     def from_generator_matrices(cls, group: Group, rank_: int, generator_matrices):
         """Extend generator matrices to the group (``groups.extend_from_generators``,
-        which checks the relations)."""
+        which checks the relations); each must be rank x rank."""
         gens = [[[int(v) for v in row] for row in m] for m in generator_matrices]
+        for j, m in enumerate(gens):
+            if len(m) != rank_ or any(len(row) != rank_ for row in m):
+                raise ValueError(f"matrix of generator {j} is not {rank_}x{rank_}")
         ident = [[1 if i == j else 0 for j in range(rank_)] for i in range(rank_)]
         return cls(group, rank_, extend_from_generators(group, gens, ident, _int_matmul, "matrix"))
 

@@ -3,7 +3,8 @@
 Simplices are sorted vertex tuples, kept face-closed and ordered per
 dimension.  A complex carries the full per-element vertex action, extended
 from generator images by ``groups.extend_from_generators``, which also
-checks it against the multiplication table.
+checks it against the multiplication table; ``build_complex`` checks that
+each generator maps simplices to simplices, and nothing is checked per element.
 
 The action is forced to be regular (an element fixing a simplex setwise
 fixes it pointwise) by barycentric subdivision, applied at most twice.
@@ -91,7 +92,11 @@ class Stratum:
 
 
 class SimplicialGComplex:
-    """A finite simplicial complex with a simplicial action of a finite group."""
+    """A finite simplicial complex with a simplicial action of a finite group.
+
+    Built only by ``build_complex``, ``barycentric_subdivision`` and
+    ``quotient_complex``: ``vertex_action`` holds one vertex permutation per element.
+    """
 
     __slots__ = (
         "group",
@@ -107,41 +112,11 @@ class SimplicialGComplex:
                  subdivision_count: int = 0):
         self.group = group
         self.n_vertices = n_vertices
-        sims = tuple(tuple(sorted(set(map(tuple, level)))) for level in simplices_by_dim)
-        while sims and not sims[-1]:
-            sims = sims[:-1]
-        if not sims or not sims[0]:
-            raise ValueError("a complex needs at least one vertex simplex")
-        self.simplices = sims
-        self.dim = len(sims) - 1
+        self.simplices = tuple(tuple(sorted(set(map(tuple, level)))) for level in simplices_by_dim)
+        self.dim = len(self.simplices) - 1
         self.vertex_action = tuple(tuple(row) for row in vertex_action)
         self.subdivision_count = subdivision_count
         self._cache = {}
-        self._validate()
-
-    def _validate(self):
-        if len(self.vertex_action) != self.group.order:
-            raise ValueError("vertex action must list one permutation per group element")
-        for e, row in enumerate(self.vertex_action):
-            if not is_permutation(row, self.n_vertices):
-                raise ValueError(f"action of element {e} is not a vertex permutation")
-        seen = self.simplex_set()
-        for dim, level in enumerate(self.simplices):
-            for s in level:
-                if len(s) != dim + 1:
-                    raise ValueError(f"simplex {s} filed under wrong dimension {dim}")
-                if any(not 0 <= v < self.n_vertices for v in s):
-                    raise ValueError(f"simplex {s} has out-of-range vertices")
-                for k in range(1, len(s)):
-                    for face in combinations(s, k):
-                        if face not in seen:
-                            raise ValueError(f"complex is not face-closed at {s}")
-        for e in range(self.group.order):
-            for s in seen:
-                if self.act_simplex(e, s) not in seen:
-                    raise ValueError(
-                        f"element {e} does not map simplex {s} to a simplex"
-                    )
 
     # -- basic queries -------------------------------------------------------
 
@@ -229,9 +204,9 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
                   n_vertices: int | None = None, pre_subdivisions: int = 0) -> SimplicialGComplex:
     """Build a G-complex from maximal simplices and generator vertex images.
 
-    The action is extended to every group element, checked to be simplicial,
-    and made regular by barycentric subdivision (at most two, counted on the
-    result).  ``pre_subdivisions`` forces extra subdivisions first.
+    The action is extended to every group element, its generators checked to
+    be simplicial, and made regular by barycentric subdivision (at most two,
+    counted on the result).  ``pre_subdivisions`` forces extra subdivisions first.
     """
     maximal = [tuple(sorted(set(s))) for s in maximal_simplices]
     if not maximal:
@@ -254,6 +229,15 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
             raise ValueError(f"action of generator {j} is not a vertex permutation")
     action = extend_from_generators(group, images, tuple(range(n_vertices)),
                                     lambda a, b: tuple(a[v] for v in b), "vertex map")
+    if levels[0][0][0] < 0:
+        raise ValueError(f"simplex {levels[0][0]} has out-of-range vertices")
+    # every element is a composite of generators, so simplicial generators suffice
+    ordered = [s for level in levels for s in level]
+    cells = set(ordered)
+    for j, img in enumerate(images):
+        for s in ordered:
+            if tuple(sorted(img[v] for v in s)) not in cells:
+                raise ValueError(f"generator {j} does not map simplex {s} to a simplex")
     x = SimplicialGComplex(group, n_vertices, levels, action, subdivision_count=0)
     for _ in range(pre_subdivisions):
         x = barycentric_subdivision(x)

@@ -1,11 +1,13 @@
 """Finite groups as explicit multiplication tables.
 
-A group is a table over element indices 0..n-1 with 0 the identity.  Groups
-built from permutation generators remember, for every element, a shortest
-generator word.  ``extend_from_generators`` is the one routine that turns
-data given per generator (vertex maps of a complex, matrices of a lattice)
-into data per element: it walks those words and checks the result against
-the table.  ``is_permutation`` is the one test of a permutation row.
+A group is a table over element indices 0..n-1 with 0 the identity; only
+``Group.from_table`` checks a raw one.  Groups built from permutation
+generators remember, for every element, a shortest generator word.
+``extend_from_generators`` is the one routine that turns data given per
+generator (vertex maps of a complex, matrices of a lattice) into data per
+element: it walks those words and checks the relations against the table,
+so the result is a homomorphism and callers check only their generators.
+``is_permutation`` is the one test of a permutation row.
 
 ``generated`` is the one routine that generates a subgroup, as the orbit of
 the identity under right multiplication.  A ``Subgroup`` checks that its
@@ -61,7 +63,8 @@ def memo(f):
 
 
 class Group:
-    """Immutable finite group given by its multiplication table."""
+    """Immutable finite group given by its multiplication table, stored as
+    given: every caller but ``from_table`` builds a group table by construction."""
 
     __slots__ = (
         "order",
@@ -75,6 +78,18 @@ class Group:
 
     def __init__(self, mul, generator_permutations=None, generator_elements=None, words=None):
         mul = tuple(tuple(row) for row in mul)
+        self.order = len(mul)
+        self.mul = mul
+        self.inverse = tuple(row.index(0) for row in mul)
+        self.generator_permutations = generator_permutations
+        self.generator_elements = generator_elements
+        self.words = words
+        self._cache: dict = {}
+
+    @classmethod
+    def from_table(cls, rows) -> "Group":
+        """The group of a raw table: a Latin square, identity 0, two-sided inverses."""
+        mul = tuple(tuple(row) for row in rows)
         n = len(mul)
         if n == 0:
             raise ValueError("a group needs at least the identity")
@@ -87,23 +102,10 @@ class Group:
                 raise ValueError("element 0 must be the identity")
             if frozenset(column) != full:
                 raise ValueError(f"column {j} of the multiplication table is not a permutation")
-        inverse = [row.index(0) for row in mul]
-        for a, b in enumerate(inverse):
-            if mul[b][a] != 0:
+        for a, row in enumerate(mul):
+            if mul[row.index(0)][a] != 0:
                 raise ValueError(f"one-sided inverse at element {a}")
-        self.order = n
-        self.mul = mul
-        self.inverse = tuple(inverse)
-        self.generator_permutations = (
-            tuple(tuple(p) for p in generator_permutations)
-            if generator_permutations is not None
-            else None
-        )
-        self.generator_elements = (
-            tuple(generator_elements) if generator_elements is not None else None
-        )
-        self.words = tuple(tuple(w) for w in words) if words is not None else None
-        self._cache: dict = {}
+        return cls(mul)
 
     # -- elementary operations ----------------------------------------------
 
@@ -285,8 +287,9 @@ def group_from_permutations(degree: int, generators) -> Group:
         step = right[words[b][-1]]
         columns.append([step[x] for x in columns[parent[b]]])
     mul = list(zip(*columns))
-    gen_elements = [index[g] for g in gens]
-    return Group(mul, generator_permutations=gens, generator_elements=gen_elements, words=words)
+    gen_elements = tuple(index[g] for g in gens)
+    return Group(mul, generator_permutations=tuple(gens), generator_elements=gen_elements,
+                 words=tuple(words))
 
 
 def extend_from_generators(group: Group, images, identity, compose, what: str) -> list:

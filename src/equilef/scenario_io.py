@@ -102,7 +102,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     """Validate scenario JSON into canonical form (no heavy construction)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ScenarioError(f"not valid JSON: {exc}", "$") from None
     except RecursionError:
         raise ScenarioError("JSON is nested too deeply", "$") from None

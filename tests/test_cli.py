@@ -98,6 +98,15 @@ def test_deeply_nested_file_is_an_input_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_overlong_integer_is_an_input_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(VALID_FILE).replace('"rank": 1', '"rank": ' + "1" * 5000))
+    result = run_cli("verify", str(path))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("input error: $: not valid JSON")
+    assert "Traceback" not in result.stderr
+
+
 def test_non_utf8_file_is_an_input_error(tmp_path):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe{}")

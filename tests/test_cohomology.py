@@ -53,6 +53,16 @@ def test_lattice_validation():
         GLattice.sign(c2, [2])
 
 
+def test_generator_matrices_must_be_square_of_the_rank():
+    # the identity generator's relations hold for a 1 x 2 matrix: only the shape check sees it
+    trivial = group_from_permutations(2, [(0, 1)])
+    with pytest.raises(ValueError, match="generator 0 is not 1x1"):
+        GLattice.from_generator_matrices(trivial, 1, [[[1, 0]]])
+    c2 = group_from_permutations(2, [(1, 0)])
+    with pytest.raises(ValueError, match="generator 0 is not 2x2"):
+        GLattice.from_generator_matrices(c2, 2, [[[0, 1], [1, 0], [0, 0]]])
+
+
 def test_identity_generator_must_act_trivially_on_the_lattice():
     # C2 presented with an extra identity generator, first in the list
     c2 = group_from_permutations(2, [(0, 1), (1, 0)])

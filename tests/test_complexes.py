@@ -45,6 +45,12 @@ def test_rejects_broken_input():
     assert "relation" in str(err.value)
 
 
+def test_rejects_negative_vertices():
+    g1 = group_from_permutations(1, [])
+    with pytest.raises(ValueError, match=r"simplex \(-1,\) has out-of-range vertices"):
+        build_complex([(-1, 0)], g1, [])
+
+
 def test_identity_generator_must_act_trivially_on_vertices():
     # C2 presented with an extra identity generator, first in the list
     c2 = group_from_permutations(2, [(0, 1), (1, 0)])

@@ -155,9 +155,9 @@ def test_rejects_bad_presentations(monkeypatch):
     with pytest.raises(ValueError):
         group_from_permutations(3, [(1, 2, 0)])
     with pytest.raises(ValueError):
-        Group([[0, 1], [1, 1]])
+        Group.from_table([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
-        Group([[1, 0], [0, 1]])
+        Group.from_table([[1, 0], [0, 1]])
 
 
 def test_order_bound_env(monkeypatch):

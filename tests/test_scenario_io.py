@@ -162,6 +162,38 @@ def test_build_rejects_relation_violations():
     assert "relation" in err.value.message
 
 
+def test_build_rejects_a_non_simplicial_generator():
+    # C2 x C2 acting through its second factor, which swaps vertices 1 and 2:
+    # the relations hold, but generator 1 moves the edge (0, 1) off the complex
+    bad = mutated(
+        lambda d: d.update(
+            group={"degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]},
+            complex={
+                "vertices": 4,
+                "maximal_simplices": [[0, 1], [2, 3]],
+                "action": [[0, 1, 2, 3], [0, 2, 1, 3]],
+            },
+            lattice={"rank": 1, "action": {"0": [[1]], "1": [[1]]}},
+        )
+    )
+    sf = parse_scenario_file(bad)
+    with pytest.raises(ScenarioError) as err:
+        build_scenario(sf)
+    assert err.value.location == "$.complex.action"
+    assert err.value.message == "generator 1 does not map simplex (0, 1) to a simplex"
+
+
+def test_overlong_integer_is_an_input_error():
+    # Python converts no integer of more than 4300 digits, so json.dumps cannot
+    # write this document and json.loads cannot read it
+    text = json.dumps(VALID).replace('"rank": 1', '"rank": ' + "1" * 5000)
+    assert "1" * 5000 in text
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_file(text)
+    assert err.value.location == "$"
+    assert err.value.message.startswith("not valid JSON")
+
+
 def test_canonical_json_is_deterministic():
     data = {"b": 1, "a": [{"x": 2, "y": 3}]}
     once = canonical_json(data)
