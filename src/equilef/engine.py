@@ -17,6 +17,12 @@ chain-level trace), the free-action vanishing and covering identities, the
 regular-multiple identity for free actions, and the characteristic-p
 comparison with its per-degree reconciliation.
 
+L(g, X) and L(g, X^<g>) are class functions: conjugating g carries the fixed
+set of <g> onto that of its conjugate and intertwines the actions on
+cohomology.  The corollary and the free-action vanishing are therefore
+computed once per conjugacy class, on its representative, with every check
+made there; the report still has one corollary row per element.
+
 The term of [H] vanishes when that stratum is empty, so both sums run over
 the isotropy classes only (``complexes.isotropy_classes``, the cell
 stabilizers up to conjugacy) and the subgroup lattice is never built.
@@ -53,7 +59,7 @@ from .complexes import (
     isotropy_classes,
     quotient_complex,
 )
-from .groups import Group, Subgroup, memo
+from .groups import Group, Subgroup, class_index_of, element_classes, memo
 
 
 class Scenario:
@@ -303,7 +309,9 @@ def verify_free_action(s: Scenario) -> FreeActionReport:
     if chi_inv is None:
         return FreeActionReport(applicable=False)
     cc = s.whole_cochains()
-    vanishing = all(cc.lefschetz_number(g) == 0 for g in range(1, s.group.order))
+    # L(g) is a class function; class 0 is the identity's
+    vanishing = all(
+        cc.lefschetz_number(c.representative) == 0 for c in element_classes(s.group)[1:])
     chi = cc.lefschetz_number(0)
     covering = chi == s.group.order * chi_inv
     quotient_ok = None
@@ -409,11 +417,17 @@ class VerificationSummary:
 
 
 def full_verification(s: Scenario) -> VerificationSummary:
-    """Run the theorem, the corollary for every element, and every lemma."""
+    """Run the theorem, the corollary for every element, and every lemma.
+
+    Both sides of the corollary are class functions, so ``verify_corollary``
+    runs once per conjugacy class, on its representative, and each element's
+    row repeats the values of its class.
+    """
     theorem = verify_theorem(s)
+    per_class = [verify_corollary(s, c.representative) for c in element_classes(s.group)]
+    rows = (per_class[ci] for ci in class_index_of(s.group))
     corollaries = tuple(
-        verify_corollary(s, g) for g in range(s.group.order)
-    )
+        CorollaryReport(g, r.whole_value, r.fixed_value, r.passed) for g, r in enumerate(rows))
     return VerificationSummary(
         scenario_name=s.name,
         theorem=theorem,

@@ -29,6 +29,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 DEFAULT_MAX_ORDER = 10_000
 ORDER_ENV_VAR = "EQUILEF_MAX_GROUP_ORDER"
@@ -241,9 +242,9 @@ def group_from_permutations(degree: int, generators) -> Group:
 
     Elements are enumerated breadth-first over generator words (lexicographic
     within each length), so indexing is reproducible.  The table is filled
-    from the products x * gen_j recorded by the closure, along each element's
-    word.  Identity and redundant generators are allowed.  Closure beyond
-    ``max_group_order()`` is rejected.
+    by rows: row a is the row of a's parent read through left multiplication
+    by the last letter of a's word.  Identity and redundant generators are
+    allowed.  Closure beyond ``max_group_order()`` is rejected.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError("degree must be a positive integer")
@@ -259,7 +260,6 @@ def group_from_permutations(degree: int, generators) -> Group:
     index = {identity: 0}
     words: list[tuple[int, ...]] = [()]
     parent = [0]
-    right = [[] for _ in gens]  # right[j][x] = index of x * gen_j; x comes in index order
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -277,16 +277,15 @@ def group_from_permutations(degree: int, generators) -> Group:
                     words.append(words[ei] + (j,))
                     parent.append(ei)
                     next_frontier.append(index[prod])
-                right[j].append(index[prod])
         frontier = next_frontier
 
-    # column b is column parent(b) moved by b's last letter: a b = (a parent(b)) gen_j
+    # left[j] reads a row at gen_j b for every b; row a is row parent(a) read
+    # through left[j] for a's last letter j, since a b = parent(a) (gen_j b)
     n = len(elems)
-    columns = [list(range(n))]
-    for b in range(1, n):
-        step = right[words[b][-1]]
-        columns.append([step[x] for x in columns[parent[b]]])
-    mul = list(zip(*columns))
+    left = [itemgetter(*(index[tuple(map(gen.__getitem__, e))] for e in elems)) for gen in gens]
+    mul = [tuple(range(n))]
+    for a in range(1, n):
+        mul.append(left[words[a][-1]](mul[parent[a]]))
     gen_elements = tuple(index[g] for g in gens)
     return Group(mul, generator_permutations=tuple(gens), generator_elements=gen_elements,
                  words=tuple(words))
