@@ -34,7 +34,6 @@ from .characters import (
     IntegralityError,
     RationalIrreducible,
     VirtualCharacter,
-    assert_integral,
     character_table,
     induce,
     inner_product,
@@ -43,7 +42,6 @@ from .characters import (
     rational_irreducibles,
     regular_character,
     restrict,
-    trace_at,
     trivial_character,
 )
 from .complexes import (
@@ -52,9 +50,7 @@ from .complexes import (
     Stratum,
     barycentric_subdivision,
     build_complex,
-    class_stratum,
     exact_stratum,
-    filtration,
     fixed_subcomplex,
     isotropy_classes,
     quotient_complex,
@@ -65,9 +61,7 @@ from .cohomology import (
     GLattice,
     cochain_complex,
     cohomology,
-    hopf_trace,
     invariant_cohomology,
-    lefschetz_number,
     modp_euler_characteristic,
 )
 from .engine import (
@@ -108,16 +102,16 @@ __all__ = [
     "conjugacy_classes_of_subgroups", "normalizer", "max_group_order",
     "Cyclotomic", "cyclotomic_polynomial",
     "CharacterTable", "ClassFunction", "IntegralityError",
-    "RationalIrreducible", "VirtualCharacter", "assert_integral",
+    "RationalIrreducible", "VirtualCharacter",
     "character_table", "induce", "inner_product", "power_map",
     "rational_coefficients", "rational_irreducibles", "regular_character",
-    "restrict", "trace_at", "trivial_character",
+    "restrict", "trivial_character",
     "QuotientComplex", "SimplicialGComplex", "Stratum",
-    "barycentric_subdivision", "build_complex", "class_stratum",
-    "exact_stratum", "filtration", "fixed_subcomplex", "isotropy_classes",
+    "barycentric_subdivision", "build_complex",
+    "exact_stratum", "fixed_subcomplex", "isotropy_classes",
     "quotient_complex",
     "CochainComplex", "CohomologySummary", "GLattice", "cochain_complex",
-    "cohomology", "hopf_trace", "invariant_cohomology", "lefschetz_number",
+    "cohomology", "invariant_cohomology",
     "modp_euler_characteristic",
     "ClassTerm", "CorollaryReport", "FreeActionReport", "IsotypicRow",
     "LefschetzReport", "ModpReport", "Scenario", "VerdierReport",

@@ -69,8 +69,8 @@ class VirtualCharacter:
 
     Supports exact addition, subtraction and rational scaling.  Whether the
     values are an integer combination of irreducible characters is decided
-    by ``rational_coefficients`` (``is_integral``, ``assert_integral``);
-    engine-level violations of it are hard errors.
+    by ``rational_coefficients``; engine-level violations of it are hard
+    errors.
     """
 
     __slots__ = ("group", "values")
@@ -119,14 +119,6 @@ class VirtualCharacter:
     def __repr__(self):
         return f"VirtualCharacter({list(self.values)})"
 
-    def is_integral(self) -> bool:
-        """True when every multiplicity <self, chi_i> is a rational integer."""
-        try:
-            rational_coefficients(self, "is_integral")
-        except IntegralityError:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class RationalIrreducible:
@@ -146,13 +138,6 @@ def regular_character(g: Group) -> VirtualCharacter:
     values = [Fraction(0)] * len(element_classes(g))
     values[0] = Fraction(g.order)
     return VirtualCharacter(g, values)
-
-
-def trace_at(v: VirtualCharacter, e: int) -> Fraction:
-    """Value of a virtual character at a group element."""
-    if not 0 <= e < v.group.order:
-        raise ValueError(f"element {e} out of range for a group of order {v.group.order}")
-    return v.values[class_index_of(v.group)[e]]
 
 
 def inner_product(a, b):
@@ -502,9 +487,3 @@ def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[Fraction, 
     if any(c.denominator != 1 for c in coefficients) or rebuilt != v.values:
         raise IntegralityError(f"{context}: {v!r} is not an integral virtual character")
     return coefficients
-
-
-def assert_integral(v: VirtualCharacter, context: str) -> VirtualCharacter:
-    """Raise IntegralityError unless v is an integral virtual character."""
-    rational_coefficients(v, context)
-    return v

@@ -27,12 +27,12 @@ from functools import cache, partial
 
 from .engine import Scenario, full_verification
 from .groups import max_group_order
-from .numtheory import is_prime
 from .scenario_io import (
     ScenarioError,
     canonical_json,
     chartab_dict,
     chartab_text,
+    check_prime,
     parse_scenario,
     strata_dict,
     strata_text,
@@ -44,8 +44,7 @@ from .scenarios import builtin_names, builtin_scenario
 
 def _load_scenario(target: str, primes) -> Scenario:
     for p in primes or ():
-        if not is_prime(p):
-            raise ScenarioError(f"{p} is not a prime", "--prime")
+        check_prime(p, "--prime")
     if os.path.exists(target):
         with open(target, "r", encoding="utf-8") as handle:
             try:

@@ -126,9 +126,6 @@ class GLattice:
             mats.append(m)
         return cls(group, n, mats)
 
-    def matrix(self, e: int):
-        return self.matrices[e]
-
     def trace(self, e: int) -> int:
         m = self.matrices[e]
         return sum(m[i][i] for i in range(self.rank))
@@ -235,7 +232,7 @@ class CochainComplex:
         """
         moves = self._moves(e, k)
         r = self.lattice.rank
-        rho = self.lattice.matrix(e)
+        rho = self.lattice.matrices[e]
         out: dict = {}
         for idx, v in cochain.items():
             s_i, j = divmod(idx, r)
@@ -447,16 +444,6 @@ def cohomology(c: CochainComplex, aut: int | None = None) -> CohomologySummary:
     return CohomologySummary(
         dims_q=c.rational_dims(), betti=betti, torsion=torsion, traces=traces
     )
-
-
-def lefschetz_number(space, g: int, lattice: GLattice) -> Fraction:
-    """Alternating trace of g on the cohomology of a complex or stratum."""
-    return cochain_complex(_as_stratum(space), lattice).lefschetz_number(g)
-
-
-def hopf_trace(space, g: int, lattice: GLattice) -> int:
-    """Chain-level alternating trace; equals lefschetz_number."""
-    return cochain_complex(_as_stratum(space), lattice).hopf_trace(g)
 
 
 def invariant_cohomology(space, lattice: GLattice) -> tuple[int, ...]:

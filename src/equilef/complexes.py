@@ -9,8 +9,8 @@ each generator maps simplices to simplices, and nothing is checked per element.
 The action is forced to be regular (an element fixing a simplex setwise
 fixes it pointwise) by barycentric subdivision, applied at most twice.
 Under regularity the open simplices with pointwise stabilizer exactly H
-tile the space; those tiles, fixed subcomplexes, and the order filtration
-are all returned as Stratum objects which the cohomology layer consumes.
+tile the space; those tiles and the fixed subcomplexes are returned as
+Stratum objects which the cohomology layer consumes.
 The classes of H that occur, ``isotropy_classes``, come from the cell
 stabilizers alone; every other exact stratum is empty.
 A stratum is its cells: every constructor goes through one routine that
@@ -322,13 +322,6 @@ def exact_stratum(x: SimplicialGComplex, h: Subgroup) -> Stratum:
     return _stratum(x, lambda s: x.stabilizer(s) == members)
 
 
-def class_stratum(x: SimplicialGComplex, subgroups) -> Stratum:
-    """Union of the exact strata of a family of subgroups (e.g. a conjugacy
-    class); locally closed when the family is closed under conjugation."""
-    member_sets = [h._members_frozen for h in subgroups]
-    return _stratum(x, lambda s: x.stabilizer(s) in member_sets)
-
-
 @memo
 def isotropy_classes(x: SimplicialGComplex) -> list[SubgroupClass]:
     """The classes [H] whose exact stratum is non-empty: the cell stabilizers
@@ -339,12 +332,6 @@ def isotropy_classes(x: SimplicialGComplex) -> list[SubgroupClass]:
         if not any(stab in orbit for orbit in orbits):
             orbits.append(_conjugates(x.group, stab))
     return _classes_of_orbits(x.group, orbits)
-
-
-def filtration(x: SimplicialGComplex) -> list[Stratum]:
-    """X^i = union of fixed sets of subgroups of order >= i, for i = 1..|G|."""
-    return [_stratum(x, lambda s, i=i: len(x.stabilizer(s)) >= i)
-            for i in range(1, x.group.order + 1)]
 
 
 def _check_subgroup(x: SimplicialGComplex, h: Subgroup):

@@ -82,18 +82,6 @@ class Cyclotomic:
         return cls(1, (Fraction(q),))
 
     @classmethod
-    def root_of_unity(cls, e: int, k: int = 1) -> "Cyclotomic":
-        """zeta_e^k in canonical form."""
-        if e < 1:
-            raise ValueError("order must be positive")
-        k %= e
-        g = math.gcd(k, e) if k else e
-        e2, k2 = e // g, k // g
-        raw = [Fraction(0)] * max(k2 + 1, 1)
-        raw[k2] = Fraction(1)
-        return _make(e2, raw)
-
-    @classmethod
     def from_root_combination(cls, e: int, coeffs) -> "Cyclotomic":
         """sum_k coeffs[k] * zeta_e^k, reduced to canonical form."""
         raw = [Fraction(c) for c in coeffs]

@@ -28,10 +28,10 @@ the isotropy classes only (``complexes.isotropy_classes``, the cell
 stabilizers up to conjugacy) and the subgroup lattice is never built.
 
 Every number is an exact rational; a comparison either holds on the nose or
-the verdict fails.  Integrality is decided by ``rational_coefficients``, the
-one routine behind ``assert_integral`` and the isotypic rows: a character
-whose coefficients over the rational irreducibles are not integers, or do
-not rebuild it, raises IntegralityError.  That cannot occur for a correct
+the verdict fails.  Integrality is decided by ``rational_coefficients``,
+which checks the lhs and both right-hand sides and gives the isotypic rows:
+a character whose coefficients over the rational irreducibles are not
+integers, or do not rebuild it, raises IntegralityError.  That cannot occur for a correct
 computation and is treated as a bug rather than a verdict.
 """
 
@@ -43,7 +43,6 @@ from fractions import Fraction
 
 from .characters import (
     VirtualCharacter,
-    assert_integral,
     character_table,
     induce,
     rational_coefficients,
@@ -146,7 +145,8 @@ def lhs_character(s: Scenario) -> VirtualCharacter:
     chi = s.whole_cochains().equivariant_euler_characteristic(
         s.group.whole_subgroup()
     )
-    return assert_integral(chi, f"{s.name}: lhs")
+    rational_coefficients(chi, f"{s.name}: lhs")
+    return chi
 
 
 @memo
@@ -207,7 +207,8 @@ def rhs_induction(s: Scenario) -> VirtualCharacter:
     for term in _class_terms(s):
         piece = term.induced.scale(term.weight)
         total = piece if total is None else total + piece
-    return assert_integral(total, f"{s.name}: rhs (induction)")
+    rational_coefficients(total, f"{s.name}: rhs (induction)")
+    return total
 
 
 @memo
@@ -225,7 +226,8 @@ def rhs_isotypic(s: Scenario) -> VirtualCharacter:
             total = piece if total is None else total + piece
     if total is None:
         total = lhs_character(s).scale(Fraction(0))
-    return assert_integral(total, f"{s.name}: rhs (isotypic)")
+    rational_coefficients(total, f"{s.name}: rhs (isotypic)")
+    return total
 
 
 def verify_theorem(s: Scenario) -> LefschetzReport:

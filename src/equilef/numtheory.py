@@ -1,16 +1,20 @@
 """Small exact number-theory helpers used by the character-table machinery.
 
-Everything here works on plain Python integers; nothing is probabilistic
-(the Miller-Rabin bases below are a proven deterministic set for moduli
-far beyond any group order this package accepts).
+Everything here works on plain Python integers; nothing is probabilistic.
 """
 
 from __future__ import annotations
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12 (Sorenson and Webster 2015): the bases above decide primality below
+# it, and it is itself a strong pseudoprime to all of them.
+MR_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above ``MR_BOUND``."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is decided only below {MR_BOUND}, not for {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

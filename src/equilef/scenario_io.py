@@ -74,6 +74,15 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_prime(p, location):
+    """A ScenarioError at location unless p is an integer prime below ``MR_BOUND``."""
+    try:
+        prime = _is_int(p) and is_prime(p)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), location) from None
+    _expect(prime, f"{p!r} is not a prime", location)
+
+
 def _known_fields(obj, location, *fields):
     for key in obj:
         _expect(key in fields, f"unknown field {key!r}", location)
@@ -201,8 +210,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     _expect(isinstance(primes, list) and primes,
             "option 'primes' must be a nonempty list", "$.options.primes")
     for i, p in enumerate(primes):
-        _expect(_is_int(p) and is_prime(p),
-                f"{p!r} is not a prime", f"$.options.primes[{i}]")
+        check_prime(p, f"$.options.primes[{i}]")
     subdivisions = options.get("subdivisions", 0)
     _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",

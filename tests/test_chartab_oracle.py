@@ -19,7 +19,7 @@ GROUPS = {
     "s5": lambda: symmetric(5),
 }
 
-ZETA_4 = Cyclotomic.root_of_unity(4)
+ZETA_4 = Cyclotomic.from_root_combination(4, [0, 1])
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

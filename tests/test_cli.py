@@ -144,6 +144,23 @@ def test_non_prime_flag_is_an_input_error(capsys):
         assert f"{p} is not a prime" in err
 
 
+PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+
+
+def test_prime_at_the_miller_rabin_bound_is_an_input_error(tmp_path):
+    # a strong pseudoprime to the bases 2..37 once passed as a prime modulus
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(dict(VALID_FILE, options={"primes": [7, int(PSI_12)]})))
+    for args, location in ((["projective-plane", "--prime", PSI_12], "--prime"),
+                           ([str(path)], "$.options.primes[1]")):
+        result = run_cli("verify", *args)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"input error: {location}: primality"), result.stderr
+        assert "Traceback" not in result.stderr
+    result = run_cli("verify", "projective-plane", "--prime", str(2**61 - 1))
+    assert result.returncode == 0, result.stderr
+
+
 def test_bad_max_group_order_is_an_input_error(tmp_path):
     path = tmp_path / "swap.json"
     path.write_text(json.dumps(VALID_FILE))

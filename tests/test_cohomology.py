@@ -8,19 +8,17 @@ import sympy
 from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.characters import regular_character, trace_at
+from equilef.characters import regular_character
 from equilef.cohomology import (
     GLattice,
     cochain_complex,
     cohomology,
-    hopf_trace,
     invariant_cohomology,
-    lefschetz_number,
     modp_euler_characteristic,
     reduce_columns,
 )
 from equilef.complexes import barycentric_subdivision, exact_stratum, fixed_subcomplex
-from equilef.groups import group_from_permutations, normalizer, subgroups
+from equilef.groups import class_index_of, group_from_permutations, normalizer, subgroups
 
 import dense_oracle
 from dense_oracle import dense_action, dense_coboundary
@@ -95,8 +93,8 @@ def test_lattice_matrices_form_a_representation(corpus):
         g = s.group
         for a in range(g.order):
             for b in range(g.order):
-                assert matmul(lat.matrix(a), lat.matrix(b)) == list(
-                    map(list, lat.matrix(g.mul[a][b]))
+                assert matmul(lat.matrices[a], lat.matrices[b]) == list(
+                    map(list, lat.matrices[g.mul[a][b]])
                 ), s.name
 
 
@@ -267,8 +265,7 @@ def test_reflection_traces_on_circle(by_name):
     assert cc.trace_on_cohomology(1, 1) == -1
     assert cc.lefschetz_number(1) == 2
     assert cc.hopf_trace(1) == 2
-    assert lefschetz_number(s.complex, 1, s.lattice) == 2
-    assert hopf_trace(s.complex, 1, s.lattice) == 2
+    assert cochain_complex(s.complex.as_stratum(), s.lattice).lefschetz_number(1) == 2
 
 
 def test_identity_traces_are_dimensions(corpus):
@@ -283,7 +280,7 @@ def test_equivariant_euler_characteristic_collects_lefschetz_numbers(corpus):
         cc = s.whole_cochains()
         chi = cc.equivariant_euler_characteristic(s.group.whole_subgroup())
         for e in range(s.group.order):
-            assert trace_at(chi, e) == cc.lefschetz_number(e), (s.name, e)
+            assert chi.values[class_index_of(s.group)[e]] == cc.lefschetz_number(e), (s.name, e)
 
 
 def test_cohomology_summary(by_name):

@@ -6,9 +6,7 @@ from equilef.cohomology import cochain_complex
 from equilef.complexes import (
     barycentric_subdivision,
     build_complex,
-    class_stratum,
     exact_stratum,
-    filtration,
     fixed_subcomplex,
     quotient_complex,
 )
@@ -149,27 +147,6 @@ def test_exact_strata_are_locally_closed_and_open_in_fixed(corpus):
             own = stratum.simplex_set()
             for e in h.member_set:
                 assert all(x.act_simplex(e, t) in own for t in own)
-
-
-def test_class_stratum_collects_conjugates(corpus):
-    for s in corpus:
-        x = s.complex
-        for cls in conjugacy_classes_of_subgroups(s.group):
-            merged = class_stratum(x, cls.members)
-            expected = frozenset().union(
-                *(exact_stratum(x, h).simplex_set() for h in cls.members)
-            )
-            assert merged.simplex_set() == expected
-
-
-def test_filtration_is_decreasing_and_closed(corpus):
-    for s in corpus:
-        strata = filtration(s.complex)
-        assert strata[0].simplex_set() == s.complex.as_stratum().simplex_set()
-        for a, b in zip(strata, strata[1:]):
-            assert b.simplex_set() <= a.simplex_set()
-        for st in strata:
-            assert st.closure_set() == st.simplex_set()
 
 
 def test_stabilizers_agree_with_vertex_action(corpus):

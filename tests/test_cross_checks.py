@@ -1,22 +1,43 @@
-"""Cross-checks on the per-class path fire when the fact they guard is corrupted.
+"""Internal cross-checks fire when the fact they guard is corrupted.
+
+Each test corrupts one computed intermediate with ``monkeypatch`` (the fault
+lives only here) and expects ``ArithmeticError`` from the library and exit 3
+from ``equilef``, with a message that names the check.
 
 The corollary and the left-hand side read Lefschetz numbers at one
 representative per conjugacy class.  Two checks guard those numbers: the
 alternating trace on cohomology must be an integer, and it must equal the
-Hopf chain-level trace.  Each test corrupts one computed intermediate with
-``monkeypatch`` (the fault lives only here) and expects ``ArithmeticError``
-from the library and exit 3 from ``equilef verify``, with a message that
-names the check.  ``triangle-s3`` is a circle under S3: three classes, two of
-them non-identity.
+Hopf chain-level trace.  ``triangle-s3`` is a circle under S3: three classes,
+two of them non-identity.  Further down: d o d = 0 on a built coboundary,
+Euler-Poincare over Q and over F_p, the degree squares of a character table,
+the integrality of a Galois orbit sum, and the integrality of the three
+characters the engine compares.
 """
 
+import dataclasses
+import importlib
+import re
 from fractions import Fraction
 
 import pytest
 
 import equilef.cli as cli
 from equilef import builtin_scenario, element_classes, full_verification, verify_corollary
+from equilef.characters import (
+    ClassFunction,
+    IntegralityError,
+    character_table,
+    rational_irreducibles,
+)
 from equilef.cohomology import CochainComplex
+from equilef.cyclotomic import Cyclotomic
+from equilef.engine import rhs_isotypic
+from equilef.groups import group_from_permutations
+
+# the attribute equilef.cohomology is the function of that name
+COHOMOLOGY = importlib.import_module("equilef.cohomology")
+CHARACTERS = importlib.import_module("equilef.characters")
+ENGINE = importlib.import_module("equilef.engine")
 
 NAME = "triangle-s3"
 
@@ -76,3 +97,113 @@ def test_hopf_mismatch_at_a_non_identity_class_is_an_internal_error(
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Hopf trace" in err
+
+
+def _fires(capsys, name, message, error=ArithmeticError):
+    """full_verification of the builtin raises error, and ``equilef verify``
+    of it exits 3; both name message."""
+    with pytest.raises(error, match=re.escape(message)):
+        full_verification(builtin_scenario(name))
+    assert cli.main(["verify", name]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {message}"), err
+
+
+def test_a_flipped_coboundary_entry_breaks_d_squared(monkeypatch, capsys):
+    # one sign of d_0 on the disc: the edge bounds a triangle, so d_1 d_0 != 0
+    build = CochainComplex._build_coboundary
+
+    def flipped(cc, k):
+        columns = build(cc, k)
+        if k == 0 and columns[0]:
+            row = min(columns[0])
+            columns[0][row] = -columns[0][row]
+        return columns
+
+    monkeypatch.setattr(CochainComplex, "_build_coboundary", flipped)
+    _fires(capsys, "disc-reflection", "differential does not square to zero")
+
+
+def test_a_lost_cocycle_breaks_euler_poincare_over_q(monkeypatch, capsys):
+    # one recorded kernel vector of a coboundary over Q goes missing, so one
+    # cohomology representative does; the trivial group reads only identity traces
+    reduce_columns = COHOMOLOGY.reduce_columns
+
+    def lossy(columns, p=0, record=False):
+        echelon, kernel = reduce_columns(columns, p, record)
+        return echelon, kernel[:-1] if record and not p else kernel
+
+    monkeypatch.setattr(COHOMOLOGY, "reduce_columns", lossy)
+    _fires(capsys, "projective-plane", "Euler-Poincare mismatch over Q")
+
+
+def test_a_wrong_mod_p_dimension_breaks_euler_poincare_over_f_p(monkeypatch, capsys):
+    # dimensions computed from any ranks satisfy Euler-Poincare, so the mod-p
+    # check guards the step from ranks to dimensions: one dimension is raised
+    dims_from_ranks = COHOMOLOGY._dims_from_ranks
+
+    def raised(sizes, ranks):
+        dims = dims_from_ranks(sizes, ranks)
+        return (dims[0] + 1,) + dims[1:]
+
+    monkeypatch.setattr(COHOMOLOGY, "_dims_from_ranks", raised)
+    _fires(capsys, "disc-reflection", "Euler-Poincare mismatch mod 2")
+
+
+def test_a_repeated_degree_two_character_breaks_the_degree_squares(monkeypatch, capsys):
+    # S3's sign row becomes a copy of its degree-2 row: its eigenvalue
+    # multiplicities still sum to its degree, but 1 + 4 + 4 != 6
+    central = CHARACTERS._central_characters_mod_p
+
+    def sign_as_degree_two(g, p):
+        rows = central(g, p)
+        if g.order != 6:
+            return rows
+        two = next(r for r in rows if r[0] == 2)
+        return [two if d == 1 and any(v != 1 for v in row) else (d, row) for d, row in rows]
+
+    monkeypatch.setattr(CHARACTERS, "_central_characters_mod_p", sign_as_degree_two)
+    _fires(capsys, "triangle-s3", "degree squares do not sum to the group order")
+    assert cli.main(["chartab", "triangle-s3"]) == 3
+
+
+def _galois_fixed_rows(table):
+    """C3's table with rows (1, z, z) and (1, z^2, z^2): the power map
+    z -> z^2 swaps the two non-identity classes, so each row is its own orbit."""
+    g = table.group
+    z = Cyclotomic.from_root_combination(3, [0, 1])
+    one = Cyclotomic.from_rational(1)
+    rows = (ClassFunction(g, (one, z, z)), ClassFunction(g, (one, z * z, z * z)))
+    return dataclasses.replace(table, irreducibles=table.irreducibles[:1] + rows)
+
+
+def test_a_galois_fixed_non_rational_row_breaks_orbit_sum_integrality(monkeypatch, capsys):
+    c3 = group_from_permutations(3, [(1, 2, 0)])
+    with pytest.raises(IntegralityError, match="Galois orbit sum has a non-integer value"):
+        rational_irreducibles(_galois_fixed_rows(character_table(c3)))
+    build = CHARACTERS._build_character_table
+    monkeypatch.setattr(
+        CHARACTERS, "_build_character_table",
+        lambda g: _galois_fixed_rows(build(g)) if g.order == 3 else build(g))
+    _fires(capsys, "hexagon-rot3", "Galois orbit sum has a non-integer value",
+           error=IntegralityError)
+    assert cli.main(["chartab", "hexagon-rot3"]) == 3
+
+
+def _halved(f):
+    return lambda *args: f(*args).scale(Fraction(1, 2))
+
+
+def test_a_halved_lhs_breaks_its_integrality(monkeypatch, capsys):
+    # on C2 fixing a point the lhs is the trivial character; half of it is not integral
+    monkeypatch.setattr(CochainComplex, "equivariant_euler_characteristic",
+                        _halved(CochainComplex.equivariant_euler_characteristic))
+    _fires(capsys, "point-c2", "point-c2: lhs: ", error=IntegralityError)
+
+
+def test_halved_inductions_break_the_integrality_of_both_sides(monkeypatch, capsys):
+    monkeypatch.setattr(ENGINE, "induce", _halved(ENGINE.induce))
+    _fires(capsys, "point-c2", "point-c2: rhs (induction): ", error=IntegralityError)
+    # verify stops at the induction side; the isotypic side checks its own sum
+    with pytest.raises(IntegralityError, match=r"point-c2: rhs \(isotypic\): "):
+        rhs_isotypic(builtin_scenario("point-c2"))

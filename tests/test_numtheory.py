@@ -3,9 +3,11 @@
 import math
 import random
 
+import pytest
 import sympy
 
 from equilef.numtheory import (
+    MR_BOUND,
     divisors,
     euler_phi,
     factorize,
@@ -27,6 +29,17 @@ def test_is_prime_large_samples():
     # some Carmichael numbers and prime powers
     for n in [561, 1105, 1729, 2465, 2821, 6601, 8911, 2**31 - 1, 3**10, 7**7]:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_at_its_proven_bound():
+    # psi_12 is a strong pseudoprime to every base 2..37, yet composite
+    assert MR_BOUND == 399165290221 * 798330580441
+    for n in (MR_BOUND, MR_BOUND + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match=f"only below {MR_BOUND}"):
+            is_prime(n)
+    assert is_prime(MR_BOUND - 1) == sympy.isprime(MR_BOUND - 1)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
 
 
 def test_factorize_reassembles():

@@ -86,6 +86,9 @@ ERROR_CASES = [
     (lambda d: d["lattice"].update(action={}), "$.lattice.action"),
     (lambda d: d.setdefault("options", {}).update(primes=[4]),
      "$.options.primes[0]"),
+    # psi_12, a strong pseudoprime to every Miller-Rabin base 2..37
+    (lambda d: d.setdefault("options", {}).update(primes=[2, 318665857834031151167461]),
+     "$.options.primes[1]"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=3),
      "$.options.subdivisions"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=True),
@@ -243,15 +246,18 @@ def test_summary_text_mentions_verdicts():
 
 
 def test_cyclotomic_rendering():
-    z3 = Cyclotomic.root_of_unity(3)
+    def root(e, k=1):
+        return Cyclotomic.from_root_combination(e, [0] * k + [1])
+
+    z3 = root(3)
     assert cyclotomic_str(z3) == "z3"
-    assert cyclotomic_str(Cyclotomic.from_rational(1) + Cyclotomic.root_of_unity(8)) == "1+z8"
+    assert cyclotomic_str(Cyclotomic.from_rational(1) + root(8)) == "1+z8"
     assert cyclotomic_str(Cyclotomic.from_rational(-2)) == "-2"
-    z5 = Cyclotomic.root_of_unity(5)
-    z5_2, z5_3 = Cyclotomic.root_of_unity(5, 2), Cyclotomic.root_of_unity(5, 3)
+    z5 = root(5)
+    z5_2, z5_3 = root(5, 2), root(5, 3)
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert cyclotomic_str(-half * z5_2) == "-1/2*z5^2"
-    assert cyclotomic_str(3 * half - 3 * Cyclotomic.root_of_unity(8, 3)) == "3/2-3*z8^3"
+    assert cyclotomic_str(3 * half - 3 * root(8, 3)) == "3/2-3*z8^3"
     assert cyclotomic_str(z5 + 2 * third * z5_3) == "z5+2/3*z5^3"
     assert cyclotomic_str(Cyclotomic.from_rational(-third)) == "-1/3"
     assert cyclotomic_str(Cyclotomic.from_rational(0)) == "0"
