@@ -22,7 +22,7 @@ irreducibles are integers and rebuild it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
@@ -37,26 +37,35 @@ class IntegralityError(ArithmeticError):
     """A quantity that the theory forces to be an integer failed to be one."""
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(namedtuple("ClassFunction", "group values")):
     """A cyclotomic-valued function on conjugacy classes."""
 
-    group: Group
-    values: tuple[Cyclotomic, ...]
+    __slots__ = ()
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.values)
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """All irreducible characters of a group, trivial first, degrees ascending."""
+    """All irreducible characters of a group, trivial first, degrees ascending.
 
-    group: Group
-    classes: tuple[ElementClass, ...]
-    irreducibles: tuple[ClassFunction, ...]
-    degrees: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Read-only; it owns the memo of ``rational_irreducibles``, so two tables
+    are equal only when they are the same object.
+    """
+
+    __slots__ = ("group", "classes", "irreducibles", "degrees", "_cache")
+
+    def __init__(self, group: Group, classes: tuple[ElementClass, ...],
+                 irreducibles: tuple[ClassFunction, ...], degrees: tuple[int, ...]):
+        for name, value in zip(self.__slots__, (group, classes, irreducibles, degrees, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a CharacterTable")
+
+    def __repr__(self):
+        return (f"CharacterTable(group={self.group!r}, classes={self.classes!r}, "
+                f"irreducibles={self.irreducibles!r}, degrees={self.degrees!r})")
 
 
 def _same_group(g: Group, h: Group) -> bool:
@@ -120,14 +129,11 @@ class VirtualCharacter:
         return f"VirtualCharacter({list(self.values)})"
 
 
-@dataclass(frozen=True)
-class RationalIrreducible:
+class RationalIrreducible(
+        namedtuple("RationalIrreducible", "group orbit orbit_sum orbit_size")):
     """A Galois orbit of irreducible characters and its integer-valued sum."""
 
-    group: Group
-    orbit: tuple[int, ...]
-    orbit_sum: VirtualCharacter
-    orbit_size: int
+    __slots__ = ()
 
 
 def trivial_character(g: Group) -> VirtualCharacter:

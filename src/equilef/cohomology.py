@@ -24,7 +24,7 @@ is exposed separately so callers can confront the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import _apply, _sub, reduce_columns, smith_invariants
@@ -423,14 +423,10 @@ def _as_stratum(space) -> Stratum:
     return space.as_stratum() if not isinstance(space, Stratum) else space
 
 
-@dataclass(frozen=True)
-class CohomologySummary:
+class CohomologySummary(namedtuple("CohomologySummary", "dims_q betti torsion traces")):
     """Dimensions over Q, Betti numbers and torsion over Z, optional traces."""
 
-    dims_q: tuple[int, ...]
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    traces: tuple[Fraction, ...] | None
+    __slots__ = ()
 
 
 def cohomology(c: CochainComplex, aut: int | None = None) -> CohomologySummary:

@@ -38,7 +38,7 @@ computation and is treated as a bug rather than a verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import (
@@ -58,7 +58,7 @@ from .complexes import (
     isotropy_classes,
     quotient_complex,
 )
-from .groups import Group, Subgroup, class_index_of, element_classes, memo
+from .groups import Group, class_index_of, element_classes, memo
 
 
 class Scenario:
@@ -100,43 +100,27 @@ class Scenario:
         return f"Scenario({self.name!r}, |G|={self.group.order}, rank={self.lattice.rank})"
 
 
-@dataclass(frozen=True)
-class IsotypicRow:
+class IsotypicRow(namedtuple("IsotypicRow", "orbit_index orbit_size coefficient")):
     """One rational irreducible of H with its integer coefficient."""
 
-    orbit_index: int
-    orbit_size: int
-    coefficient: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassTerm:
+class ClassTerm(namedtuple("ClassTerm", (
+        "subgroup", "subgroup_order", "normalizer_order", "conjugate_count", "weight",
+        "stratum_sizes", "stratum_euler", "cohomology_dims", "theta", "induced",
+        "isotypic"))):
     """Everything the theorem attaches to one subgroup class [H]."""
 
-    subgroup: Subgroup
-    subgroup_order: int
-    normalizer_order: int
-    conjugate_count: int
-    weight: Fraction
-    stratum_sizes: tuple[int, ...]
-    stratum_euler: int
-    cohomology_dims: tuple[int, ...]
-    theta: VirtualCharacter
-    induced: VirtualCharacter
-    isotypic: tuple[IsotypicRow, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
-    scenario_name: str
-    lhs: VirtualCharacter
-    rhs_induction: VirtualCharacter
-    rhs_isotypic: VirtualCharacter
-    terms: tuple[ClassTerm, ...]
-    complex_counts: tuple[int, ...]
-    subdivision_count: int
-    passed: bool
-    elapsed_seconds: float
+class LefschetzReport(namedtuple("LefschetzReport", (
+        "scenario_name", "lhs", "rhs_induction", "rhs_isotypic", "terms",
+        "complex_counts", "subdivision_count", "passed", "elapsed_seconds"))):
+    """The three characters of the theorem, its terms, and their verdict."""
+
+    __slots__ = ()
 
 
 @memo
@@ -250,12 +234,10 @@ def verify_theorem(s: Scenario) -> LefschetzReport:
     )
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    element: int
-    whole_value: Fraction
-    fixed_value: Fraction
-    passed: bool
+class CorollaryReport(namedtuple("CorollaryReport", "element whole_value fixed_value passed")):
+    """L(g, X) and L(g, X^<g>) for one element g."""
+
+    __slots__ = ()
 
 
 def verify_corollary(s: Scenario, g: int) -> CorollaryReport:
@@ -280,13 +262,13 @@ def verify_corollary(s: Scenario, g: int) -> CorollaryReport:
     )
 
 
-@dataclass(frozen=True)
-class FreeActionReport:
-    applicable: bool
-    vanishing_ok: bool | None = None
-    covering_ok: bool | None = None
-    quotient_ok: bool | None = None
-    invariant_euler: Fraction | None = None
+class FreeActionReport(namedtuple(
+        "FreeActionReport",
+        "applicable vanishing_ok covering_ok quotient_ok invariant_euler",
+        defaults=(None, None, None, None))):
+    """The free-action laws; a check that does not apply is None."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -332,11 +314,11 @@ def verify_free_action(s: Scenario) -> FreeActionReport:
     )
 
 
-@dataclass(frozen=True)
-class VerdierReport:
-    applicable: bool
-    multiple: Fraction | None = None
-    passed: bool = True
+class VerdierReport(namedtuple("VerdierReport", "applicable multiple passed",
+                                defaults=(None, True))):
+    """The regular-multiple identity of a free action."""
+
+    __slots__ = ()
 
 
 def verify_verdier(s: Scenario) -> VerdierReport:
@@ -352,35 +334,34 @@ def verify_verdier(s: Scenario) -> VerdierReport:
     )
 
 
-@dataclass(frozen=True)
-class ModpDegreeRow:
-    degree: int
-    modp_dim: int
-    betti: int
-    torsion_here: int
-    torsion_above: int
+class ModpDegreeRow(namedtuple(
+        "ModpDegreeRow", "degree modp_dim betti torsion_here torsion_above")):
+    """One degree's F_p dimension against its Betti number and p-torsion."""
+
+    __slots__ = ()
 
     @property
     def reconciles(self) -> bool:
         return self.modp_dim == self.betti + self.torsion_here + self.torsion_above
 
 
-@dataclass(frozen=True)
-class ModpReport:
-    prime: int
-    chi_rational: int
-    chi_modp: int
-    rows: tuple[ModpDegreeRow, ...]
+class ModpReport(namedtuple("ModpReport", "prime chi_rational chi_modp rows")):
+    """The characteristic-p comparison at one prime; its rows reconcile, or
+    ``verify_modp_comparison`` would have raised."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return self.chi_rational == self.chi_modp and all(
-            r.reconciles for r in self.rows
-        )
+        return self.chi_rational == self.chi_modp
 
 
 def verify_modp_comparison(s: Scenario, p: int) -> ModpReport:
-    """chi over F_p equals chi over Q; per-degree dims reconcile with torsion."""
+    """chi over F_p equals chi over Q; per-degree dims reconcile with torsion.
+
+    The reconciliation is the universal coefficient theorem, so a degree that
+    fails it is a bug, raised as ArithmeticError, not a verdict.
+    """
     cc = s.whole_cochains()
     qdims = cc.rational_dims()
     pdims = cc.modp_dims(p)
@@ -392,20 +373,24 @@ def verify_modp_comparison(s: Scenario, p: int) -> ModpReport:
         r_above = (
             sum(1 for t in torsion[k + 1] if t % p == 0) if k < top else 0
         )
-        rows.append(ModpDegreeRow(k, pdims[k], betti[k], r_here, r_above))
+        row = ModpDegreeRow(k, pdims[k], betti[k], r_here, r_above)
+        if not row.reconciles:
+            raise ArithmeticError(
+                f"{s.name}: mod {p} dimension in degree {k} does not reconcile with "
+                f"the integral cohomology: {row.modp_dim} != "
+                f"{row.betti} + {row.torsion_here} + {row.torsion_above}"
+            )
+        rows.append(row)
     chi_q = sum((-1) ** k * d for k, d in enumerate(qdims))
     chi_p = sum((-1) ** k * d for k, d in enumerate(pdims))
     return ModpReport(prime=p, chi_rational=chi_q, chi_modp=chi_p, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
-    scenario_name: str
-    theorem: LefschetzReport
-    corollaries: tuple[CorollaryReport, ...]
-    free_action: FreeActionReport
-    verdier: VerdierReport
-    modp: tuple[ModpReport, ...]
+class VerificationSummary(namedtuple(
+        "VerificationSummary", "scenario_name theorem corollaries free_action verdier modp")):
+    """Every report of one scenario; it passes when all of them do."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 DEFAULT_MAX_ORDER = 10_000
@@ -149,12 +149,10 @@ class Group:
         return f"Group(order={self.order})"
 
 
-@dataclass(frozen=True)
-class ElementClass:
+class ElementClass(namedtuple("ElementClass", "representative members")):
     """A conjugacy class of group elements."""
 
-    representative: int
-    members: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -218,13 +216,10 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={self.member_set})"
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(namedtuple("SubgroupClass", "representative members order")):
     """A conjugacy class of subgroups."""
 
-    representative: Subgroup
-    members: tuple[Subgroup, ...]
-    order: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ formats cannot disagree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import character_table, rational_irreducibles
@@ -46,22 +46,13 @@ class ScenarioError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(namedtuple("ScenarioFile", (
+        "schema_version", "name", "description", "group_degree", "group_generators",
+        "vertices", "maximal_simplices", "complex_action", "lattice_rank",
+        "lattice_action", "primes", "pre_subdivisions"))):
     """Canonicalized content of a scenario file, before construction."""
 
-    schema_version: int
-    name: str
-    description: str
-    group_degree: int
-    group_generators: tuple[tuple[int, ...], ...]
-    vertices: int
-    maximal_simplices: tuple[tuple[int, ...], ...]
-    complex_action: tuple[tuple[int, ...], ...]
-    lattice_rank: int
-    lattice_action: tuple[tuple[tuple[int, ...], ...], ...]
-    primes: tuple[int, ...]
-    pre_subdivisions: int
+    __slots__ = ()
 
 
 def _expect(cond, message, location):

@@ -1,12 +1,11 @@
 """Character tables against the exponent-lift oracle, and the integer
 orthonormality check against corrupted tables."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from equilef.characters import _check_orthonormality, character_table
+from equilef.characters import CharacterTable, _check_orthonormality, character_table
 from equilef.cyclotomic import Cyclotomic
 from equilef.groups import conjugacy_classes_of_subgroups, group_from_permutations
 from chartab_oracle import alternating, oracle_table, symmetric
@@ -36,8 +35,8 @@ def _corrupted(table, i, k, value):
     chi = table.irreducibles[i]
     values = chi.values[:k] + (value,) + chi.values[k + 1:]
     irreducibles = list(table.irreducibles)
-    irreducibles[i] = replace(chi, values=values)
-    return replace(table, irreducibles=tuple(irreducibles))
+    irreducibles[i] = chi._replace(values=values)
+    return CharacterTable(table.group, table.classes, tuple(irreducibles), table.degrees)
 
 
 def _positions(table):

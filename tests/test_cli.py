@@ -1,6 +1,5 @@
 """The command line front end: exit codes, formats, output files."""
 
-import dataclasses
 import importlib
 import json
 import math
@@ -227,9 +226,7 @@ def test_corpus_json():
 def test_verification_failure_exit_code(monkeypatch, capsys):
     # force a failing theorem verdict through the reporting path
     summary = full_verification(builtin_scenario("point-trivial"))
-    broken = dataclasses.replace(
-        summary, theorem=dataclasses.replace(summary.theorem, passed=False)
-    )
+    broken = summary._replace(theorem=summary.theorem._replace(passed=False))
     monkeypatch.setattr(cli, "full_verification", lambda s: broken)
     code = cli.main(["verify", "point-trivial"])
     assert code == 1

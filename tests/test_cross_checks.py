@@ -9,12 +9,14 @@ representative per conjugacy class.  Two checks guard those numbers: the
 alternating trace on cohomology must be an integer, and it must equal the
 Hopf chain-level trace.  ``triangle-s3`` is a circle under S3: three classes,
 two of them non-identity.  Further down: d o d = 0 on a built coboundary,
-Euler-Poincare over Q and over F_p, the degree squares of a character table,
-the integrality of a Galois orbit sum, and the integrality of the three
-characters the engine compares.
+Euler-Poincare over Q and over F_p, the per-degree reconciliation of the F_p
+dimensions with the integral cohomology (universal coefficients), the
+factorized stratum character against the traced one, the orbit count of a
+free quotient, the degree squares of a character table, the integrality of a
+Galois orbit sum, and the integrality of the three characters the engine
+compares.
 """
 
-import dataclasses
 import importlib
 import re
 from fractions import Fraction
@@ -22,14 +24,23 @@ from fractions import Fraction
 import pytest
 
 import equilef.cli as cli
-from equilef import builtin_scenario, element_classes, full_verification, verify_corollary
+from equilef import (
+    builtin_scenario,
+    element_classes,
+    full_verification,
+    verify_corollary,
+    verify_modp_comparison,
+)
 from equilef.characters import (
+    CharacterTable,
     ClassFunction,
     IntegralityError,
     character_table,
     rational_irreducibles,
+    trivial_character,
 )
 from equilef.cohomology import CochainComplex
+from equilef.complexes import quotient_complex
 from equilef.cyclotomic import Cyclotomic
 from equilef.engine import rhs_isotypic
 from equilef.groups import group_from_permutations
@@ -37,6 +48,7 @@ from equilef.groups import group_from_permutations
 # the attribute equilef.cohomology is the function of that name
 COHOMOLOGY = importlib.import_module("equilef.cohomology")
 CHARACTERS = importlib.import_module("equilef.characters")
+COMPLEXES = importlib.import_module("equilef.complexes")
 ENGINE = importlib.import_module("equilef.engine")
 
 NAME = "triangle-s3"
@@ -150,6 +162,56 @@ def test_a_wrong_mod_p_dimension_breaks_euler_poincare_over_f_p(monkeypatch, cap
     _fires(capsys, "disc-reflection", "Euler-Poincare mismatch mod 2")
 
 
+def test_a_dropped_mod_p_pivot_breaks_universal_coefficients(monkeypatch, capsys):
+    # every mod-p reduction loses its last pivot: ranks drop, so dimensions
+    # rise; Euler-Poincare still holds, the per-degree reconciliation does not
+    reduce_columns = COHOMOLOGY.reduce_columns
+
+    def dropped(columns, p=0, record=False):
+        echelon, kernel = reduce_columns(columns, p, record)
+        if p and echelon:
+            del echelon[max(echelon)]
+        return echelon, kernel
+
+    monkeypatch.setattr(COHOMOLOGY, "reduce_columns", dropped)
+    with pytest.raises(ArithmeticError, match="mod 2 dimension in degree 0"):
+        verify_modp_comparison(builtin_scenario("disc-reflection"), 2)
+    _fires(capsys, "disc-reflection",
+           "disc-reflection: mod 2 dimension in degree 0 does not reconcile with "
+           "the integral cohomology: 2 != 1 + 0 + 0")
+
+
+def test_a_corrupted_traced_stratum_character_is_raised(monkeypatch, capsys):
+    # one more than the traced character on every proper isotropy subgroup: it
+    # stays integral, and the whole group (the lhs) is untouched
+    traced = CochainComplex.equivariant_euler_characteristic
+
+    def off_by_one(cc, acting):
+        chi = traced(cc, acting)
+        if acting.order == acting.parent.order:
+            return chi
+        return chi + trivial_character(chi.group)
+
+    monkeypatch.setattr(CochainComplex, "equivariant_euler_characteristic", off_by_one)
+    _fires(capsys, NAME,
+           f"{NAME}: factorized character disagrees with traced character on stratum of ")
+
+
+def test_a_lost_orbit_representative_breaks_the_free_orbit_count(monkeypatch, capsys):
+    # hexagon-rot6 acts freely with trivial coefficients, so verify builds its
+    # quotient; one edge orbit goes missing from the representatives
+    representatives = COMPLEXES._orbit_representatives
+
+    def lossy(x):
+        reps = representatives(x)
+        return reps[:1] + [reps[1][:-1]] + reps[2:]
+
+    monkeypatch.setattr(COMPLEXES, "_orbit_representatives", lossy)
+    with pytest.raises(ArithmeticError, match="orbit count mismatch for a free action"):
+        quotient_complex(builtin_scenario("hexagon-rot6").complex)
+    _fires(capsys, "hexagon-rot6", "orbit count mismatch for a free action")
+
+
 def test_a_repeated_degree_two_character_breaks_the_degree_squares(monkeypatch, capsys):
     # S3's sign row becomes a copy of its degree-2 row: its eigenvalue
     # multiplicities still sum to its degree, but 1 + 4 + 4 != 6
@@ -174,7 +236,7 @@ def _galois_fixed_rows(table):
     z = Cyclotomic.from_root_combination(3, [0, 1])
     one = Cyclotomic.from_rational(1)
     rows = (ClassFunction(g, (one, z, z)), ClassFunction(g, (one, z * z, z * z)))
-    return dataclasses.replace(table, irreducibles=table.irreducibles[:1] + rows)
+    return CharacterTable(g, table.classes, table.irreducibles[:1] + rows, table.degrees)
 
 
 def test_a_galois_fixed_non_rational_row_breaks_orbit_sum_integrality(monkeypatch, capsys):
