@@ -8,11 +8,12 @@ to exact cyclotomic values through root-of-unity multiplicities.  The
 eigenspaces are split by the sparse column reduction of ``linalg`` mod p,
 whose recorded kernel vectors combine a space's basis into eigenvectors.
 Each class is lifted over its own element order o, from the o powers of its
-representative, into Q(zeta_o).  Every table is checked orthonormal in
-integer coordinates over Z[zeta_e], e the lcm of its conductors, with one
-reduction mod Phi_e per pair of characters.  On top of the table live
-Galois orbit sums (the rational-irreducible characters), induction and
-restriction, and virtual characters.
+representative, into Q(zeta_o).  Every value is written once in integer
+coordinates over Z[zeta_e], e the lcm of the table's conductors; the table
+is checked orthonormal there, with one reduction mod Phi_e per pair of
+characters, and the Galois orbit sums (the rational-irreducible characters)
+are added there.  Induction, restriction and the inner product act on
+rational virtual characters only.
 
 Integrality is decided in one place, ``rational_coefficients``: a rational
 virtual character is integral when its coefficients over the rational
@@ -146,30 +147,18 @@ def regular_character(g: Group) -> VirtualCharacter:
     return VirtualCharacter(g, values)
 
 
-def inner_product(a, b):
-    """<a, b> = |G|^-1 sum_g a(g) conj(b(g)), exact.
+def inner_product(a: VirtualCharacter, b: VirtualCharacter) -> Fraction:
+    """<a, b> = |G|^-1 sum_g a(g) b(g), exact, for rational virtual characters.
 
-    Returns a Fraction when both arguments are rational-valued virtual
-    characters and a Cyclotomic otherwise.
+    A rational value is its own complex conjugate; a cyclotomic class
+    function is refused rather than paired without its conjugation.
     """
-    ga = a.group
-    if not _same_group(ga, b.group):
-        raise ValueError("inner product needs class functions on one group")
-    classes = element_classes(ga)
-    if isinstance(a, VirtualCharacter) and isinstance(b, VirtualCharacter):
-        total = sum((cl.size * av * bv for cl, av, bv in zip(classes, a.values, b.values)),
-                    Fraction(0))
-        return total / ga.order
-    av = [_cyc(x) for x in a.values]
-    bv = [_cyc(x) for x in b.values]
-    total = Cyclotomic.from_rational(0)
-    for cl, x, y in zip(classes, av, bv):
-        total = total + cl.size * (x * y.conjugate())
-    return total / ga.order
-
-
-def _cyc(x) -> Cyclotomic:
-    return x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+    if not (isinstance(a, VirtualCharacter) and isinstance(b, VirtualCharacter)):
+        raise TypeError("inner_product takes rational virtual characters")
+    a._check_group(b)
+    total = sum((cl.size * av * bv for cl, av, bv in
+                 zip(element_classes(a.group), a.values, b.values)), Fraction(0))
+    return total / a.group.order
 
 
 def _fusion(h: Subgroup) -> list[int]:
@@ -384,38 +373,46 @@ def _ordered_table(g: Group, lifted) -> CharacterTable:
     return CharacterTable(g, tuple(element_classes(g)), irreducibles, degrees)
 
 
-def _check_orthonormality(table: CharacterTable):
-    """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates.
+@memo
+def _coordinates(table: CharacterTable) -> tuple[int, list[list[tuple[int, ...]]]]:
+    """(e, rows): e the lcm of the table's conductors and rows[i][k] the
+    integer coordinates of chi_i(x_k) in the power basis of Z[zeta_e].
 
-    Each value is promoted once to the power basis of Z[zeta_e], e the lcm
-    of the table's conductors; character values are algebraic integers, so
-    a non-integer coordinate is an error.  Per pair, sum_k |C_k| chi_i(x_k)
-    conj chi_j(x_k) is accumulated as an integer polynomial in zeta_e and
-    reduced mod Phi_e once; it must be |G| delta_ij.
+    Character values are algebraic integers, so a non-integer coordinate is
+    an error.  Each distinct value is promoted once.
     """
-    irr = table.irreducibles
-    sizes = [cl.size for cl in table.classes]
-    e = math.lcm(*(v.conductor for chi in irr for v in chi.values))
-    n = euler_phi(e)
-    coords, conjugates = {}, {}
-    for chi in irr:
+    e = math.lcm(*(v.conductor for chi in table.irreducibles for v in chi.values))
+    coords = {}
+    for chi in table.irreducibles:
         for v in chi.values:
             if v in coords:
                 continue
             promoted = v._promoted(e)
             if any(c.denominator != 1 for c in promoted):
-                raise ArithmeticError(
-                    f"character value {v!r} is not an algebraic integer"
-                )
-            coords[v] = [int(c) for c in promoted]
-            raw = [0] * e
-            for t, c in enumerate(coords[v]):
-                raw[-t % e] += c
-            conjugates[v] = _reduce_mod_phi(raw, e)
-    rows = [[coords[v] for v in chi.values] for chi in irr]
-    conj_rows = [[conjugates[v] for v in chi.values] for chi in irr]
+                raise ArithmeticError(f"character value {v!r} is not an algebraic integer")
+            coords[v] = tuple(int(c) for c in promoted)
+    return e, [[coords[v] for v in chi.values] for chi in table.irreducibles]
+
+
+def _check_orthonormality(table: CharacterTable):
+    """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates.
+
+    Per pair, sum_k |C_k| chi_i(x_k) conj chi_j(x_k) is accumulated over the
+    ``_coordinates`` of the values as an integer polynomial in zeta_e and
+    reduced mod Phi_e once; it must be |G| delta_ij.
+    """
+    e, rows = _coordinates(table)
+    n = euler_phi(e)
+    sizes = [cl.size for cl in table.classes]
+    conjugates = {}
+    for c in {c for row in rows for c in row}:
+        raw = [0] * e
+        for t, x in enumerate(c):
+            raw[-t % e] += x
+        conjugates[c] = _reduce_mod_phi(raw, e)
+    conj_rows = [[conjugates[c] for c in row] for row in rows]
     for i, a_row in enumerate(rows):
-        for j in range(i, len(irr)):
+        for j in range(i, len(rows)):
             acc = [0] * (2 * n - 1)
             for size, a, b in zip(sizes, a_row, conj_rows[j]):
                 for t, x in enumerate(a):
@@ -447,6 +444,7 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     m = g.exponent()
     pm = power_map(g)
     r = len(table.classes)
+    coords = _coordinates(table)[1]
     lookup = {table.irreducibles[t].values: t for t in range(len(table.irreducibles))}
     seen = [False] * len(table.irreducibles)
     out = []
@@ -463,12 +461,11 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
                 orbit.add(u)
                 seen[u] = True
         orbit = tuple(sorted(orbit))
-        acc = [Cyclotomic.from_rational(0)] * r
-        for u in orbit:
-            acc = [x + y for x, y in zip(acc, table.irreducibles[u].values)]
-        if not all(x.is_integer() for x in acc):
+        # a value is rational when only its constant coordinate is nonzero
+        acc = [[sum(c) for c in zip(*(coords[u][j] for u in orbit))] for j in range(r)]
+        if any(any(c[1:]) for c in acc):
             raise IntegralityError("Galois orbit sum has a non-integer value")
-        orbit_sum = VirtualCharacter(g, [x.as_fraction() for x in acc])
+        orbit_sum = VirtualCharacter(g, [c[0] for c in acc])
         out.append(RationalIrreducible(g, orbit, orbit_sum, len(orbit)))
     return out
 

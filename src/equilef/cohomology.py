@@ -92,7 +92,9 @@ class GLattice:
     @classmethod
     def from_generator_matrices(cls, group: Group, rank_: int, generator_matrices):
         """Extend generator matrices to the group (``groups.extend_from_generators``,
-        which checks the relations); each must be rank x rank."""
+        which checks the relations); each must be rank x rank, the rank positive."""
+        if rank_ < 1:
+            raise ValueError(f"lattice rank {rank_} is not positive")
         gens = [[[int(v) for v in row] for row in m] for m in generator_matrices]
         for j, m in enumerate(gens):
             if len(m) != rank_ or any(len(row) != rank_ for row in m):
@@ -103,16 +105,6 @@ class GLattice:
     @classmethod
     def trivial(cls, group: Group) -> "GLattice":
         return cls(group, 1, [((1,),)] * group.order)
-
-    @classmethod
-    def sign(cls, group: Group, generator_signs) -> "GLattice":
-        """Rank-one lattice where generator j acts by the given unit."""
-        for s in generator_signs:
-            if s not in (1, -1):
-                raise ValueError("generator signs must be 1 or -1")
-        return cls.from_generator_matrices(
-            group, 1, [((s,),) for s in generator_signs]
-        )
 
     @classmethod
     def regular(cls, group: Group) -> "GLattice":

@@ -59,7 +59,8 @@ class Stratum:
         return tuple(counts)
 
     def euler_characteristic(self) -> int:
-        """Compactly supported Euler characteristic: alternating cell count."""
+        """Alternating cell count: the compactly supported Euler characteristic,
+        the ordinary one on a whole complex (which shares this method)."""
         return sum((-1) ** dim * len(group) for dim, group in enumerate(self.simplices))
 
     @memo
@@ -167,8 +168,7 @@ class SimplicialGComplex:
     def is_free(self) -> bool:
         return all(len(st) == 1 for st in self.vertex_stabilizers())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** dim * len(level) for dim, level in enumerate(self.simplices))
+    euler_characteristic = Stratum.euler_characteristic
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)

@@ -61,6 +61,9 @@ from .complexes import (
 from .groups import Group, class_index_of, element_classes, memo
 
 
+DEFAULT_PRIMES = (2, 3, 5)
+
+
 class Scenario:
     """A named (group, complex, lattice) triple ready for verification."""
 
@@ -69,7 +72,7 @@ class Scenario:
 
     def __init__(self, name: str, group: Group, complex_: SimplicialGComplex,
                  lattice: GLattice, description: str = "",
-                 primes: tuple[int, ...] = (2, 3, 5)):
+                 primes: tuple[int, ...] = DEFAULT_PRIMES):
         if complex_.group is not group or lattice.group is not group:
             raise ValueError("scenario parts disagree about the group")
         self.name = name
@@ -146,16 +149,22 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
         n_order = g.order // len(cls.members)
         weight = Fraction(h.order, n_order)
         stratum = exact_stratum(x, h)
-        base = cochain_complex(stratum, s.base_lattice())
-        hdims = base.rational_dims()
+        cc = cochain_complex(stratum, s.lattice)
         euler = stratum.euler_characteristic()
 
-        # H fixes its stratum pointwise, so cohomology with lattice values is
-        # the base cohomology tensored with the lattice: the character
-        # factorizes through the lattice trace.
+        # H fixes its stratum pointwise and coefficients are flat, so the
+        # coboundary is d (x) I_r: each lattice dimension is r times the
+        # trivial-coefficient one, and the character factorizes through the
+        # lattice trace.
+        r = s.lattice.rank
+        dims = cc.rational_dims()
+        if any(d % r for d in dims):
+            raise ArithmeticError(
+                f"{s.name}: cohomology dimensions of the stratum of {h!r} are not "
+                f"multiples of the lattice rank {r}"
+            )
         theta = restrict(s.lattice.character(), h).scale(euler)
-        general = cochain_complex(stratum, s.lattice).equivariant_euler_characteristic(h)
-        if theta != general:
+        if theta != cc.equivariant_euler_characteristic(h):
             raise ArithmeticError(
                 f"{s.name}: factorized character disagrees with traced character "
                 f"on stratum of {h!r}"
@@ -172,7 +181,7 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
                 weight=weight,
                 stratum_sizes=stratum.sizes(),
                 stratum_euler=euler,
-                cohomology_dims=hdims,
+                cohomology_dims=tuple(d // r for d in dims),
                 theta=theta,
                 induced=induce(h, theta),
                 isotypic=tuple(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .characters import character_table, rational_irreducibles
 from .cohomology import GLattice
 from .complexes import build_complex, exact_stratum, fixed_subcomplex
-from .engine import Scenario, VerificationSummary
+from .engine import DEFAULT_PRIMES, Scenario, VerificationSummary
 from .groups import (
     Group,
     conjugacy_classes_of_subgroups,
@@ -34,7 +34,6 @@ from .linalg import is_unimodular
 from .numtheory import is_prime
 
 SCHEMA_VERSION = 1
-DEFAULT_PRIMES = (2, 3, 5)
 
 
 class ScenarioError(ValueError):
@@ -285,7 +284,7 @@ def scenario_file_dict(sf: ScenarioFile) -> dict:
 
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Canonical JSON text; parse(serialize(parse(t))) == parse(t)."""
-    return json.dumps(scenario_file_dict(sf), indent=2) + "\n"
+    return canonical_json(scenario_file_dict(sf))
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def builtin_scenario(name: str) -> Scenario:
     elif lattice == "regular":
         lattice = GLattice.regular(group)
     else:
-        lattice = GLattice.sign(group, list(lattice))
+        lattice = GLattice.from_generator_matrices(group, 1, [[[u]] for u in lattice])
     return Scenario(name, group, complex_, lattice, description)
 
 

@@ -4,10 +4,11 @@ orthonormality.
 ``oracle_table(g)`` shares the class-algebra diagonalization mod p and the
 ordering of the irreducibles with ``equilef.characters``.  It then lifts every
 value through the multiplicities of all m = exp(G) powers of zeta_m, whatever
-the order of the class, and checks orthonormality with the cyclotomic
-``inner_product``, one ``Cyclotomic`` operation per term.  The package lifts
-each class over its own element order and checks orthonormality in integer
-coordinates over Z[zeta_e]; the tests compare the two tables value for value.
+the order of the class, and checks orthonormality with
+``cyclotomic_inner_product``, one ``Cyclotomic`` operation per term.  The
+package lifts each class over its own element order and checks
+orthonormality in integer coordinates over Z[zeta_e]; the tests compare the
+two tables value for value.
 
     PYTHONPATH=src python tests/chartab_oracle.py
 
@@ -23,12 +24,27 @@ from equilef.characters import (
     _central_characters_mod_p,
     _dixon_prime,
     _ordered_table,
-    inner_product,
     power_map,
 )
 from equilef.cyclotomic import Cyclotomic
 from equilef.groups import conjugacy_classes_of_subgroups, element_classes, group_from_permutations
 from equilef.numtheory import primitive_root
+
+
+def _cyc(x) -> Cyclotomic:
+    return x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+
+
+def cyclotomic_inner_product(a, b) -> Cyclotomic:
+    """<a, b> = |G|^-1 sum_g a(g) conj(b(g)) in ``Cyclotomic`` arithmetic, for
+    class functions on one group with cyclotomic or rational values."""
+    g = a.group
+    if not (g is b.group or g.mul == b.group.mul):
+        raise ValueError("inner product needs class functions on one group")
+    total = Cyclotomic.from_rational(0)
+    for cl, x, y in zip(element_classes(g), a.values, b.values):
+        total = total + cl.size * (_cyc(x) * _cyc(y).conjugate())
+    return total / g.order
 
 
 def oracle_table(g):
@@ -62,7 +78,7 @@ def oracle_table(g):
     irr = table.irreducibles
     for i in range(len(irr)):
         for j in range(i, len(irr)):
-            if inner_product(irr[i], irr[j]) != (1 if i == j else 0):
+            if cyclotomic_inner_product(irr[i], irr[j]) != (1 if i == j else 0):
                 raise ArithmeticError(f"characters {i} and {j} are not orthonormal")
     return [(d, chi.values) for d, chi in zip(table.degrees, irr)]
 

@@ -28,6 +28,7 @@ from equilef.cyclotomic import Cyclotomic
 from equilef.engine import verify_theorem
 from equilef.groups import element_classes, subgroups
 from equilef.scenarios import builtin_scenarios
+from chartab_oracle import cyclotomic_inner_product
 
 ONE = Cyclotomic.from_rational(1)
 ZERO = Cyclotomic.from_rational(0)
@@ -179,7 +180,7 @@ def test_criterion_6_character_theory(acceptance_log, corpus):
         for i, a in enumerate(table.irreducibles):
             for j, b in enumerate(table.irreducibles):
                 expected = ONE if i == j else ZERO
-                ok = ok and inner_product(a, b) == expected
+                ok = ok and cyclotomic_inner_product(a, b) == expected
         # column orthogonality
         for i in range(len(classes)):
             for j in range(len(classes)):

@@ -21,6 +21,7 @@ from equilef.characters import (
 from equilef.cyclotomic import Cyclotomic
 from equilef.groups import class_index_of, element_classes, group_from_permutations, subgroups
 from equilef.scenarios import builtin_scenario
+from chartab_oracle import cyclotomic_inner_product
 
 PRESENTATIONS = {
     "c1": (1, []),
@@ -47,7 +48,16 @@ def test_row_orthogonality(group):
     for i, a in enumerate(table.irreducibles):
         for j, b in enumerate(table.irreducibles):
             expected = ONE if i == j else ZERO
-            assert inner_product(a, b) == expected, (i, j)
+            assert cyclotomic_inner_product(a, b) == expected, (i, j)
+
+
+def test_inner_product_refuses_cyclotomic_class_functions(group):
+    # pairing without the conjugation would be wrong off the real values
+    chi = character_table(group).irreducibles[-1]
+    with pytest.raises(TypeError, match="rational virtual characters"):
+        inner_product(chi, chi)
+    with pytest.raises(TypeError, match="rational virtual characters"):
+        inner_product(trivial_character(group), chi)
 
 
 def test_column_orthogonality(group):

@@ -48,7 +48,7 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         GLattice.from_generator_matrices(c2, 2, [c2_matrix_of_order_4])
     with pytest.raises(ValueError):
-        GLattice.sign(c2, [2])
+        GLattice.from_generator_matrices(c2, 1, [[[-2]]])
 
 
 def test_generator_matrices_must_be_square_of_the_rank():
@@ -61,12 +61,20 @@ def test_generator_matrices_must_be_square_of_the_rank():
         GLattice.from_generator_matrices(c2, 2, [[[0, 1], [1, 0], [0, 0]]])
 
 
+def test_a_lattice_of_rank_zero_is_refused():
+    # the engine reads stratum dimensions as multiples of the rank
+    c2 = group_from_permutations(2, [(1, 0)])
+    with pytest.raises(ValueError, match="lattice rank 0 is not positive"):
+        GLattice.from_generator_matrices(c2, 0, [[]])
+
+
 def test_identity_generator_must_act_trivially_on_the_lattice():
     # C2 presented with an extra identity generator, first in the list
     c2 = group_from_permutations(2, [(0, 1), (1, 0)])
     assert c2.order == 2
     sign = GLattice.from_generator_matrices(c2, 1, [[[1]], [[-1]]])
-    assert sign.matrices == GLattice.sign(group_from_permutations(2, [(1, 0)]), [-1]).matrices
+    c2_sign = GLattice.from_generator_matrices(group_from_permutations(2, [(1, 0)]), 1, [[[-1]]])
+    assert sign.matrices == c2_sign.matrices
     with pytest.raises(ValueError, match="relation"):
         GLattice.from_generator_matrices(c2, 1, [[[-1]], [[-1]]])
     trivial = group_from_permutations(2, [(0, 1)])
@@ -78,7 +86,7 @@ def test_identity_generator_must_act_trivially_on_the_lattice():
 def test_lattice_characters():
     c2 = group_from_permutations(2, [(1, 0)])
     assert GLattice.trivial(c2).character().values == (Fraction(1), Fraction(1))
-    assert GLattice.sign(c2, [-1]).character().values == (
+    assert GLattice.from_generator_matrices(c2, 1, [[[-1]]]).character().values == (
         Fraction(1),
         Fraction(-1),
     )

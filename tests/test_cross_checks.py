@@ -14,7 +14,11 @@ dimensions with the integral cohomology (universal coefficients), the
 factorized stratum character against the traced one, the orbit count of a
 free quotient, the degree squares of a character table, the integrality of a
 Galois orbit sum, and the integrality of the three characters the engine
-compares.
+compares.  Last, the invariants of the character-table build (the Dixon
+prime, the eigenspace split mod p, the lift and the Galois action), of the
+cyclotomic arithmetic behind it, of the cohomology trace (the image of a
+cocycle is a cocycle) and of the stratum dimensions (multiples of the
+lattice rank).
 """
 
 import importlib
@@ -40,6 +44,7 @@ from equilef.characters import (
     trivial_character,
 )
 from equilef.cohomology import CochainComplex
+from equilef.cyclotomic import cyclotomic_polynomial
 from equilef.complexes import quotient_complex
 from equilef.cyclotomic import Cyclotomic
 from equilef.engine import rhs_isotypic
@@ -50,6 +55,7 @@ COHOMOLOGY = importlib.import_module("equilef.cohomology")
 CHARACTERS = importlib.import_module("equilef.characters")
 COMPLEXES = importlib.import_module("equilef.complexes")
 ENGINE = importlib.import_module("equilef.engine")
+CYCLOTOMIC = importlib.import_module("equilef.cyclotomic")
 
 NAME = "triangle-s3"
 
@@ -111,14 +117,15 @@ def test_hopf_mismatch_at_a_non_identity_class_is_an_internal_error(
     assert "Hopf trace" in err
 
 
-def _fires(capsys, name, message, error=ArithmeticError):
-    """full_verification of the builtin raises error, and ``equilef verify``
-    of it exits 3; both name message."""
+def _fires(capsys, name, message, error=ArithmeticError, commands=("verify",)):
+    """full_verification of the builtin raises error, and each ``equilef``
+    command on it exits 3; all name message."""
     with pytest.raises(error, match=re.escape(message)):
         full_verification(builtin_scenario(name))
-    assert cli.main(["verify", name]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"internal error: {message}"), err
+    for command in commands:
+        assert cli.main([command, name]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {message}"), err
 
 
 def test_a_flipped_coboundary_entry_breaks_d_squared(monkeypatch, capsys):
@@ -269,3 +276,146 @@ def test_halved_inductions_break_the_integrality_of_both_sides(monkeypatch, caps
     # verify stops at the induction side; the isotypic side checks its own sum
     with pytest.raises(IntegralityError, match=r"point-c2: rhs \(isotypic\): "):
         rhs_isotypic(builtin_scenario("point-c2"))
+
+
+def test_a_lowered_prime_bound_leaves_no_dixon_prime(monkeypatch, capsys):
+    monkeypatch.setattr(CHARACTERS, "DIXON_PRIME_BOUND", 2)
+    _fires(capsys, NAME, "no suitable prime below 2 for exponent ",
+           commands=("verify", "chartab"))
+
+
+def _patch_mod_p_reduction(monkeypatch, corrupt):
+    """Every reduction of the eigenspace split returns corrupt(columns, kernel)."""
+    reduce_columns = CHARACTERS.reduce_columns
+
+    def corrupted(columns, p=0, record=False):
+        echelon, kernel = reduce_columns(columns, p, record)
+        return echelon, corrupt(columns, kernel)
+
+    monkeypatch.setattr(CHARACTERS, "reduce_columns", corrupted)
+
+
+def test_a_reduction_without_kernel_fails_to_split_the_class_algebra(monkeypatch, capsys):
+    _patch_mod_p_reduction(monkeypatch, lambda columns, kernel: [])
+    _fires(capsys, NAME, "class algebra failed to split over F_p",
+           commands=("verify", "chartab"))
+
+
+def test_a_reduction_returning_the_whole_basis_never_reaches_lines(monkeypatch, capsys):
+    # the first shift "kills" the whole space, so no space is ever split
+    _patch_mod_p_reduction(
+        monkeypatch, lambda columns, kernel: [(j, {j: 1}) for j in range(len(columns))])
+    _fires(capsys, NAME, "common eigenspace splitting did not reach lines",
+           commands=("verify", "chartab"))
+
+
+def test_eigenvectors_without_an_identity_coordinate_are_raised(monkeypatch, capsys):
+    # C2 splits at its first shift, on the standard basis, so each kernel
+    # vector is the eigenvector itself; its identity-class coordinate is dropped
+    _patch_mod_p_reduction(monkeypatch, lambda columns, kernel: [
+        (j, {i: c for i, c in x.items() if i}) for j, x in kernel])
+    _fires(capsys, "point-c2", "central character vanishes at the identity class",
+           commands=("verify", "chartab"))
+
+
+def _patch_central_characters(monkeypatch, corrupt):
+    central = CHARACTERS._central_characters_mod_p
+    monkeypatch.setattr(CHARACTERS, "_central_characters_mod_p",
+                        lambda g, p: corrupt(central(g, p), p))
+
+
+def test_a_wrong_identity_value_mod_p_breaks_the_multiplicities(monkeypatch, capsys):
+    # a row's identity entry is its degree mod p: one more is one eigenvalue too many
+    def shifted(rows, p):
+        (degree, row), *rest = rows
+        return [(degree, [(row[0] + 1) % p] + row[1:])] + rest
+
+    _patch_central_characters(monkeypatch, shifted)
+    _fires(capsys, NAME, "eigenvalue multiplicities do not sum to the degree",
+           commands=("verify", "chartab"))
+
+
+def test_a_repeated_trivial_row_is_raised(monkeypatch, capsys):
+    def trivial_twice(rows, p):
+        return [next(t for t in rows if set(t[1]) == {1})] + rows
+
+    _patch_central_characters(monkeypatch, trivial_twice)
+    _fires(capsys, NAME, "expected exactly one trivial character",
+           commands=("verify", "chartab"))
+
+
+def test_a_row_whose_galois_image_is_missing_is_raised(monkeypatch, capsys):
+    # C3 with rows (1, 1, 1), (1, z, z^2), (1, z, z): z -> z^2 sends the
+    # second row to (1, z^2, z), which is not in the table
+    build = CHARACTERS._build_character_table
+
+    def broken(g):
+        table = build(g)
+        if g.order != 3:
+            return table
+        z, z2 = (Cyclotomic.from_root_combination(3, [0] * k + [1]) for k in (1, 2))
+        one = Cyclotomic.from_rational(1)
+        rows = (ClassFunction(g, (one, z, z2)), ClassFunction(g, (one, z, z)))
+        return CharacterTable(g, table.classes, table.irreducibles[:1] + rows, table.degrees)
+
+    monkeypatch.setattr(CHARACTERS, "_build_character_table", broken)
+    _fires(capsys, "hexagon-rot3", "Galois action left the character table",
+           commands=("verify", "chartab"))
+
+
+def test_an_image_with_a_stray_entry_is_not_a_cocycle(monkeypatch, capsys):
+    # degree-0 cocycles of the circle are the constants; one entry more is not one
+    apply_action = CochainComplex.apply_action
+
+    def stray(cc, e, k, cochain):
+        out = apply_action(cc, e, k, cochain)
+        if k == 0:
+            out[0] = out.get(0, 0) + 1
+            if not out[0]:
+                del out[0]
+        return out
+
+    monkeypatch.setattr(CochainComplex, "apply_action", stray)
+    _fires(capsys, NAME, "degree-0 cochain is not a cocycle")
+
+
+@pytest.fixture
+def fresh_cyclotomic_polynomials():
+    # cyclotomic_polynomial is an lru_cache: a corrupted build must start and
+    # end with an empty one
+    cyclotomic_polynomial.cache_clear()
+    yield
+    cyclotomic_polynomial.cache_clear()
+
+
+def test_a_divisor_listed_twice_makes_a_division_inexact(
+        monkeypatch, capsys, fresh_cyclotomic_polynomials):
+    # Phi_e is x^e - 1 divided by Phi_d for each proper divisor d: dividing by
+    # Phi_1 twice leaves a remainder
+    divisors = CYCLOTOMIC.divisors
+    monkeypatch.setattr(CYCLOTOMIC, "divisors", lambda e: [1] + divisors(e) if e > 1 else [1])
+    _fires(capsys, NAME, "division was not exact", commands=("verify", "chartab"))
+
+
+def test_a_subfield_search_with_two_kernel_vectors_is_raised(monkeypatch, capsys):
+    # C6 values lie in Q(zeta_3) inside Q(zeta_6); the search must find one
+    # kernel vector, on the value's column
+    reduce_columns = CYCLOTOMIC.reduce_columns
+
+    def doubled(columns, p=0, record=False):
+        echelon, kernel = reduce_columns(columns, p, record)
+        return echelon, kernel + kernel
+
+    monkeypatch.setattr(CYCLOTOMIC, "reduce_columns", doubled)
+    _fires(capsys, "hexagon-rot6", "subfield expression failed",
+           commands=("verify", "chartab"))
+
+
+def test_a_stratum_dimension_off_the_lattice_rank_is_raised(monkeypatch, capsys):
+    # coefficients are flat, so each stratum dimension is a multiple of the
+    # rank (2 for the regular lattice of C2); one more in degree 0 is not
+    dims = CochainComplex.rational_dims
+    monkeypatch.setattr(CochainComplex, "rational_dims",
+                        lambda cc: (dims(cc)[0] + 1,) + dims(cc)[1:])
+    _fires(capsys, "point-c2-regular",
+           "point-c2-regular: cohomology dimensions of the stratum of ")
