@@ -23,7 +23,7 @@ irreducibles are integers and rebuild it exactly.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
@@ -232,10 +232,6 @@ def power_map(g: Group) -> list[tuple[int, ...]]:
 
 
 def _build_character_table(g: Group) -> CharacterTable:
-    classes = tuple(element_classes(g))
-    if len(classes) == 1:
-        triv = ClassFunction(g, (Cyclotomic.from_rational(1),))
-        return CharacterTable(g, classes, (triv,), (1,))
     p = _dixon_prime(g.order, g.exponent())
     table = _ordered_table(g, _lift(g, p, _central_characters_mod_p(g, p)))
     _check_orthonormality(table)
@@ -250,14 +246,7 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
     sizes = [cl.size for cl in classes]
     inv_class = [cls_of[g.inverse[cl.representative]] for cl in classes]
 
-    # structure constants a[i][j][k] = #{(x, y) in C_i x C_j : x y = z_k}
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
     reps = [cl.representative for cl in classes]
-    for i, cl in enumerate(classes):
-        for x in cl.members:
-            xinv = g.inverse[x]
-            for k, zk in enumerate(reps):
-                a[i][cls_of[g.mul[xinv][zk]]][k] += 1
 
     # split F_p^r into common eigenspaces; each line is a central character.
     # A kernel vector x of the columns (K_i - lam) s_j spans the eigenvector
@@ -266,9 +255,14 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
     for i in range(1, r):
         if all(len(basis) == 1 for basis in spaces):
             break
-        # right multiplication by the class sum K_i on the basis {K_j}
-        columns = [{j: a[j][i][k] % p for j in range(r) if a[j][i][k] % p}
-                   for k in range(r)]
+        # right multiplication by the class sum K_i on the basis {K_j}: the
+        # entry (j, k) counts the y in C_i with z_k y^-1 in C_j
+        inverses = [g.inverse[y] for y in classes[i].members]
+        columns = []
+        for zk in reps:
+            row = g.mul[zk]
+            counts = Counter(cls_of[row[y]] for y in inverses)
+            columns.append({j: c % p for j, c in counts.items() if c % p})
         refined = []
         for basis in spaces:
             if len(basis) == 1:

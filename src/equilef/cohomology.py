@@ -15,11 +15,12 @@ forces a Fraction, and over F_p for mod-p ranks.
 Reducing d_k yields an echelon basis of im d_k and, from the recorded column
 operations, kernel vectors of d_k; those whose pivot im d_(k-1) leaves free
 represent H^k.  A trace on H^k reduces the image of each representative
-against this basis of ker d_k; a residue raises ArithmeticError.  Invariant
-cochains are spanned by signed orbit sums, and integral torsion is read off
-the Smith invariants of the same sparse columns (``linalg.smith_invariants``),
-whose count must match the rank over Q.  The chain-level alternating trace
-is exposed separately so callers can confront the two.
+against this basis of ker d_k; a residue raises ArithmeticError.  Over Q the
+invariants of H^k are read off its trace character (Maschke), and integral
+torsion is read off the Smith invariants of the same sparse columns
+(``linalg.smith_invariants``), whose count must match the rank over Q.  The
+chain-level alternating trace is exposed separately so callers can confront
+the two.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import _apply, _sub, reduce_columns, smith_invariants
-from .characters import VirtualCharacter
+from .characters import VirtualCharacter, rational_coefficients
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes, extend_from_generators, memo
 
@@ -327,14 +328,15 @@ class CochainComplex:
             raise ArithmeticError(f"non-integral alternating trace {total}")
         return total
 
+    def _character(self, acting: Subgroup, trace) -> VirtualCharacter:
+        """trace(h) at the class representatives of the acting group."""
+        inner = acting.as_group()
+        return VirtualCharacter(inner, tuple(
+            trace(acting.to_parent(c.representative)) for c in element_classes(inner)))
+
     def equivariant_euler_characteristic(self, acting: Subgroup) -> VirtualCharacter:
         """The virtual character h |-> alternating trace of h, on the acting group."""
-        inner = acting.as_group()
-        values = []
-        for cls in element_classes(inner):
-            parent_elem = acting.to_parent(cls.representative)
-            values.append(self.lefschetz_number(parent_elem))
-        return VirtualCharacter(inner, tuple(values))
+        return self._character(acting, self.lefschetz_number)
 
     # -- cohomology over Z and F_p ---------------------------------------------
 
@@ -364,39 +366,20 @@ class CochainComplex:
         dims = _dims_from_ranks(self.dims, ranks)
         return _euler_checked(self.dims, dims, f"mod {p}")
 
-    # -- invariants -------------------------------------------------------------
-
-    def _orbit_sums(self, members, k):
-        """Signed orbit sums of the basis cochains: they span the invariants."""
-        r = self.lattice.rank
-        covered = set()
-        sums = []
-        for s_i in range(len(self.bases[k])):
-            if s_i in covered:
-                continue
-            covered.update(self._moves(e, k)[s_i][0] for e in members)
-            for j in range(r):
-                acc: dict = {}
-                for e in members:
-                    _sub(acc, -1, self.apply_action(e, k, {s_i * r + j: 1}))
-                if acc:
-                    sums.append(acc)
-        return sums
-
     @memo
     def invariant_dims(self, acting: Subgroup) -> tuple[int, ...]:
-        """dim_Q of the cohomology of the subcomplex of acting-invariant cochains."""
-        members = acting.member_set
-        sizes = []
-        ranks = []
-        for k in range(len(self.bases)):
-            sums = self._orbit_sums(members, k)
-            sizes.append(len(reduce_columns(sums)[0]))
-            columns = self.coboundary(k)
-            if columns is not None:
-                images = [_apply(columns, v) for v in sums]
-                ranks.append(len(reduce_columns(images)[0]))
-        return _dims_from_ranks(sizes, ranks)
+        """dim_Q H^k(C)^H per degree, the cohomology of the invariant cochains.
+
+        Over Q, H^k is semisimple (Maschke), so its invariants are its
+        multiplicity of the trivial character: the first coefficient of its
+        trace character, which ``rational_coefficients`` checks is integral.
+        """
+        return tuple(
+            int(rational_coefficients(
+                self._character(acting, lambda e: self.trace_on_cohomology(e, k)),
+                f"H^{k} of {self!r}")[0])
+            for k in range(len(self.bases))
+        )
 
     def __repr__(self):
         return (

@@ -16,6 +16,7 @@ formats cannot disagree.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -34,6 +35,11 @@ from .linalg import is_unimodular
 from .numtheory import is_prime
 
 SCHEMA_VERSION = 1
+
+# A verify peaks at about 3 KB per cell (3.1 KB on the torus subdivided three
+# times, 20,736 cells; 2.3 KB on the 16-vertex simplex, 65,535 cells), so
+# this many cells stay near 0.5 GB.
+MAX_CELLS = 150_000
 
 
 class ScenarioError(ValueError):
@@ -97,6 +103,22 @@ def _permutation(row, degree, location):
     return tuple(row)
 
 
+def _surjections(n: int, m: int) -> int:
+    """Surjections of an n-set onto an m-set, m! S(n, m), by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(m, i) * (m - i) ** n for i in range(m + 1))
+
+
+def _subdivided_cells(f, times) -> int:
+    """The cell count after barycentric subdivisions of a complex with f-vector f.
+
+    A subdivision puts (j+1)! S(k+1, j+1) open j-cells in each k-cell.
+    """
+    for _ in range(times):
+        f = [sum(f[k] * _surjections(k + 1, j + 1) for k in range(j, len(f)))
+             for j in range(len(f))]
+    return sum(f)
+
+
 def parse_scenario_file(text: str) -> ScenarioFile:
     """Validate scenario JSON into canonical form (no heavy construction)."""
     try:
@@ -139,6 +161,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             "field 'maximal_simplices' must be a nonempty list",
             "$.complex.maximal_simplices")
     maximal = []
+    cells = 0  # an n-vertex simplex has 2^n - 1 faces
     for i, simplex in enumerate(raw_max):
         loc = f"$.complex.maximal_simplices[{i}]"
         _expect(isinstance(simplex, list) and simplex,
@@ -147,6 +170,9 @@ def parse_scenario_file(text: str) -> ScenarioFile:
                 f"vertices must be integers in 0..{vertices - 1}", loc)
         _expect(len(set(simplex)) == len(simplex),
                 "simplex has a repeated vertex", loc)
+        cells += 2 ** len(simplex) - 1
+        _expect(cells <= MAX_CELLS,
+                f"the complex may have {cells} cells, over the limit of {MAX_CELLS}", loc)
         maximal.append(tuple(sorted(simplex)))
     maximal = tuple(sorted(set(maximal)))
     # each vertex map lists every vertex; without generators, a vertex that no
@@ -204,6 +230,14 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     subdivisions = options.get("subdivisions", 0)
     _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",
+            "$.options.subdivisions")
+    # the face closure has at most sum_s C(|s|, j+1) cells of dimension j > 0
+    f = [vertices] + [sum(math.comb(len(s), j + 1) for s in maximal)
+                      for j in range(1, max(map(len, maximal)))]
+    cells = _subdivided_cells(f, subdivisions)
+    _expect(cells <= MAX_CELLS,
+            f"the complex may have {cells} cells after {subdivisions} subdivision(s), "
+            f"over the limit of {MAX_CELLS}",
             "$.options.subdivisions")
 
     return ScenarioFile(

@@ -2,12 +2,15 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from equilef.characters import (
     IntegralityError,
+    _central_characters_mod_p,
+    _dixon_prime,
     character_table,
     induce,
     inner_product,
@@ -215,3 +218,26 @@ def test_equal_virtual_characters_hash_equal_across_builds():
     assert a.group is not b.group
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_class_sums_are_built_one_class_at_a_time():
+    # all r^3 structure constants of C_60 held at once peak above 2 MB
+    g = group_from_permutations(60, [tuple(range(1, 60)) + (0,)])
+    p = _dixon_prime(g.order, g.exponent())
+    tracemalloc.start()
+    try:
+        rows = _central_characters_mod_p(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 60 and all(degree == 1 for degree, _ in rows)
+    assert peak < 1_000_000
+
+
+def test_the_trivial_group_table_comes_from_the_class_algebra():
+    g = group_from_permutations(1, [])
+    table = character_table(g)
+    assert table.degrees == (1,)
+    assert table.irreducibles[0].values == (ONE,)
+    assert _dixon_prime(g.order, g.exponent()) == 3
+    assert _central_characters_mod_p(g, 3) == [(1, [1])]

@@ -1,5 +1,6 @@
 """Lattices, cochain complexes, exact cohomology against sympy oracles."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import sympy
 from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from equilef.characters import regular_character
+from equilef.characters import IntegralityError, regular_character
 from equilef.cohomology import (
+    CochainComplex,
     GLattice,
     cochain_complex,
     cohomology,
@@ -18,10 +20,14 @@ from equilef.cohomology import (
     reduce_columns,
 )
 from equilef.complexes import barycentric_subdivision, exact_stratum, fixed_subcomplex
+from equilef.engine import lhs_character
 from equilef.groups import class_index_of, group_from_permutations, normalizer, subgroups
+from equilef.scenario_io import parse_scenario
+from equilef.scenarios import builtin_names, builtin_scenario
 
 import dense_oracle
 from dense_oracle import dense_action, dense_coboundary
+from test_golden import generated_documents
 
 
 def matmul(a, b):
@@ -397,3 +403,57 @@ def test_cochain_cache_is_keyed_by_lattice_value(by_name):
     a = cochain_complex(stratum, GLattice.trivial(s.group))
     assert cochain_complex(stratum, GLattice.trivial(s.group)) is a
     assert cochain_complex(stratum, s.base_lattice()) is a
+
+
+# -- invariants from the trace characters ----------------------------------------
+
+# by import_module: the package exports a function named cohomology
+cohomology_module = importlib.import_module("equilef.cohomology")
+characters_module = importlib.import_module("equilef.characters")
+
+
+def _free_scenarios():
+    """Every free builtin and the subdivided antipodal octahedron, built afresh."""
+    free = [builtin_scenario(name) for name in builtin_names()]
+    free = [s for s in free if s.complex.is_free()]
+    with generated_documents() as paths:
+        [path] = [p for p in paths if p.stem == "octahedron-antipodal-sub1"]
+        free.append(parse_scenario(path.read_text(encoding="utf-8")))
+    return free
+
+
+def test_invariant_dims_run_no_elimination_after_the_lhs(monkeypatch):
+    calls = []
+    for module in (cohomology_module, characters_module):
+        original = module.reduce_columns
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "reduce_columns", counted)
+    scenarios = _free_scenarios()
+    assert len(scenarios) == 13
+    for s in scenarios:
+        lhs_character(s)
+        calls.clear()
+        dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
+        assert calls == [], s.name
+        # a free action: chi(X) = |G| chi(X/G)
+        assert lhs_character(s).values[0] == s.group.order * sum(
+            (-1) ** k * d for k, d in enumerate(dims)), s.name
+    # the counter does see eliminations
+    scenarios[-1].whole_cochains().modp_dims(7)
+    assert calls
+
+
+def test_a_non_integral_trace_character_names_its_degree(monkeypatch):
+    s = builtin_scenario("octahedron-antipodal")
+    traced = CochainComplex.trace_on_cohomology
+
+    def raised(cc, e, k):
+        return traced(cc, e, k) + (Fraction(1, 2) if e and k == 2 else 0)
+
+    monkeypatch.setattr(CochainComplex, "trace_on_cohomology", raised)
+    with pytest.raises(IntegralityError, match=r"H\^2 of CochainComplex"):
+        s.whole_cochains().invariant_dims(s.group.whole_subgroup())
