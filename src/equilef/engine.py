@@ -289,11 +289,19 @@ class FreeActionReport(namedtuple(
 
 @memo
 def _invariant_euler(s: Scenario) -> Fraction | None:
-    """chi of the invariant cochains if the action is free, else None; cached."""
+    """chi of the invariant cochains if the action is free, else None; cached.
+
+    Counted on the cochains, not read off the cohomology: the averaging
+    projector on C^k has rank (1/|G|) sum_g tr(g | C^k), so chi is the mean
+    Hopf trace.  The covering and regular-multiple laws then confront it with
+    the cohomology traces that the vanishing law reads.
+    """
     if not s.complex.is_free():
         return None
-    dims = s.whole_cochains().invariant_dims(s.group.whole_subgroup())
-    return Fraction(sum((-1) ** k * d for k, d in enumerate(dims)))
+    cc = s.whole_cochains()
+    return Fraction(
+        sum(c.size * cc.hopf_trace(c.representative) for c in element_classes(s.group)),
+        s.group.order)
 
 
 def verify_free_action(s: Scenario) -> FreeActionReport:

@@ -161,7 +161,6 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             "field 'maximal_simplices' must be a nonempty list",
             "$.complex.maximal_simplices")
     maximal = []
-    cells = 0  # an n-vertex simplex has 2^n - 1 faces
     for i, simplex in enumerate(raw_max):
         loc = f"$.complex.maximal_simplices[{i}]"
         _expect(isinstance(simplex, list) and simplex,
@@ -170,9 +169,10 @@ def parse_scenario_file(text: str) -> ScenarioFile:
                 f"vertices must be integers in 0..{vertices - 1}", loc)
         _expect(len(set(simplex)) == len(simplex),
                 "simplex has a repeated vertex", loc)
-        cells += 2 ** len(simplex) - 1
-        _expect(cells <= MAX_CELLS,
-                f"the complex may have {cells} cells, over the limit of {MAX_CELLS}", loc)
+        # one simplex alone; the f-vector below bounds the whole closure
+        faces = 2 ** len(simplex) - 1
+        _expect(faces <= MAX_CELLS,
+                f"the simplex has {faces} faces, over the limit of {MAX_CELLS} cells", loc)
         maximal.append(tuple(sorted(simplex)))
     maximal = tuple(sorted(set(maximal)))
     # each vertex map lists every vertex; without generators, a vertex that no
@@ -234,6 +234,10 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     # the face closure has at most sum_s C(|s|, j+1) cells of dimension j > 0
     f = [vertices] + [sum(math.comb(len(s), j + 1) for s in maximal)
                       for j in range(1, max(map(len, maximal)))]
+    cells = sum(f)
+    _expect(cells <= MAX_CELLS,
+            f"the complex may have {cells} cells, over the limit of {MAX_CELLS}",
+            "$.complex.vertices" if vertices > MAX_CELLS else "$.complex.maximal_simplices")
     cells = _subdivided_cells(f, subdivisions)
     _expect(cells <= MAX_CELLS,
             f"the complex may have {cells} cells after {subdivisions} subdivision(s), "

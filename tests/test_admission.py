@@ -17,7 +17,8 @@ import pytest
 
 from equilef.complexes import build_complex
 from equilef.groups import group_from_permutations
-from equilef.scenario_io import ScenarioError, _subdivided_cells, parse_scenario_file
+from equilef.scenario_io import (
+    MAX_CELLS, ScenarioError, _subdivided_cells, parse_scenario_file)
 from equilef.scenarios import _BUILTINS, builtin_scenario
 
 from test_cli import CAPPED_RUN
@@ -59,6 +60,48 @@ def test_a_large_simplex_is_refused_before_construction(tmp_path, n):
     assert result.returncode == 2, result.stderr
     assert "$.complex.maximal_simplices[0]" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def grid_torus_doc(m):
+    """The m x m grid torus: m^2 vertices, 3 m^2 edges and 2 m^2 triangles."""
+    def v(i, j):
+        return (i % m) * m + j % m
+    triangles = []
+    for i in range(m):
+        for j in range(m):
+            triangles += [[v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                          [v(i, j), v(i, j + 1), v(i + 1, j + 1)]]
+    doc = simplex_doc(m * m)
+    doc["complex"]["maximal_simplices"] = triangles
+    return doc
+
+
+def test_shared_and_repeated_faces_are_not_counted_per_listing():
+    # 21,632 triangles, more than MAX_CELLS / 7, on 64,896 cells
+    doc = grid_torus_doc(104)
+    assert len(doc["complex"]["maximal_simplices"]) * 7 > MAX_CELLS
+    assert parse_scenario_file(json.dumps(doc))
+    doc = simplex_doc(17)
+    doc["complex"]["maximal_simplices"] *= 3
+    assert parse_scenario_file(json.dumps(doc))
+
+
+def test_an_oversized_closure_is_refused_at_the_field_that_makes_it():
+    doc = simplex_doc(150)
+    doc["complex"]["maximal_simplices"] = [list(range(i, i + 15)) for i in range(0, 150, 15)]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(json.dumps(doc))
+    assert info.value.location == "$.complex.maximal_simplices"
+    assert str(10 * (2 ** 15 - 1)) in info.value.message
+    n = MAX_CELLS + 1
+    doc = simplex_doc(n)
+    doc["group"] = {"degree": 2, "generators": [[1, 0]]}
+    doc["complex"]["maximal_simplices"] = [[0, 1]]
+    doc["complex"]["action"] = [[1, 0] + list(range(2, n))]
+    doc["lattice"]["action"] = {"0": [[1]]}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(json.dumps(doc))
+    assert info.value.location == "$.complex.vertices"
 
 
 def test_subdivisions_are_counted_before_construction():

@@ -10,10 +10,12 @@ from equilef.engine import (
     lhs_character,
     rhs_induction,
     rhs_isotypic,
+    verify_free_action,
     verify_theorem,
+    verify_verdier,
 )
 from equilef.groups import element_classes, group_from_permutations
-from equilef.cohomology import GLattice
+from equilef.cohomology import CochainComplex, GLattice
 from equilef.complexes import build_complex
 import equilef.scenarios as scenarios
 from equilef.scenarios import builtin_names, builtin_scenario, builtin_scenarios
@@ -201,6 +203,21 @@ def test_verdier_reports(summaries):
         assert report.passed, name
         if report.applicable:
             assert report.multiple == FROZEN_FREE[name], name
+
+
+def test_covering_and_regular_multiple_do_not_follow_from_vanishing(monkeypatch):
+    # H^0 counted |G| too large at the identity: L(g) still vanishes off the
+    # identity, but chi moves while the count of invariant cochains does not
+    s = builtin_scenario("octahedron-antipodal-sign")
+    traced = CochainComplex.trace_on_cohomology
+    monkeypatch.setattr(
+        CochainComplex, "trace_on_cohomology",
+        lambda cc, e, k: traced(cc, e, k) + (s.group.order if (e, k) == (0, 0) else 0))
+    report = verify_free_action(s)
+    assert report.vanishing_ok and report.quotient_ok is None
+    assert report.invariant_euler == FROZEN_FREE[s.name]
+    assert not report.covering_ok and not report.passed
+    assert not verify_verdier(s).passed
 
 
 def test_modp_reports(summaries):
