@@ -15,6 +15,9 @@ characters, and the Galois orbit sums (the rational-irreducible characters)
 are added there.  Induction, restriction and the inner product act on
 rational virtual characters only.
 
+A rational virtual character stores each value as an ``int`` when it is an
+integer and as a ``Fraction`` only when it has a denominator (``_rational``),
+so the integer-valued characters of the engine are computed in ints.
 Integrality is decided in one place, ``rational_coefficients``: a rational
 virtual character is integral when its coefficients over the rational
 irreducibles are integers and rebuild it exactly.
@@ -74,19 +77,42 @@ def _same_group(g: Group, h: Group) -> bool:
     return g is h or g.mul == h.mul
 
 
+def _rational(v) -> int | Fraction:
+    """v as an int when it is an integer, else as a Fraction.
+
+    Only ints and Fractions are exact rationals here: a float, or anything
+    else, raises TypeError rather than being converted.
+    """
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"{v!r} is not an exact rational: an int or a Fraction expected")
+
+
+def _quotient(a: int | Fraction, n: int) -> int | Fraction:
+    """a / n for a positive int n: an int when n divides a, else a Fraction."""
+    if type(a) is int and a % n == 0:
+        return a // n
+    return _rational(Fraction(a, n))
+
+
 class VirtualCharacter:
     """A rational-valued class function, the common currency of the engine.
 
-    Supports exact addition, subtraction and rational scaling.  Whether the
-    values are an integer combination of irreducible characters is decided
-    by ``rational_coefficients``; engine-level violations of it are hard
-    errors.
+    ``values`` holds one exact rational per conjugacy class: an int, or a
+    Fraction where the value is not an integer (``_rational``; a float is
+    refused).  Since Fraction(n) == n and hashes like n, a character built
+    from Fractions equals one built from ints.  Supports exact addition,
+    subtraction and rational scaling.  Whether the values are an integer
+    combination of irreducible characters is decided by
+    ``rational_coefficients``; engine-level violations of it are hard errors.
     """
 
     __slots__ = ("group", "values")
 
     def __init__(self, group: Group, values):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(map(_rational, values))
         if len(values) != len(element_classes(group)):
             raise ValueError("one value per conjugacy class expected")
         self.group = group
@@ -108,8 +134,10 @@ class VirtualCharacter:
         return VirtualCharacter(self.group, [-a for a in self.values])
 
     def scale(self, c) -> "VirtualCharacter":
-        c = Fraction(c)
-        return VirtualCharacter(self.group, [c * a for a in self.values])
+        """c times each value, divided exactly by c's denominator."""
+        c = _rational(c)
+        n, d = c.numerator, c.denominator
+        return VirtualCharacter(self.group, [_quotient(n * a, d) for a in self.values])
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -138,16 +166,16 @@ class RationalIrreducible(
 
 
 def trivial_character(g: Group) -> VirtualCharacter:
-    return VirtualCharacter(g, [Fraction(1)] * len(element_classes(g)))
+    return VirtualCharacter(g, [1] * len(element_classes(g)))
 
 
 def regular_character(g: Group) -> VirtualCharacter:
-    values = [Fraction(0)] * len(element_classes(g))
-    values[0] = Fraction(g.order)
+    values = [0] * len(element_classes(g))
+    values[0] = g.order
     return VirtualCharacter(g, values)
 
 
-def inner_product(a: VirtualCharacter, b: VirtualCharacter) -> Fraction:
+def inner_product(a: VirtualCharacter, b: VirtualCharacter) -> int | Fraction:
     """<a, b> = |G|^-1 sum_g a(g) b(g), exact, for rational virtual characters.
 
     A rational value is its own complex conjugate; a cyclotomic class
@@ -156,9 +184,9 @@ def inner_product(a: VirtualCharacter, b: VirtualCharacter) -> Fraction:
     if not (isinstance(a, VirtualCharacter) and isinstance(b, VirtualCharacter)):
         raise TypeError("inner_product takes rational virtual characters")
     a._check_group(b)
-    total = sum((cl.size * av * bv for cl, av, bv in
-                 zip(element_classes(a.group), a.values, b.values)), Fraction(0))
-    return total / a.group.order
+    total = sum(cl.size * av * bv for cl, av, bv in
+                zip(element_classes(a.group), a.values, b.values))
+    return _quotient(total, a.group.order)
 
 
 def _fusion(h: Subgroup) -> list[int]:
@@ -173,17 +201,20 @@ def induce(h: Subgroup, f: VirtualCharacter) -> VirtualCharacter:
     (ind f)(g_k) = |G| / (|H| |C_k|) * sum of |c| f(c) over the classes c of H
     that fuse into the G-class C_k.  Induction of an integral virtual
     character is again integral (Frobenius reciprocity pairs it with
-    restriction, which is visibly integral).
+    restriction, which is visibly integral).  The index |G|/|H| is an
+    integer; each value is an exact quotient by |C_k|, a Fraction only when
+    |C_k| does not divide it.
     """
     hg = h.as_group()
     if not _same_group(f.group, hg):
         raise ValueError("the class function is not defined on the given subgroup")
     classes = element_classes(h.parent)
-    sums = [Fraction(0)] * len(classes)
+    sums = [0] * len(classes)
     for k, cl, v in zip(_fusion(h), element_classes(hg), f.values):
         sums[k] += cl.size * v
-    index = Fraction(h.parent.order, h.order)
-    return VirtualCharacter(h.parent, [index * t / cl.size for t, cl in zip(sums, classes)])
+    index = h.parent.order // h.order
+    return VirtualCharacter(
+        h.parent, [_quotient(index * t, cl.size) for t, cl in zip(sums, classes)])
 
 
 def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
@@ -464,7 +495,7 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     return out
 
 
-def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[Fraction, ...]:
+def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[int, ...]:
     """Coefficients c = <v, Phi>/|orbit| of v, one per ``rational_irreducibles``.
 
     Raises IntegralityError unless every c is an integer and sum c Phi
@@ -472,15 +503,23 @@ def rational_coefficients(v: VirtualCharacter, context: str) -> tuple[Fraction, 
     Galois permutes the <v, chi> within orbits, so integers are equal there,
     and a rebuilt v forces <v, chi> = c.  The rebuild matters: on C3,
     v = (0, 3, -3) has every c = 0 but <v, chi_1> = -i sqrt 3.
+
+    Each c is one exact division: the numerator sum_k |C_k| v(x_k) Phi(x_k)
+    must be a multiple of |G| |orbit|.  On an int-valued v the numerators,
+    the coefficients and the rebuild are ints.
     """
     irreducibles = rational_irreducibles(character_table(v.group))
-    coefficients = tuple(
-        inner_product(v, lam.orbit_sum) / lam.orbit_size for lam in irreducibles
-    )
+    weighted = [cl.size * x for cl, x in zip(element_classes(v.group), v.values)]
+    quotients = [
+        divmod(sum(w * y for w, y in zip(weighted, lam.orbit_sum.values)),
+               v.group.order * lam.orbit_size)
+        for lam in irreducibles
+    ]
+    coefficients = tuple(c for c, _ in quotients)
     rebuilt = tuple(
         sum(c * lam.orbit_sum.values[j] for c, lam in zip(coefficients, irreducibles))
         for j in range(len(v.values))
     )
-    if any(c.denominator != 1 for c in coefficients) or rebuilt != v.values:
+    if any(r for _, r in quotients) or rebuilt != v.values:
         raise IntegralityError(f"{context}: {v!r} is not an integral virtual character")
     return coefficients

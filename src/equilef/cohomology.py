@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import _apply, _sub, reduce_columns, smith_invariants
-from .characters import VirtualCharacter, rational_coefficients
+from .characters import VirtualCharacter, _rational, rational_coefficients
 from .complexes import Stratum
 from .groups import Group, Subgroup, element_classes, extend_from_generators, memo
 
@@ -128,9 +128,7 @@ class GLattice:
         """Trace function as a virtual character of the acting group."""
         classes = element_classes(self.group)
         return VirtualCharacter(
-            self.group,
-            tuple(Fraction(self.trace(c.representative)) for c in classes),
-        )
+            self.group, tuple(self.trace(c.representative) for c in classes))
 
     def __repr__(self):
         return f"GLattice(|G|={self.group.order}, rank={self.rank})"
@@ -308,23 +306,22 @@ class CochainComplex:
         return _euler_checked(self.dims, dims, "over Q")
 
     @memo
-    def trace_on_cohomology(self, e: int, k: int) -> Fraction:
-        """Trace of the element on H^k over Q (an exact rational)."""
+    def trace_on_cohomology(self, e: int, k: int) -> int | Fraction:
+        """Trace of the element on H^k over Q: an int, or a Fraction if it is
+        not an integer (a Fraction coordinate appears only after a non-unit
+        pivot of the reduction)."""
         basis, representatives = self._cocycles(k)
-        total = Fraction(0)
+        total = 0
         for j in representatives:
             image = self.apply_action(e, k, basis[j])
             total += self.class_coordinates(k, image).get(j, 0)
-        return total
+        return _rational(total)
 
-    def lefschetz_number(self, e: int) -> Fraction:
+    def lefschetz_number(self, e: int) -> int:
         """Alternating trace on cohomology; always an integer, checked."""
-        total = sum(
-            ((-1) ** k * self.trace_on_cohomology(e, k)
-             for k in range(len(self.bases))),
-            Fraction(0),
-        )
-        if total.denominator != 1:
+        total = _rational(sum(
+            (-1) ** k * self.trace_on_cohomology(e, k) for k in range(len(self.bases))))
+        if type(total) is not int:
             raise ArithmeticError(f"non-integral alternating trace {total}")
         return total
 
@@ -375,9 +372,9 @@ class CochainComplex:
         trace character, which ``rational_coefficients`` checks is integral.
         """
         return tuple(
-            int(rational_coefficients(
+            rational_coefficients(
                 self._character(acting, lambda e: self.trace_on_cohomology(e, k)),
-                f"H^{k} of {self!r}")[0])
+                f"H^{k} of {self!r}")[0]
             for k in range(len(self.bases))
         )
 

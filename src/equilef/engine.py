@@ -27,8 +27,9 @@ The term of [H] vanishes when that stratum is empty, so both sums run over
 the isotropy classes only (``complexes.isotropy_classes``, the cell
 stabilizers up to conjugacy) and the subgroup lattice is never built.
 
-Every number is an exact rational; a comparison either holds on the nose or
-the verdict fails.  Integrality is decided by ``rational_coefficients``,
+Every number is an exact rational, an int unless it has a denominator (as a
+weight |H|/|N(H)| may); a comparison either holds on the nose or the
+verdict fails.  Integrality is decided by ``rational_coefficients``,
 which checks the lhs and both right-hand sides and gives the isotypic rows:
 a character whose coefficients over the rational irreducibles are not
 integers, or do not rebuild it, raises IntegralityError.  That cannot occur for a correct
@@ -43,6 +44,7 @@ from fractions import Fraction
 
 from .characters import (
     VirtualCharacter,
+    _quotient,
     character_table,
     induce,
     rational_coefficients,
@@ -147,7 +149,7 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
         h = cls.representative
         inner = h.as_group()
         n_order = g.order // len(cls.members)
-        weight = Fraction(h.order, n_order)
+        weight = _quotient(h.order, n_order)
         stratum = exact_stratum(x, h)
         cc = cochain_complex(stratum, s.lattice)
         euler = stratum.euler_characteristic()
@@ -215,10 +217,10 @@ def rhs_isotypic(s: Scenario) -> VirtualCharacter:
             if row.coefficient == 0:
                 continue
             piece = induce(term.subgroup, irreducibles[row.orbit_index].orbit_sum)
-            piece = piece.scale(term.weight * row.coefficient)
+            piece = piece.scale(row.coefficient).scale(term.weight)
             total = piece if total is None else total + piece
     if total is None:
-        total = lhs_character(s).scale(Fraction(0))
+        total = lhs_character(s).scale(0)
     rational_coefficients(total, f"{s.name}: rhs (isotypic)")
     return total
 
@@ -288,7 +290,7 @@ class FreeActionReport(namedtuple(
 
 
 @memo
-def _invariant_euler(s: Scenario) -> Fraction | None:
+def _invariant_euler(s: Scenario) -> int | Fraction | None:
     """chi of the invariant cochains if the action is free, else None; cached.
 
     Counted on the cochains, not read off the cohomology: the averaging
@@ -299,7 +301,7 @@ def _invariant_euler(s: Scenario) -> Fraction | None:
     if not s.complex.is_free():
         return None
     cc = s.whole_cochains()
-    return Fraction(
+    return _quotient(
         sum(c.size * cc.hopf_trace(c.representative) for c in element_classes(s.group)),
         s.group.order)
 

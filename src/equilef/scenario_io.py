@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .characters import character_table, rational_irreducibles
 from .cohomology import GLattice
@@ -193,31 +192,6 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         for i, row in enumerate(raw_act)
     )
 
-    lat = data.get("lattice")
-    _expect(isinstance(lat, dict), "field 'lattice' must be an object", "$.lattice")
-    _known_fields(lat, "$.lattice", "rank", "action")
-    rank = _int_field(lat, "rank", "$.lattice", minimum=1)
-    raw_mats = lat.get("action")
-    _expect(isinstance(raw_mats, dict), "field 'action' must be an object",
-            "$.lattice.action")
-    _expect(
-        set(raw_mats) == {str(i) for i in range(len(generators))},
-        f"need matrices for generator indices 0..{len(generators) - 1}",
-        "$.lattice.action",
-    )
-    matrices = []
-    for i in range(len(generators)):
-        loc = f"$.lattice.action[{i}]"
-        m = raw_mats[str(i)]
-        _expect(
-            isinstance(m, list) and len(m) == rank
-            and all(isinstance(r, list) and len(r) == rank for r in m),
-            f"matrix must be {rank}x{rank}", loc)
-        _expect(all(_is_int(v) for r in m for v in r),
-                "matrix entries must be integers", loc)
-        _expect(is_unimodular(m), "lattice generator not invertible over integers", loc)
-        matrices.append(tuple(tuple(r) for r in m))
-
     options = data.get("options", {})
     _expect(isinstance(options, dict), "field 'options' must be an object",
             "$.options")
@@ -243,6 +217,38 @@ def parse_scenario_file(text: str) -> ScenarioFile:
             f"the complex may have {cells} cells after {subdivisions} subdivision(s), "
             f"over the limit of {MAX_CELLS}",
             "$.options.subdivisions")
+
+    lat = data.get("lattice")
+    _expect(isinstance(lat, dict), "field 'lattice' must be an object", "$.lattice")
+    _known_fields(lat, "$.lattice", "rank", "action")
+    rank = _int_field(lat, "rank", "$.lattice", minimum=1)
+    # the cochains are r per cell, and each element acts by a dense r x r matrix
+    _expect(cells * rank <= MAX_CELLS,
+            f"lattice rank {rank} on up to {cells} cell(s) may make {cells * rank} cochains, "
+            f"over the limit of {MAX_CELLS}", "$.lattice.rank")
+    _expect(rank * rank <= MAX_CELLS,
+            f"lattice rank {rank} needs {rank * rank}-entry matrices, "
+            f"over the limit of {MAX_CELLS}", "$.lattice.rank")
+    raw_mats = lat.get("action")
+    _expect(isinstance(raw_mats, dict), "field 'action' must be an object",
+            "$.lattice.action")
+    _expect(
+        set(raw_mats) == {str(i) for i in range(len(generators))},
+        f"need matrices for generator indices 0..{len(generators) - 1}",
+        "$.lattice.action",
+    )
+    matrices = []
+    for i in range(len(generators)):
+        loc = f"$.lattice.action[{i}]"
+        m = raw_mats[str(i)]
+        _expect(
+            isinstance(m, list) and len(m) == rank
+            and all(isinstance(r, list) and len(r) == rank for r in m),
+            f"matrix must be {rank}x{rank}", loc)
+        _expect(all(_is_int(v) for r in m for v in r),
+                "matrix entries must be integers", loc)
+        _expect(is_unimodular(m), "lattice generator not invertible over integers", loc)
+        matrices.append(tuple(tuple(r) for r in m))
 
     return ScenarioFile(
         schema_version=version,
@@ -330,8 +336,8 @@ def serialize_scenario(sf: ScenarioFile) -> str:
 
 
 def _rat(value) -> dict:
-    f = Fraction(value)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    """An int or a Fraction as {"num", "den"} strings; an int's denominator is 1."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def _rat_text(r: dict) -> str:

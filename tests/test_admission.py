@@ -2,12 +2,14 @@
 
 The parser bounds the cells a document can build, from its maximal simplices
 and its ``subdivisions`` option, and refuses more than ``MAX_CELLS`` with exit
-2 and a JSON path.  Every builtin, generated document and ladder rung stays
-admitted.
+2 and a JSON path.  It refuses a lattice rank whose cochains (the cell bound
+times the rank) or whose r x r matrices exceed ``MAX_CELLS`` too.  Every
+builtin at its real rank, generated document and ladder rung stays admitted.
 """
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import time
@@ -124,21 +126,79 @@ def test_the_count_is_exact_on_a_simplex_and_on_the_torus():
     assert [_subdivided_cells(f, t) for t in range(5)] == [96, 576, 3456, 20736, 124416]
 
 
+def points_doc(n, rank):
+    """n isolated points, no generators, a lattice of the given rank."""
+    doc = simplex_doc(n)
+    doc["complex"]["maximal_simplices"] = [[v] for v in range(n)]
+    doc["lattice"]["rank"] = rank
+    return doc
+
+
+def test_a_huge_rank_on_a_point_is_refused_at_the_rank(tmp_path):
+    text = json.dumps(points_doc(1, 10 ** 6))
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(text)
+    assert time.perf_counter() - started < 1
+    assert info.value.location == "$.lattice.rank"
+    assert "1000000 cochains" in info.value.message
+    path = tmp_path / "rank.json"
+    path.write_text(text)
+    result = subprocess.run(CAPPED_RUN + ["verify", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "$.lattice.rank" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_the_rank_bound_is_the_cell_bound_times_the_rank():
+    # 1,000 points: rank 150 makes exactly MAX_CELLS cochains, rank 151 one cell's more
+    assert parse_scenario_file(json.dumps(points_doc(1000, MAX_CELLS // 1000)))
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(json.dumps(points_doc(1000, MAX_CELLS // 1000 + 1)))
+    assert info.value.location == "$.lattice.rank"
+    assert f"{MAX_CELLS + 1000} cochains" in info.value.message
+    # the cells are counted after the subdivisions the document asks for
+    cells = _subdivided_cells([4, 6, 4, 1], 2)
+    doc = simplex_doc(4, subdivisions=2)
+    doc["lattice"]["rank"] = MAX_CELLS // cells
+    assert parse_scenario_file(json.dumps(doc))
+    doc["lattice"]["rank"] += 1
+    with pytest.raises(ScenarioError, match=f"{cells} cell"):
+        parse_scenario_file(json.dumps(doc))
+
+
+def test_a_rank_whose_matrices_exceed_the_limit_is_refused_on_a_point():
+    root = math.isqrt(MAX_CELLS)
+    assert parse_scenario_file(json.dumps(points_doc(1, root)))
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(json.dumps(points_doc(1, root + 1)))
+    assert info.value.location == "$.lattice.rank"
+    assert f"{(root + 1) ** 2}-entry matrices" in info.value.message
+
+
+def builtin_doc(name):
+    """The builtin scenario as a document at ``subdivisions: 2``, with its real lattice."""
+    generators, maximal, _, _, *images = _BUILTINS[name]
+    s = builtin_scenario(name)
+    matrices = [s.lattice.matrices[e] for e in s.group.generator_elements or ()]
+    return {
+        "schema_version": 1,
+        "name": name,
+        "group": {"degree": len(generators[0]) if generators else 1,
+                  "generators": [list(g) for g in generators]},
+        "complex": {"vertices": max(v for s in maximal for v in s) + 1,
+                    "maximal_simplices": [list(s) for s in maximal],
+                    "action": [list(a) for a in (images[0] if images else generators)]},
+        "lattice": {"rank": s.lattice.rank,
+                    "action": {str(i): [list(r) for r in m] for i, m in enumerate(matrices)}},
+        "options": {"subdivisions": 2},
+    }
+
+
 def test_every_builtin_generated_document_and_ladder_rung_is_admitted(monkeypatch):
-    docs = []
-    for name, (generators, maximal, _, _, *images) in _BUILTINS.items():
-        action = images[0] if images else generators
-        vertices = max(v for s in maximal for v in s) + 1
-        docs.append({
-            "schema_version": 1,
-            "name": name,
-            "group": {"degree": len(generators[0]) if generators else 1,
-                      "generators": [list(g) for g in generators]},
-            "complex": {"vertices": vertices, "maximal_simplices": [list(s) for s in maximal],
-                        "action": [list(a) for a in action]},
-            "lattice": {"rank": 1, "action": {str(i): [[1]] for i in range(len(generators))}},
-            "options": {"subdivisions": 2},
-        })
+    docs = [builtin_doc(name) for name in _BUILTINS]
+    assert {doc["lattice"]["rank"] for doc in docs} == {1, 2, 3, 6}
     gen = _load("gen")
     for workload in ("large-complex", "large-group"):
         for seed in (1, 2, 3):
