@@ -7,10 +7,14 @@ eigenvectors are the central characters, and eigenvalue data is lifted back
 to exact cyclotomic values through root-of-unity multiplicities.  The
 eigenspaces are split by the sparse column reduction of ``linalg`` mod p,
 whose recorded kernel vectors combine a space's basis into eigenvectors.
-Each class is lifted over its own element order o, from the o powers of its
-representative, into Q(zeta_o).  Every value is written once in integer
-coordinates over Z[zeta_e], e the lcm of the table's conductors; the table
-is checked orthonormal there, with one reduction mod Phi_e per pair of
+A class sum is shifted only at the roots of its minimal polynomial, read off
+one reduction of its Krylov sequence (Schneider 1990), so every shift is at
+one of its eigenvalues.  Each class is lifted over its own element order o,
+from the o powers of its representative, into Q(zeta_o), in integer
+arithmetic: ``Fraction``s are built only for the stored coefficients and for
+the subfield search of an irrational value.  Every value is written once in
+integer coordinates over Z[zeta_e], e the lcm of the table's conductors; the
+table is checked orthonormal there, with one reduction mod Phi_e per pair of
 characters, and the Galois orbit sums (the rational-irreducible characters)
 are added there.  Induction, restriction and the inner product act on
 rational virtual characters only.
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
 from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of, memo
-from .linalg import _apply, _sub, reduce_columns
+from .linalg import _apply, _sub, minimal_polynomial, reduce_columns
 from .numtheory import euler_phi, is_prime, primitive_root
 
 DIXON_PRIME_BOUND = 10_000_000
@@ -282,6 +286,12 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
     # split F_p^r into common eigenspaces; each line is a central character.
     # A kernel vector x of the columns (K_i - lam) s_j spans the eigenvector
     # sum_j x_j s_j, so a space is never restricted to its own coordinates.
+    # The class algebra mod p is split semisimple (p does not divide |G|) and
+    # the identity {0: 1} generates it, so the minimal polynomial of K_i on
+    # that vector is K_i's own, with as many distinct roots as its degree, and
+    # every eigenvalue of K_i on a common eigenspace is one of them: lam runs
+    # over these roots only.  A lam skipped had an empty kernel, so the
+    # spaces come out as a sweep over all of F_p would give them.
     spaces = [[{j: 1} for j in range(r)]]
     for i in range(1, r):
         if all(len(basis) == 1 for basis in spaces):
@@ -294,6 +304,12 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
             row = g.mul[zk]
             counts = Counter(cls_of[row[y]] for y in inverses)
             columns.append({j: c % p for j, c in counts.items() if c % p})
+        f = minimal_polynomial(columns, {0: 1}, p)
+        roots = [lam for lam in range(p) if _horner(f, lam, p) == 0]
+        if len(roots) < len(f) - 1:
+            raise ArithmeticError(
+                f"minimal polynomial of class sum {i} has {len(roots)} roots in F_p, "
+                f"fewer than its degree {len(f) - 1}: the class algebra does not split")
         refined = []
         for basis in spaces:
             if len(basis) == 1:
@@ -301,7 +317,7 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
                 continue
             images = [_apply(columns, s, p) for s in basis]
             found = 0
-            for lam in range(p):
+            for lam in roots:
                 shifted = []
                 for s, image in zip(basis, images):
                     col = dict(image)
@@ -333,6 +349,14 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
         row = [omega[j] * degree * inv_sizes[j] % p for j in range(r)]
         rows_mod_p.append((degree, row))
     return rows_mod_p
+
+
+def _horner(f: list[int], x: int, p: int) -> int:
+    """f(x) mod p for the coefficients f, low degree first."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _degree_mod_p(order: int, deg_sq: int, p: int) -> int:

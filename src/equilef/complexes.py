@@ -156,13 +156,25 @@ class SimplicialGComplex:
         return acc
 
     def regularity_violation(self):
-        """A pair (element, simplex) fixed setwise but not pointwise, or None."""
+        """A pair (element, simplex) fixed setwise but not pointwise, or None.
+
+        The first violating simplex in level order, with its least element.
+        Regularity is G-invariant (if e fixes s setwise but not pointwise,
+        g e g^-1 does so for g s), so a simplex in the orbit of one already
+        scanned is skipped: the first violating simplex is the first of its
+        orbit.  The orbit is collected while scanning the elements.
+        """
         for level in self.simplices[1:]:
+            seen = set()
             for s in level:
+                if s in seen:
+                    continue
                 stab = self.stabilizer(s)
                 for e in range(1, self.group.order):
-                    if e not in stab and self.act_simplex(e, s) == s:
+                    image = self.act_simplex(e, s)
+                    if image == s and e not in stab:
                         return (e, s)
+                    seen.add(image)
         return None
 
     def is_free(self) -> bool:

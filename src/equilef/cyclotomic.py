@@ -83,10 +83,13 @@ class Cyclotomic:
 
     @classmethod
     def from_root_combination(cls, e: int, coeffs) -> "Cyclotomic":
-        """sum_k coeffs[k] * zeta_e^k, reduced to canonical form."""
-        raw = [Fraction(c) for c in coeffs]
+        """sum_k coeffs[k] * zeta_e^k, reduced to canonical form.
+
+        Integer coefficients stay ints until the value is stored.
+        """
+        raw = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(raw) > e:
-            folded = [Fraction(0)] * e
+            folded = [0] * e
             for i, c in enumerate(raw):
                 folded[i % e] += c
             raw = folded
@@ -210,22 +213,25 @@ def _coerce(x) -> "Cyclotomic":
     return NotImplemented
 
 
-def _make(e: int, raw_coeffs: list[Fraction]) -> Cyclotomic:
-    """Reduce mod Phi_e and rewrite over the smallest containing subfield."""
-    coeffs = _reduce_mod_phi([Fraction(c) for c in raw_coeffs], e)
-    if e == 1:
-        return Cyclotomic(1, coeffs)
-    if all(c == 0 for c in coeffs[1:]):
-        return Cyclotomic(1, (coeffs[0],))
+def _make(e: int, raw_coeffs: list) -> Cyclotomic:
+    """Reduce mod Phi_e and rewrite over the smallest containing subfield.
+
+    The coefficients (ints or Fractions) keep their type through the
+    reduction; the constructor stores them as Fractions.
+    """
+    coeffs = _reduce_mod_phi(raw_coeffs, e)
+    if e == 1 or not any(coeffs[1:]):
+        return Cyclotomic(1, coeffs[:1])
+    # Q(zeta_1) = Q(zeta_2) = Q: the rational test above has decided them
     for d in divisors(e)[:-1]:
-        sub = _express_in_subfield(coeffs, e, d)
-        if sub is not None:
-            return Cyclotomic(d, sub)
-    return Cyclotomic(e, tuple(coeffs))
+        if d > 2:
+            sub = _express_in_subfield(coeffs, e, d)
+            if sub is not None:
+                return Cyclotomic(d, sub)
+    return Cyclotomic(e, coeffs)
 
 
-def _express_in_subfield(coeffs: list[Fraction], e: int,
-                         d: int) -> tuple[Fraction, ...] | None:
+def _express_in_subfield(coeffs: list, e: int, d: int) -> tuple | None:
     """Coordinates of the value in the power basis of Q(zeta_d) inside Q(zeta_e).
 
     Reduces the columns [z_d^0, ..., z_d^(phi(d)-1), value] over Q.  The
@@ -237,8 +243,8 @@ def _express_in_subfield(coeffs: list[Fraction], e: int,
     n = euler_phi(d)
     columns = []
     for i in range(n):
-        raw = [Fraction(0)] * e
-        raw[(i * step) % e] = Fraction(1)
+        raw = [0] * e
+        raw[(i * step) % e] = 1
         columns.append(_reduce_mod_phi(raw, e))
     columns.append(coeffs)
     kernel = reduce_columns(
@@ -249,4 +255,4 @@ def _express_in_subfield(coeffs: list[Fraction], e: int,
     if [j for j, _ in kernel] != [n]:
         raise ArithmeticError("subfield expression failed")
     v = kernel[0][1]
-    return tuple(-Fraction(v.get(i, 0)) for i in range(n))
+    return tuple(-v.get(i, 0) for i in range(n))

@@ -4,7 +4,9 @@
 reduces sparse columns ({row: value}) over Q or F_p and can record the
 column operations, which turns zero columns into kernel vectors.  Cochain
 complexes, the eigenspace split of character tables (mod p) and subfield
-coordinates of cyclotomic numbers (over Q) all run on it.
+coordinates of cyclotomic numbers (over Q) all run on it, and so does
+``minimal_polynomial``: one reduction of a Krylov sequence mod p, whose
+first kernel vector holds the coefficients.
 ``smith_invariants`` is the only elimination over Z: it takes the same
 sparse columns and computes torsion; ``is_unimodular`` reads invertibility
 over Z off it.  No floating point anywhere.
@@ -83,6 +85,21 @@ def reduce_columns(columns, p: int = 0, record: bool = False):
         if record:
             ops[low] = rec
     return echelon, kernel
+
+
+def minimal_polynomial(columns, v: dict, p: int) -> list[int]:
+    """The monic f of least degree over F_p with f(A) v = 0, A the square
+    matrix given by its n columns: coefficients, low degree first.
+
+    The Krylov vectors v, Av, ..., A^n v are reduced once.  The first of them
+    that reduces to zero is A^d v with d = deg f, and its recorded kernel
+    vector (1 at d, other keys below d) holds the coefficients of f.
+    """
+    krylov = [v]
+    for _ in columns:
+        krylov.append(_apply(columns, krylov[-1], p))
+    d, f = reduce_columns(krylov, p, record=True)[1][0]
+    return [f.get(k, 0) for k in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -655,5 +655,55 @@ def strata_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(data, indent=2) + "\\n"``, byte for byte.
+
+    ``indent`` makes ``json.dumps`` use its pure-Python encoder, so the
+    indentation is written here and only the leaves are encoded: strings by
+    the C string encoder, ints by ``repr``, anything else by ``json.dumps``.
+    """
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list[str]):
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _encode_str(key if isinstance(key, str) else _json_key(key)) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif type(value) is int:
+        out.append(repr(value))
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_key(key) -> str:
+    """A non-str dict key as ``json.dumps`` writes it; TypeError where it refuses."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -1,5 +1,6 @@
 """Character theory: orthogonality, induction, restriction, rational orbits."""
 
+import importlib
 import math
 import random
 import tracemalloc
@@ -22,9 +23,18 @@ from equilef.characters import (
     trivial_character,
 )
 from equilef.cyclotomic import Cyclotomic
-from equilef.groups import class_index_of, element_classes, group_from_permutations, subgroups
+from equilef.groups import (
+    class_index_of,
+    conjugacy_classes_of_subgroups,
+    element_classes,
+    group_from_permutations,
+    subgroups,
+)
 from equilef.scenarios import builtin_scenario
-from chartab_oracle import cyclotomic_inner_product
+from chartab_oracle import cyclotomic_inner_product, symmetric
+
+CHARACTERS = importlib.import_module("equilef.characters")
+LINALG = importlib.import_module("equilef.linalg")
 
 PRESENTATIONS = {
     "c1": (1, []),
@@ -241,3 +251,57 @@ def test_the_trivial_group_table_comes_from_the_class_algebra():
     assert table.irreducibles[0].values == (ONE,)
     assert _dixon_prime(g.order, g.exponent()) == 3
     assert _central_characters_mod_p(g, 3) == [(1, [1])]
+
+
+def _table_reductions(monkeypatch, groups) -> int:
+    """The reductions (Krylov and shift) that building the character tables
+    of the groups takes, counted on ``reduce_columns``; the subfield search
+    of the lift reduces through ``cyclotomic`` and is not counted."""
+    calls = [0]
+    for module in (CHARACTERS, LINALG):
+        reduce_columns = module.reduce_columns
+
+        def counted(*args, _reduce=reduce_columns, **kwargs):
+            calls[0] += 1
+            return _reduce(*args, **kwargs)
+
+        monkeypatch.setattr(module, "reduce_columns", counted)
+    for g in groups:
+        character_table(g)
+    return calls[0]
+
+
+def test_a5_splits_in_a_dozen_reductions(monkeypatch):
+    # a sweep over every lambda in F_31 took 50; the roots need 8 shifts and
+    # one Krylov reduction for each of the two class sums used
+    a5 = group_from_permutations(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    assert _table_reductions(monkeypatch, [a5]) <= 12
+
+
+def test_s6_subgroup_class_tables_split_in_under_700_reductions(monkeypatch):
+    # a sweep over every lambda in F_p took 2533 for these 56 tables; equal
+    # representatives share one group and one table, so 47 are built
+    groups = [c.representative.as_group() for c in conjugacy_classes_of_subgroups(symmetric(6))]
+    assert len(groups) == 56
+    assert _table_reductions(monkeypatch, groups) <= 700
+
+
+def test_the_split_shifts_only_at_roots_of_the_minimal_polynomial(monkeypatch):
+    # every lam of a shift (K_i - lam) is a root of the class sum's last
+    # minimal polynomial; the shift subtracts lam s_j through characters._sub
+    minimal, sub = CHARACTERS.minimal_polynomial, CHARACTERS._sub
+    last, shifts = [], []
+
+    def recorded(columns, v, p):
+        last[:] = minimal(columns, v, p)
+        return list(last)
+
+    def shift(y, f, x, p=0):
+        shifts.append(sum(c * f ** k for k, c in enumerate(last)) % p)
+        sub(y, f, x, p)
+
+    monkeypatch.setattr(CHARACTERS, "minimal_polynomial", recorded)
+    monkeypatch.setattr(CHARACTERS, "_sub", shift)
+    for g in (symmetric(4), symmetric(5), group_from_permutations(6, [(1, 2, 3, 4, 5, 0)])):
+        _central_characters_mod_p(g, _dixon_prime(g.order, g.exponent()))
+    assert shifts and set(shifts) == {0}

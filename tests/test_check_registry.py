@@ -28,6 +28,10 @@ CROSS = "tests/test_cross_checks.py::"
 REGISTRY = {
     ("characters", "_dixon_prime", "no suitable prime below {} for exponent {}"):
         CROSS + "test_a_lowered_prime_bound_leaves_no_dixon_prime",
+    ("characters", "_central_characters_mod_p",
+     "minimal polynomial of class sum {} has {} roots in F_p, fewer than its degree {}: "
+     "the class algebra does not split"):
+        CROSS + "test_a_repeated_root_means_the_class_algebra_does_not_split",
     ("characters", "_central_characters_mod_p", "class algebra failed to split over F_p"):
         CROSS + "test_a_reduction_without_kernel_fails_to_split_the_class_algebra",
     ("characters", "_central_characters_mod_p",

@@ -1,9 +1,17 @@
 """Complexes, actions, strata, subdivisions, quotients."""
 
+import importlib.util
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from equilef.cohomology import cochain_complex
 from equilef.complexes import (
+    SimplicialGComplex,
+    _face_closure,
     barycentric_subdivision,
     build_complex,
     exact_stratum,
@@ -12,9 +20,15 @@ from equilef.complexes import (
 )
 from equilef.groups import (
     conjugacy_classes_of_subgroups,
+    extend_from_generators,
     group_from_permutations,
     subgroups,
 )
+from equilef.scenario_io import parse_scenario
+from equilef.scenarios import builtin_names, builtin_scenario
+from chartab_oracle import symmetric
+
+GEN = Path(__file__).parents[1] / "perfbench" / "gen.py"
 
 
 def test_face_closure():
@@ -114,6 +128,71 @@ def test_irregular_action_is_subdivided_away():
     assert x.regularity_violation() is None
     fixed = fixed_subcomplex(x, c2.whole_subgroup())
     assert fixed.sizes() == (1, 0)
+
+
+def _all_elements_violation(x):
+    """The oracle of ``regularity_violation``: every element on every simplex."""
+    for level in x.simplices[1:]:
+        for s in level:
+            stab = x.stabilizer(s)
+            for e in range(1, x.group.order):
+                if e not in stab and x.act_simplex(e, s) == s:
+                    return (e, s)
+    return None
+
+
+def test_the_orbit_wise_regularity_scan_finds_the_oracle_witness(monkeypatch):
+    # every scan while building the builtins, the seed-1 and seed-2 generated
+    # documents, S4 on the tetrahedron boundary and C2 on the 8-vertex simplex
+    scan = SimplicialGComplex.regularity_violation
+    witnesses = []
+
+    def checked(x):
+        found = scan(x)
+        assert found == _all_elements_violation(x)
+        witnesses.append(found)
+        return found
+
+    monkeypatch.setattr(SimplicialGComplex, "regularity_violation", checked)
+    for name in builtin_names():
+        builtin_scenario(name)
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed in (1, 2):
+        for workload in ("large-group", "large-complex"):
+            for doc in gen.workload_docs(workload, seed):
+                parse_scenario(json.dumps(doc))
+    s4 = symmetric(4)
+    build_complex(list(combinations(range(4), 3)), s4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    swap = group_from_permutations(2, [(1, 0)])
+    simplex = SimplicialGComplex(swap, 8, _face_closure([tuple(range(8))]),
+                                 [tuple(range(8)), (1, 0, 2, 3, 4, 5, 6, 7)])
+    assert checked(simplex) == (1, (0, 1))
+    # the orbit of the first edge is regular, the third edge is flipped
+    assert checked(_raw_complex([(0, 1), (2, 3), (4, 5)], [(2, 3, 0, 1, 5, 4)])) == (1, (4, 5))
+    # edges are moved freely by the rotation, the triangle is fixed setwise
+    assert checked(_raw_complex([(0, 1, 2)], [(1, 2, 0)])) == (1, (0, 1, 2))
+    rng = random.Random(2207)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+        seeds = [tuple(rng.sample(range(n), rng.randint(2, min(n, 4)))) for _ in range(2)]
+        checked(_raw_complex(seeds, gens))
+    violations = [w for w in witnesses if w is not None]
+    assert len(violations) >= 40 and len(witnesses) - len(violations) >= 40
+    assert {len(s) for _, s in violations} >= {2, 3}
+
+
+def _raw_complex(simplices, generators) -> SimplicialGComplex:
+    """The orbits of the simplices under the group of the vertex permutations,
+    before any subdivision."""
+    n = len(generators[0])
+    group = group_from_permutations(n, generators)
+    action = extend_from_generators(group, generators, tuple(range(n)),
+                                    lambda a, b: tuple(a[v] for v in b), "vertex map")
+    maximal = {tuple(sorted(row[v] for v in s)) for row in action for s in simplices}
+    return SimplicialGComplex(group, n, _face_closure(maximal), action)
 
 
 def test_corpus_complexes_are_regular(corpus):

@@ -15,10 +15,10 @@ factorized stratum character against the traced one, the orbit count of a
 free quotient, the degree squares of a character table, the integrality of a
 Galois orbit sum, and the integrality of the three characters the engine
 compares.  Last, the invariants of the character-table build (the Dixon
-prime, the eigenspace split mod p, the lift and the Galois action), of the
-cyclotomic arithmetic behind it, of the cohomology trace (the image of a
-cocycle is a cocycle) and of the stratum dimensions (multiples of the
-lattice rank).
+prime, the roots of each class sum's minimal polynomial, the eigenspace
+split mod p, the lift and the Galois action), of the cyclotomic arithmetic
+behind it, of the cohomology trace (the image of a cocycle is a cocycle)
+and of the stratum dimensions (multiples of the lattice rank).
 """
 
 import importlib
@@ -284,8 +284,29 @@ def test_a_lowered_prime_bound_leaves_no_dixon_prime(monkeypatch, capsys):
            commands=("verify", "chartab"))
 
 
+def test_a_repeated_root_means_the_class_algebra_does_not_split(monkeypatch, capsys):
+    # f^2 has the roots of f, each twice: fewer distinct roots than its degree,
+    # as for a class sum that is not diagonalizable mod p
+    minimal = CHARACTERS.minimal_polynomial
+
+    def squared(columns, v, p):
+        f = minimal(columns, v, p)
+        out = [0] * (2 * len(f) - 1)
+        for a, x in enumerate(f):
+            for b, y in enumerate(f):
+                out[a + b] = (out[a + b] + x * y) % p
+        return out
+
+    monkeypatch.setattr(CHARACTERS, "minimal_polynomial", squared)
+    _fires(capsys, NAME, "minimal polynomial of class sum 1 has 3 roots in F_p, fewer than "
+           "its degree 6: the class algebra does not split", commands=("verify", "chartab"))
+
+
 def _patch_mod_p_reduction(monkeypatch, corrupt):
-    """Every reduction of the eigenspace split returns corrupt(columns, kernel)."""
+    """Every shift reduction (K_i - lam) of the eigenspace split returns
+    corrupt(columns, kernel).  The Krylov reduction behind the minimal
+    polynomial runs inside ``linalg`` and stays exact, so the split still
+    shifts at the true eigenvalues."""
     reduce_columns = CHARACTERS.reduce_columns
 
     def corrupted(columns, p=0, record=False):

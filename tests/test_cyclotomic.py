@@ -116,6 +116,27 @@ def test_rational_detection():
     assert Cyclotomic.from_rational(-4).is_integer()
 
 
+def test_a_rational_root_combination_builds_only_its_stored_fraction(monkeypatch):
+    # eigenvalue multiplicities lift in ints: 2 + z5 + ... + z5^4 = 1,
+    # 2 z6^3 = -2, 1 + z12^4 + z12^8 = 0, and 3 + 0 z30 folds 3 z30^30 into 3
+    cases = [(5, [2, 1, 1, 1, 1], 1), (6, [0, 0, 0, 2, 0, 0], -2),
+             (12, [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0], 0), (30, [0] * 30 + [3], 3)]
+    new = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for e, coeffs, expected in cases:
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        value = Cyclotomic.from_root_combination(e, coeffs)
+        monkeypatch.undo()
+        assert len(built) == 1, (e, built)
+        assert value == expected and value.conductor == 1
+
+
 def test_cyclotomic_polynomial_matches_sympy():
     x = sympy.symbols("x")
     for e in range(1, 31):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
-from equilef.linalg import is_unimodular, reduce_columns, smith_invariants
+from equilef.linalg import is_unimodular, minimal_polynomial, reduce_columns, smith_invariants
 
 from dense_oracle import column_space_basis, dm, kept_columns
 
@@ -110,6 +111,30 @@ def test_recorded_kernel_gives_coordinates():
         assert [j for j, _ in kernel] == [n]
         vec = kernel[0][1]
         assert [-vec.get(i, 0) for i in range(n)] == x
+
+
+def test_minimal_polynomial_annihilates_and_is_least():
+    # f(A) v = 0, f monic, and v, Av, ..., A^(deg f - 1) v independent mod p
+    rng = random.Random(107)
+    for _ in range(60):
+        p = rng.choice([2, 3, 7, 31])
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(0, p - 1) if rng.random() < 0.5 else 0 for _ in range(n)]
+                for _ in range(n)]
+        v = {i: x for i in range(n) if (x := rng.randint(0, p - 1))} or {0: 1}
+        f = minimal_polynomial(sparse_columns(rows, n), v, p)
+        assert f[-1] == 1 and all(0 <= c < p for c in f)
+        krylov = [[v.get(i, 0) for i in range(n)]]
+        for _ in range(len(f) - 1):
+            x = krylov[-1]
+            krylov.append([sum(a * b for a, b in zip(row, x)) % p for row in rows])
+        residue = [0] * n
+        for c, x in zip(f, krylov):
+            residue = [(r + c * y) % p for r, y in zip(residue, x)]
+        assert residue == [0] * n
+        d = len(f) - 1
+        lower = DomainMatrix([[sympy.ZZ(c) for c in x] for x in krylov[:d]], (d, n), sympy.ZZ)
+        assert lower.convert_to(sympy.GF(p)).rank() == d
 
 
 def test_extend_basis_completes():

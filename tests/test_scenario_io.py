@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equilef.cyclotomic import Cyclotomic
 from equilef.engine import full_verification, verify_theorem
@@ -202,6 +203,29 @@ def test_canonical_json_is_deterministic():
     once = canonical_json(data)
     assert once == canonical_json(json.loads(once))
     assert once.endswith("\n")
+
+
+_texts = st.text() | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "\u2028", "é", "😀"])
+_keys = _texts | st.integers() | st.floats() | st.booleans() | st.none()
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_canonical_json_writes_what_json_dumps_writes(data):
+    assert canonical_json(data) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("data", [{(1, 2): 0}, [{"a": {b"k": 1}}], {"a": {1, 2}}])
+def test_canonical_json_refuses_what_json_dumps_refuses(data):
+    with pytest.raises(TypeError):
+        json.dumps(data, indent=2)
+    with pytest.raises(TypeError):
+        canonical_json(data)
 
 
 def test_summary_dict_shape():
