@@ -10,17 +10,22 @@ of the open union of S.  All arithmetic is exact.
 
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
-question: it runs once per degree over Q, with ints until a non-unit pivot
-forces a Fraction, and over F_p for mod-p ranks.
+question: it runs once per degree over Q, in ints except where a value has
+a denominator, and over F_p for mod-p ranks.  Each reduction of d_k clears
+the pivot rows of d_(k-1), over Q and over each F_p with that field's own
+pivots: those columns of d_k are known to reduce to zero, so they are
+skipped (Chen-Kerber's twist).
 Reducing d_k yields an echelon basis of im d_k and, from the recorded column
-operations, kernel vectors of d_k; those whose pivot im d_(k-1) leaves free
-represent H^k.  A trace on H^k reduces the image of each representative
-against this basis of ker d_k; a residue raises ArithmeticError.  Over Q the
-invariants of H^k are read off its trace character (Maschke), and integral
-torsion is read off the Smith invariants of the same sparse columns
-(``linalg.smith_invariants``), whose count must match the rank over Q.  The
-chain-level alternating trace is exposed separately so callers can confront
-the two.
+operations, kernel vectors of d_k; with the cleared columns left out, each
+has a pivot that im d_(k-1) leaves free, and they represent H^k.  A trace
+on H^k reduces the image of each representative against this basis of
+ker d_k; a residue raises ArithmeticError.  Over Q the invariants of H^k are
+read off its trace character (Maschke), and integral torsion is read off the
+Smith invariants of the same sparse columns, uncleared
+(``linalg.smith_invariants``), whose count must match the rank over Q: a
+wrong clearing would lower a rank over a field, and Smith does not share it.
+The chain-level alternating trace is exposed separately so callers can
+confront the two.
 """
 
 from __future__ import annotations
@@ -259,25 +264,29 @@ class CochainComplex:
 
     @memo
     def _reduction(self, k):
-        """reduce_columns of d_k over Q with kernel vectors; d_top has no rows."""
+        """reduce_columns of d_k over Q with kernel vectors; d_top has no rows.
+
+        The pivot rows of d_(k-1) are cleared: a pivot j of d_(k-1) has a
+        reduced column r in im d_(k-1), so d_k r = 0 with r[j] = 1 and no
+        key above j, and column j of d_k reduces to zero.
+        """
         columns = self.coboundary(k) or [{}] * self.dims[k]
-        return reduce_columns(columns, record=True)
+        cleared = self._reduction(k - 1)[0] if k >= 1 else ()
+        return reduce_columns(columns, record=True, skip=cleared)
 
     @memo
     def _cocycles(self, k):
         """(basis, representatives) of ker d_k in echelon form.
 
         basis maps each pivot to a cocycle with leading coefficient 1: the
-        echelon of im d_(k-1), completed by the kernel vectors of d_k whose
-        pivot it leaves free.  Those are the representatives of H^k.
+        echelon of im d_(k-1), completed by the kernel vectors of d_k.  Its
+        pivots were cleared from d_k, so theirs are free: they are the
+        representatives of H^k.
         """
         basis = dict(self._reduction(k - 1)[0]) if k >= 1 else {}
-        representatives = []
-        for j, v in self._reduction(k)[1]:
-            if j not in basis:
-                basis[j] = v
-                representatives.append(j)
-        return basis, tuple(representatives)
+        kernel = self._reduction(k)[1]
+        basis.update(kernel)
+        return basis, tuple(j for j, _ in kernel)
 
     def class_coordinates(self, k: int, cocycle: dict) -> dict:
         """Coordinates of a degree-k cocycle's class on the representatives.
@@ -359,7 +368,10 @@ class CochainComplex:
     @memo
     def modp_dims(self, p: int) -> tuple[int, ...]:
         """dim_{F_p} H^k for k = 0..top; checked against Euler-Poincare."""
-        ranks = [len(reduce_columns(cols, p)[0]) for cols in self._coboundaries]
+        ranks, pivots = [], ()
+        for columns in self._coboundaries:
+            pivots = reduce_columns(columns, p, skip=pivots)[0]
+            ranks.append(len(pivots))
         dims = _dims_from_ranks(self.dims, ranks)
         return _euler_checked(self.dims, dims, f"mod {p}")
 

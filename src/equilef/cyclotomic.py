@@ -66,7 +66,7 @@ def _reduce_mod_phi(coeffs: list, e: int) -> list:
 class Cyclotomic:
     """An element of a cyclotomic field in canonical (minimal-conductor) form."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -74,6 +74,8 @@ class Cyclotomic:
             raise ValueError("coefficient vector has wrong length")
         self.conductor = conductor
         self.coeffs = coeffs
+        # a rational value hashes as the rational, since it compares equal to it
+        self._hash = hash(coeffs[0]) if conductor == 1 else hash((conductor, coeffs))
 
     # -- construction ------------------------------------------------------
 
@@ -187,9 +189,7 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        if self.conductor == 1:
-            return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        return self._hash
 
     def __bool__(self):
         return any(self.coeffs)

@@ -2,14 +2,18 @@
 
 ``reduce_columns`` is the package's only elimination over a field.  It
 reduces sparse columns ({row: value}) over Q or F_p and can record the
-column operations, which turns zero columns into kernel vectors.  Cochain
-complexes, the eigenspace split of character tables (mod p) and subfield
-coordinates of cyclotomic numbers (over Q) all run on it, and so does
-``minimal_polynomial``: one reduction of a Krylov sequence mod p, whose
-first kernel vector holds the coefficients.
+column operations, which turns zero columns into kernel vectors.  Over Q an
+integral value is stored as an int, so columns of integers never pay for
+Fraction arithmetic.  A caller that knows some columns reduce to zero may
+skip them (clearing): cochain complexes skip, in d_k, the pivot rows of
+d_(k-1).  Cochain complexes, the eigenspace split of character tables
+(mod p) and subfield coordinates of cyclotomic numbers (over Q) all run on
+it, and so does ``minimal_polynomial``: one reduction of a Krylov sequence
+mod p, whose first kernel vector holds the coefficients.
 ``smith_invariants`` is the only elimination over Z: it takes the same
-sparse columns and computes torsion; ``is_unimodular`` reads invertibility
-over Z off it.  No floating point anywhere.
+sparse columns, never cleared, and computes torsion; its rank is thus an
+independent witness of the cleared ranks.  ``is_unimodular`` reads
+invertibility over Z off it.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ from fractions import Fraction
 
 
 def _sub(y: dict, f, x: dict, p: int = 0):
-    """y -= f * x in place, over Q (p = 0) or F_p; zero entries are dropped."""
+    """y -= f * x in place, over Q (p = 0) or F_p; zero entries are dropped,
+    and an integral Fraction is stored as an int."""
     for i, v in x.items():
         w = y.get(i, 0) - f * v
         if p:
             w %= p
+        elif type(w) is Fraction and w.denominator == 1:
+            w = w.numerator
         if w:
             y[i] = w
         else:
@@ -35,9 +42,10 @@ def _sub(y: dict, f, x: dict, p: int = 0):
 
 
 def _scale(x: dict, f, p: int = 0) -> dict:
-    if p:
-        return {i: v * f % p for i, v in x.items()}
-    return {i: v * f for i, v in x.items()}
+    """f * x, for f nonzero (invertible mod p)."""
+    out: dict = {}
+    _sub(out, -f, x, p)
+    return out
 
 
 def _apply(columns, vec: dict, p: int = 0) -> dict:
@@ -48,7 +56,7 @@ def _apply(columns, vec: dict, p: int = 0) -> dict:
     return out
 
 
-def reduce_columns(columns, p: int = 0, record: bool = False):
+def reduce_columns(columns, p: int = 0, record: bool = False, skip=()):
     """Column reduction of a sparse matrix over Q (p = 0) or F_p.
 
     Each column ({row: value}) is reduced by earlier ones until its largest
@@ -56,11 +64,17 @@ def reduce_columns(columns, p: int = 0, record: bool = False):
     to reduced columns with leading 1, a basis of the column space; kernel
     lists (j, v) for each column j reduced to zero, v being the recorded
     kernel vector (v[j] = 1, other keys below j) or None without record.
+
+    Columns whose index is in skip are passed over (clearing): the caller
+    knows that they reduce to zero, so the echelon is the same without them
+    and the kernel lacks exactly their entries.
     """
     echelon: dict = {}
     ops: dict = {}
     kernel = []
     for j, column in enumerate(columns):
+        if j in skip:
+            continue
         col = {i: v % p for i, v in column.items() if v % p} if p else dict(column)
         rec = {j: 1} if record else None
         while col:

@@ -19,7 +19,8 @@ from equilef.cohomology import (
     modp_euler_characteristic,
     reduce_columns,
 )
-from equilef.complexes import barycentric_subdivision, exact_stratum, fixed_subcomplex
+from equilef.complexes import (
+    barycentric_subdivision, exact_stratum, fixed_subcomplex, isotropy_classes)
 from equilef.engine import lhs_character
 from equilef.groups import class_index_of, group_from_permutations, normalizer, subgroups
 from equilef.scenario_io import parse_scenario
@@ -395,6 +396,21 @@ def test_reduce_columns_ranks_match_sympy():
         for p in (2, 3):
             dense = dense_oracle.dm(rows, m, n, GF(p))
             assert len(reduce_columns(columns, p)[0]) == dense.rank()
+        # cleared: a matrix whose rows annihilate the columns of rows, so the
+        # pivot rows of rows index columns that reduce to zero
+        left = [list(v.T * sympy.ilcm(1, *[x.q for x in v]))
+                for v in sympy.Matrix(rows).T.nullspace()]
+        if not left:
+            continue
+        mixes = [[rng.randint(-2, 2) for _ in left] for _ in range(rng.randint(1, 5))]
+        after = [[sum(c * v[i] for c, v in zip(mix, left)) for i in range(m)]
+                 for mix in mixes]
+        later = [{i: int(after[i][j]) for i in range(len(after)) if after[i][j]}
+                 for j in range(m)]
+        cleared, cleared_kernel = reduce_columns(later, record=True, skip=echelon)
+        full, full_kernel = reduce_columns(later, record=True)
+        assert cleared == full and len(cleared) == sympy.Matrix(after).rank()
+        assert cleared_kernel == [(j, v) for j, v in full_kernel if j not in echelon]
 
 
 def test_cochain_cache_is_keyed_by_lattice_value(by_name):
@@ -457,3 +473,66 @@ def test_a_non_integral_trace_character_names_its_degree(monkeypatch):
     monkeypatch.setattr(CochainComplex, "trace_on_cohomology", raised)
     with pytest.raises(IntegralityError, match=r"H\^2 of CochainComplex"):
         s.whole_cochains().invariant_dims(s.group.whole_subgroup())
+
+
+# -- clearing ----------------------------------------------------------------------
+
+
+def _verified_complexes():
+    """The cochains of the whole complex and of every isotropy stratum, for
+    each builtin and each seed-1 generated document."""
+    scenarios = [builtin_scenario(name) for name in builtin_names()]
+    with generated_documents() as paths:
+        scenarios += [parse_scenario(path.read_text(encoding="utf-8")) for path in paths]
+    complexes = {}
+    for s in scenarios:
+        complexes[s.whole_cochains()] = s.name
+        for cls in isotropy_classes(s.complex):
+            complexes[cochain_complex(exact_stratum(s.complex, cls.representative),
+                                      s.lattice)] = s.name
+    return complexes
+
+
+def test_clearing_skips_only_columns_that_reduce_to_zero():
+    # over Q and F_2, F_3, F_5, in every degree: the pivot rows of d_(k-1) are
+    # columns of d_k that reduce to zero, so skipping them keeps the echelon and
+    # drops exactly their kernel entries
+    complexes = _verified_complexes()
+    assert any(cc.lattice.rank > 1 and cc.stratum.simplex_set()
+               != cc.stratum.parent.as_stratum().simplex_set()
+               for cc in complexes), "a proper stratum with a rank > 1 lattice"
+    skipped = 0
+    for cc, name in complexes.items():
+        for p in (0, 2, 3, 5):
+            pivots = {}
+            for k in range(len(cc.bases)):
+                columns = cc.coboundary(k) or [{}] * cc.dims[k]
+                full, full_kernel = reduce_columns(columns, p, record=True)
+                cleared, kernel = reduce_columns(columns, p, record=True, skip=pivots)
+                assert cleared == full, (name, cc, p, k)
+                assert kernel == [(j, v) for j, v in full_kernel if j not in pivots], (name, p, k)
+                assert {j for j, _ in full_kernel} >= set(pivots), (name, p, k)
+                skipped += len(pivots)
+                pivots = full
+    assert skipped > 1000
+
+
+def test_the_rational_reduction_skips_exactly_the_rank_of_the_previous_degree():
+    for cc, name in _verified_complexes().items():
+        previous = 0
+        for k, n in enumerate(cc.dims):
+            echelon, kernel = cc._reduction(k)
+            # every column is reduced once, except rank(d_(k-1)) of them
+            assert len(echelon) + len(kernel) == n - previous, (name, k)
+            previous = len(echelon)
+
+
+def test_no_reduction_entry_is_an_integral_fraction():
+    # an integral value is stored as an int where it is made, so int-only
+    # columns never meet Fraction arithmetic
+    for cc, name in _verified_complexes().items():
+        for k in range(len(cc.bases)):
+            echelon, kernel = cc._reduction(k)
+            for column in [*echelon.values(), *(v for _, v in kernel)]:
+                assert not any(type(v) is Fraction and v.denominator == 1
+                               for v in column.values()), (name, k)

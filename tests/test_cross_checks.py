@@ -148,8 +148,8 @@ def test_a_lost_cocycle_breaks_euler_poincare_over_q(monkeypatch, capsys):
     # cohomology representative does; the trivial group reads only identity traces
     reduce_columns = COHOMOLOGY.reduce_columns
 
-    def lossy(columns, p=0, record=False):
-        echelon, kernel = reduce_columns(columns, p, record)
+    def lossy(columns, p=0, record=False, skip=()):
+        echelon, kernel = reduce_columns(columns, p, record, skip)
         return echelon, kernel[:-1] if record and not p else kernel
 
     monkeypatch.setattr(COHOMOLOGY, "reduce_columns", lossy)
@@ -174,8 +174,8 @@ def test_a_dropped_mod_p_pivot_breaks_universal_coefficients(monkeypatch, capsys
     # rise; Euler-Poincare still holds, the per-degree reconciliation does not
     reduce_columns = COHOMOLOGY.reduce_columns
 
-    def dropped(columns, p=0, record=False):
-        echelon, kernel = reduce_columns(columns, p, record)
+    def dropped(columns, p=0, record=False, skip=()):
+        echelon, kernel = reduce_columns(columns, p, record, skip)
         if p and echelon:
             del echelon[max(echelon)]
         return echelon, kernel
@@ -186,6 +186,42 @@ def test_a_dropped_mod_p_pivot_breaks_universal_coefficients(monkeypatch, capsys
     _fires(capsys, "disc-reflection",
            "disc-reflection: mod 2 dimension in degree 0 does not reconcile with "
            "the integral cohomology: 2 != 1 + 0 + 0")
+
+
+def _clear_one_column_too_many(monkeypatch, field):
+    """Every cleared reduction over the field (0 for Q) also skips the first
+    column that clearing must keep, one that leaves a pivot: the rank over
+    that field drops.  ``smith_invariants`` still sees every column."""
+    reduce_columns = COHOMOLOGY.reduce_columns
+
+    def wrong(columns, p=0, record=False, skip=()):
+        if skip and p == field:
+            zero = {j for j, _ in reduce_columns(columns, p, True, skip)[1]}
+            kept = [j for j in range(len(columns)) if j not in skip and j not in zero]
+            skip = {*skip, *kept[:1]}
+        return reduce_columns(columns, p, record, skip)
+
+    monkeypatch.setattr(COHOMOLOGY, "reduce_columns", wrong)
+
+
+def test_a_wrong_clearing_over_q_is_caught_twice(monkeypatch, capsys):
+    # the rational dimensions are kernel counts, so Euler-Poincare over Q sees
+    # the lost pivot first; the rank of d_1 over Z, from the uncleared
+    # columns, catches it on its own
+    _clear_one_column_too_many(monkeypatch, 0)
+    _fires(capsys, "projective-plane", "Euler-Poincare mismatch over Q: cells 1, cohomology 2")
+    monkeypatch.setattr(COHOMOLOGY, "_euler_checked", lambda cells, dims, where: dims)
+    with pytest.raises(ArithmeticError, match="rank of d_1 is 10 over Z but 9 over Q"):
+        builtin_scenario("projective-plane").whole_cochains().integral_cohomology()
+
+
+def test_a_wrong_clearing_mod_p_breaks_universal_coefficients(monkeypatch, capsys):
+    # dimensions from ranks satisfy Euler-Poincare whatever the ranks; the
+    # per-degree reconciliation with the Smith invariants does not
+    _clear_one_column_too_many(monkeypatch, 2)
+    _fires(capsys, "disc-reflection",
+           "disc-reflection: mod 2 dimension in degree 1 does not reconcile with "
+           "the integral cohomology: 1 != 0 + 0 + 0")
 
 
 def test_a_corrupted_traced_stratum_character_is_raised(monkeypatch, capsys):
@@ -309,8 +345,8 @@ def _patch_mod_p_reduction(monkeypatch, corrupt):
     shifts at the true eigenvalues."""
     reduce_columns = CHARACTERS.reduce_columns
 
-    def corrupted(columns, p=0, record=False):
-        echelon, kernel = reduce_columns(columns, p, record)
+    def corrupted(columns, p=0, record=False, skip=()):
+        echelon, kernel = reduce_columns(columns, p, record, skip)
         return echelon, corrupt(columns, kernel)
 
     monkeypatch.setattr(CHARACTERS, "reduce_columns", corrupted)
@@ -423,8 +459,8 @@ def test_a_subfield_search_with_two_kernel_vectors_is_raised(monkeypatch, capsys
     # kernel vector, on the value's column
     reduce_columns = CYCLOTOMIC.reduce_columns
 
-    def doubled(columns, p=0, record=False):
-        echelon, kernel = reduce_columns(columns, p, record)
+    def doubled(columns, p=0, record=False, skip=()):
+        echelon, kernel = reduce_columns(columns, p, record, skip)
         return echelon, kernel + kernel
 
     monkeypatch.setattr(CYCLOTOMIC, "reduce_columns", doubled)

@@ -154,3 +154,25 @@ def test_minimal_polynomial_annihilates_root():
             total = total + Cyclotomic.from_rational(coeff) * power
             power = power * z
         assert total == Cyclotomic.from_rational(0), e
+
+
+def test_equal_values_built_by_different_routes_hash_equal():
+    # the hash is computed once, at construction; a rational value hashes as
+    # the rational it equals
+    z3 = root(3)
+    for a, b in [
+        (z3, root(6, 2)),
+        (z3, root(6) * root(6)),
+        (z3, element(3, [-1, 0, -1])),
+        (z3, root(3, 2).conjugate()),
+        (-z3, root(6, 5)),
+        (root(4) * root(4), Cyclotomic.from_rational(-1)),
+        (element(12, [Fraction(1, 2)] * 12), element(1, [0])),
+        (z3 + root(3, 2), -1),
+        (element(8, [0, 1, 0, 1]) * Fraction(1, 2), (root(8) - root(8, 7)) / 2),
+        (Cyclotomic.from_rational(Fraction(6, 4)), Fraction(3, 2)),
+        (element(5, [3, 3, 3, 3, 3]), 0),
+    ]:
+        assert a == b and hash(a) == hash(b), (a, b)
+    assert hash(Cyclotomic.from_rational(7)) == hash(7) == hash(Fraction(7))
+    assert len({z3, root(6, 2), root(9, 3), root(3)}) == 1
