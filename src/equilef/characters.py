@@ -5,18 +5,29 @@ method (Dixon 1967): the class-sum matrices act on the centre of the group
 algebra over a prime field F_p with p = 1 (mod exponent), their common
 eigenvectors are the central characters, and eigenvalue data is lifted back
 to exact cyclotomic values through root-of-unity multiplicities.  The
-eigenspaces are split by the sparse column reduction of ``linalg`` mod p,
-whose recorded kernel vectors combine a space's basis into eigenvectors.
-A class sum is shifted only at the roots of its minimal polynomial, read off
-one reduction of its Krylov sequence (Schneider 1990), so every shift is at
-one of its eigenvalues.  Each class is lifted over its own element order o,
-from the o powers of its representative, into Q(zeta_o), in integer
-arithmetic: ``Fraction``s are built only for the stored coefficients and for
-the subfield search of an irrational value.  Every value is written once in
-integer coordinates over Z[zeta_e], e the lcm of the table's conductors; the
-table is checked orthonormal there, with one reduction mod Phi_e per pair of
-characters, and the Galois orbit sums (the rational-irreducible characters)
-are added there.  Induction, restriction and the inner product act on
+centre is split by its idempotents, starting from the identity, the sum of
+all central characters: on a part e, one reduction of the Krylov sequence
+e, K_i e, ... gives the minimal polynomial f of the class sum K_i on e
+(Schneider 1990), and for each root lam the Lagrange projection
+q(K_i) e / q(lam), q = f / (x - lam), keeps the central characters of e with
+eigenvalue lam.  It combines the Krylov vectors already built, so the split
+makes no other reduction.  Each class is lifted over its own element order
+o, from the o powers of its representative, into Q(zeta_o), in integer
+arithmetic, once per distinct power row: ``Fraction``s are built only for
+the stored coefficients and for the subfield search of an irrational value.
+Every value is written once in integer coordinates over Z[zeta_e], e the lcm
+of the table's conductors, and the Galois orbit sums (the rational
+irreducibles) are added there.
+
+The table is checked orthonormal there too, one reduction mod Phi_e per
+pair of characters checked, and a pair is checked once per orbit.  A unit k
+mod the exponent is a symmetry of the table when chi -> chi o p_k, with p_k
+the class of x -> x^k, sends every row onto a row, compared exactly.  Then
+p_k permutes the classes and keeps their sizes, so
+<chi_i o p_k, chi_j o p_k> = <chi_i, chi_j> term for term, for any class
+functions: the image of a checked pair needs no check of its own.  A
+corrupted row breaks every symmetry that moves it, so all of its pairs are
+still checked.  Induction, restriction and the inner product act on
 rational virtual characters only.
 
 A rational virtual character stores each value as an ``int`` when it is an
@@ -35,7 +46,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
 from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of, memo
-from .linalg import _apply, _sub, minimal_polynomial, reduce_columns
+from .linalg import _sub, minimal_polynomial
 from .numtheory import euler_phi, is_prime, primitive_root
 
 DIXON_PRIME_BOUND = 10_000_000
@@ -251,10 +262,17 @@ def _dixon_prime(order: int, exponent: int) -> int:
 
 
 @memo
+def _exponent(g: Group) -> int:
+    """exp(G), the lcm of the class representatives' orders: element order
+    is a class function."""
+    return math.lcm(*(g.element_order(cl.representative) for cl in element_classes(g)))
+
+
+@memo
 def power_map(g: Group) -> list[tuple[int, ...]]:
     """pm[j][k] = class index of (rep of class j)^k, for k = 0..exponent-1."""
     cls_of = class_index_of(g)
-    m = g.exponent()
+    m = _exponent(g)
     pm = []
     for cl in element_classes(g):
         rep = cl.representative
@@ -267,7 +285,7 @@ def power_map(g: Group) -> list[tuple[int, ...]]:
 
 
 def _build_character_table(g: Group) -> CharacterTable:
-    p = _dixon_prime(g.order, g.exponent())
+    p = _dixon_prime(g.order, _exponent(g))
     table = _ordered_table(g, _lift(g, p, _central_characters_mod_p(g, p)))
     _check_orthonormality(table)
     return table
@@ -283,18 +301,16 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
 
     reps = [cl.representative for cl in classes]
 
-    # split F_p^r into common eigenspaces; each line is a central character.
-    # A kernel vector x of the columns (K_i - lam) s_j spans the eigenvector
-    # sum_j x_j s_j, so a space is never restricted to its own coordinates.
-    # The class algebra mod p is split semisimple (p does not divide |G|) and
-    # the identity {0: 1} generates it, so the minimal polynomial of K_i on
-    # that vector is K_i's own, with as many distinct roots as its degree, and
-    # every eigenvalue of K_i on a common eigenspace is one of them: lam runs
-    # over these roots only.  A lam skipped had an empty kernel, so the
-    # spaces come out as a sweep over all of F_p would give them.
-    spaces = [[{j: 1} for j in range(r)]]
+    # split the identity {0: 1} into r lines, each a multiple of a central
+    # character.  A part (e, n) is a sum of at most n central characters; the
+    # Krylov sequence e, K_i e, ... gives the minimal polynomial f of K_i on
+    # it, whose roots are distinct (the class algebra mod p is split
+    # semisimple), and for each root lam, with q = f / (x - lam), the part
+    # q(K_i) e / q(lam) keeps exactly e's central characters with eigenvalue
+    # lam.  It is read off the Krylov vectors already built.
+    parts = [({0: 1}, r)]
     for i in range(1, r):
-        if all(len(basis) == 1 for basis in spaces):
+        if len(parts) == r:
             break
         # right multiplication by the class sum K_i on the basis {K_j}: the
         # entry (j, k) counts the y in C_i with z_k y^-1 in C_j
@@ -304,41 +320,44 @@ def _central_characters_mod_p(g: Group, p: int) -> list[tuple[int, list[int]]]:
             row = g.mul[zk]
             counts = Counter(cls_of[row[y]] for y in inverses)
             columns.append({j: c % p for j, c in counts.items() if c % p})
-        f = minimal_polynomial(columns, {0: 1}, p)
-        roots = [lam for lam in range(p) if _horner(f, lam, p) == 0]
-        if len(roots) < len(f) - 1:
-            raise ArithmeticError(
-                f"minimal polynomial of class sum {i} has {len(roots)} roots in F_p, "
-                f"fewer than its degree {len(f) - 1}: the class algebra does not split")
+        # the other parts are nonzero, so each holds at most r - len + 1 lines
+        slack = r - len(parts) + 1
         refined = []
-        for basis in spaces:
-            if len(basis) == 1:
-                refined.append(basis)
+        for e, n in parts:
+            n = min(n, slack)
+            if n == 1:
+                refined.append((e, n))
                 continue
-            images = [_apply(columns, s, p) for s in basis]
-            found = 0
+            f, krylov = minimal_polynomial(columns, e, p, n)
+            d = len(f) - 1
+            if d == 1:
+                refined.append((e, n))
+                continue
+            roots = [lam for lam in range(p) if _horner(f, lam, p) == 0]
+            if len(roots) < d:
+                raise ArithmeticError(
+                    f"minimal polynomial of class sum {i} has {len(roots)} roots in F_p, "
+                    f"fewer than its degree {d}: the class algebra does not split")
             for lam in roots:
-                shifted = []
-                for s, image in zip(basis, images):
-                    col = dict(image)
-                    _sub(col, lam, s, p)
-                    shifted.append(col)
-                kernel = reduce_columns(shifted, p, record=True)[1]
-                if kernel:
-                    refined.append([_apply(basis, x, p) for _, x in kernel])
-                    found += len(kernel)
-                    if found == len(basis):
-                        break
-            if found != len(basis):
-                raise ArithmeticError("class algebra failed to split over F_p")
-        spaces = refined
-    if any(len(basis) != 1 for basis in spaces):
+                q = [1]  # f / (x - lam), high degree first, by synthetic division
+                for c in reversed(f[1:-1]):
+                    q.append((c + lam * q[-1]) % p)
+                scale = pow(_horner(q[::-1], lam, p), -1, p)
+                part: dict = {}
+                for c, s in zip(reversed(q), krylov):
+                    if c:
+                        _sub(part, -c * scale, s, p)
+                if not part:
+                    raise ArithmeticError("class algebra failed to split over F_p")
+                refined.append((part, n - d + 1))
+        parts = refined
+    if len(parts) != r:
         raise ArithmeticError("common eigenspace splitting did not reach lines")
 
     # normalize central characters and recover degrees via orthogonality
     inv_sizes = [pow(s % p, -1, p) for s in sizes]
     rows_mod_p = []
-    for (w,) in spaces:
+    for w, _ in parts:
         if 0 not in w:
             raise ArithmeticError("central character vanishes at the identity class")
         scale = pow(w[0], -1, p)
@@ -377,31 +396,46 @@ def _lift(g: Group, p: int, rows_mod_p) -> list[tuple[int, ClassFunction]]:
 
     chi(x^k) depends only on k mod o = o(x), so the multiplicity of zeta_o^l
     as an eigenvalue of x is o^-1 sum_{k<o} chi(x^k) zeta_o^(-lk), taken mod p
-    with zeta_o = z^(m/o) for a primitive m-th root of unity z mod p.
+    with zeta_o = z^(m/o) for a primitive m-th root of unity z mod p.  The
+    power row (chi(x^k) mod p for k < o) determines the multiplicities, so
+    they are computed, checked and lifted once per degree and power row.
     """
-    m = g.exponent()
+    m = _exponent(g)
     pm = power_map(g)
     z = pow(primitive_root(p), (p - 1) // m, p)
     orders = [g.element_order(cl.representative) for cl in element_classes(g)]
+    powers = [pm[j][:o] for j, o in enumerate(orders)]
     # per order o: zeta_o^-t for t < o, and o^-1
     inverse_roots = {}
     for o in set(orders):
         w = pow(z, m - m // o, p)
         inverse_roots[o] = ([pow(w, t, p) for t in range(o)], pow(o, -1, p))
-    exact = {}  # (o, multiplicities) -> value; most values repeat within a table
+    exact = {}  # (degree, power row) -> value; most power rows repeat within a table
+    interned = {}
     lifted = []
     for degree, row in rows_mod_p:
         values = []
-        for j, o in enumerate(orders):
-            roots, o_inv = inverse_roots[o]
-            chi = [row[c] for c in pm[j][:o]]
-            mults = tuple(sum(v * roots[l * k % o] for k, v in enumerate(chi)) % p * o_inv % p
-                          for l in range(o))
-            if sum(mults) != degree:
-                raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-            if (o, mults) not in exact:
-                exact[o, mults] = Cyclotomic.from_root_combination(o, mults)
-            values.append(exact[o, mults])
+        for cols in powers:
+            chi = tuple(map(row.__getitem__, cols))
+            value = exact.get((degree, chi))
+            if value is None:
+                o = len(chi)
+                roots, o_inv = inverse_roots[o]
+                # a geometric power row, (zeta_o^tk)_k as on a linear character,
+                # has the one eigenvalue zeta_o^t: its transform needs no sums
+                t = roots.index(chi[-1]) if chi[-1] in roots else None
+                if t is not None and all(chi[k] == roots[-t * k % o] for k in range(o)):
+                    mults = tuple(int(l == t) for l in range(o))
+                else:
+                    mults = tuple(
+                        sum(v * roots[l * k % o] for k, v in enumerate(chi)) % p * o_inv % p
+                        for l in range(o))
+                if sum(mults) != degree:
+                    raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
+                value = Cyclotomic.from_root_combination(o, mults)
+                # one object per value, so that later lookups compare by identity
+                value = exact[degree, chi] = interned.setdefault(value, value)
+            values.append(value)
         lifted.append((degree, ClassFunction(g, tuple(values))))
     return lifted
 
@@ -443,8 +477,35 @@ def _coordinates(table: CharacterTable) -> tuple[int, list[list[tuple[int, ...]]
     return e, [[coords[v] for v in chi.values] for chi in table.irreducibles]
 
 
+def _symmetries(table: CharacterTable) -> list[list[int]]:
+    """The row permutations of the symmetries of the table.
+
+    A unit k mod exp(G) is a symmetry when chi o p_k, with p_k the class of
+    x -> x^k, is again a row for every row chi, all of them distinct: then
+    pi[i] is the row chi_i o p_k.  Rows are compared exactly, on their values.
+    """
+    g = table.group
+    m = _exponent(g)
+    pm = power_map(g)
+    ids: dict = {}
+    rows = [tuple(ids.setdefault(v, len(ids)) for v in chi.values) for chi in table.irreducibles]
+    index = {row: i for i, row in enumerate(rows)}
+    perms = []
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            cols = [pm_j[k] for pm_j in pm]
+            pi = [index.get(tuple(map(row.__getitem__, cols))) for row in rows]
+            if None not in pi and len(set(pi)) == len(rows):
+                perms.append(pi)
+    return perms
+
+
 def _check_orthonormality(table: CharacterTable):
-    """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates.
+    """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates, checked
+    once per orbit of pairs under the ``_symmetries`` (module docstring).
+
+    The pairs are walked in order and a pair is skipped when a symmetry maps
+    a checked pair onto it, so the first pair that fails is always checked.
 
     Per pair, sum_k |C_k| chi_i(x_k) conj chi_j(x_k) is accumulated over the
     ``_coordinates`` of the values as an integer polynomial in zeta_e and
@@ -459,22 +520,30 @@ def _check_orthonormality(table: CharacterTable):
         for t, x in enumerate(c):
             raw[-t % e] += x
         conjugates[c] = _reduce_mod_phi(raw, e)
-    conj_rows = [[conjugates[c] for c in row] for row in rows]
-    for i, a_row in enumerate(rows):
+    # the nonzero (exponent, coordinate) terms of each value and conjugate
+    terms = {c: [(t, x) for t, x in enumerate(c) if x] for c in conjugates}
+    conj_terms = {c: [(u, y) for u, y in enumerate(conjugates[c]) if y] for c in conjugates}
+    term_rows = [[terms[c] for c in row] for row in rows]
+    conj_rows = [[conj_terms[c] for c in row] for row in rows]
+    perms = _symmetries(table)
+    covered = set()
+    for i, a_row in enumerate(term_rows):
         for j in range(i, len(rows)):
+            if (i, j) in covered:
+                continue
             acc = [0] * (2 * n - 1)
             for size, a, b in zip(sizes, a_row, conj_rows[j]):
-                for t, x in enumerate(a):
-                    if x:
-                        x *= size
-                        for u, y in enumerate(b):
-                            if y:
-                                acc[t + u] += x * y
+                for t, x in a:
+                    x *= size
+                    for u, y in b:
+                        acc[t + u] += x * y
             expected = [table.group.order if i == j else 0] + [0] * (n - 1)
             if _reduce_mod_phi(acc, e) != expected:
                 raise ArithmeticError(
                     f"characters {i} and {j} are not orthonormal; lifting is inconsistent"
                 )
+            for pi in perms:
+                covered.add((pi[i], pi[j]) if pi[i] <= pi[j] else (pi[j], pi[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +559,7 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     trivial orbit comes first.
     """
     g = table.group
-    m = g.exponent()
+    m = _exponent(g)
     pm = power_map(g)
     r = len(table.classes)
     coords = _coordinates(table)[1]

@@ -58,13 +58,18 @@ def _euler_checked(cells, dims, where):
 
 
 def _int_matmul(a, b):
+    """a b for integer matrices given as rows; each row of the product starts
+    from its first nonzero term, a copy of b's row when the coefficient is 1."""
     out = []
     for row in a:
-        acc = [0] * len(b[0])
+        acc = None
         for c, brow in zip(row, b):
             if c:
-                acc = [x + c * y for x, y in zip(acc, brow)]
-        out.append(acc)
+                if acc is not None:
+                    acc = [x + c * y for x, y in zip(acc, brow)]
+                else:
+                    acc = list(brow) if c == 1 else [c * y for y in brow]
+        out.append([0] * len(b[0]) if acc is None else acc)
     return out
 
 

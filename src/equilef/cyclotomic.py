@@ -182,10 +182,11 @@ class Cyclotomic:
         return self.conductor == 1 and self.coeffs[0].denominator == 1
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.conductor == 1 and self.coeffs[0] == other
+        # Cyclotomic first: isinstance against Fraction, an ABCMeta class, is slow
         if isinstance(other, Cyclotomic):
             return self.conductor == other.conductor and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.conductor == 1 and self.coeffs[0] == other
         return NotImplemented
 
     def __hash__(self):

@@ -6,10 +6,10 @@ column operations, which turns zero columns into kernel vectors.  Over Q an
 integral value is stored as an int, so columns of integers never pay for
 Fraction arithmetic.  A caller that knows some columns reduce to zero may
 skip them (clearing): cochain complexes skip, in d_k, the pivot rows of
-d_(k-1).  Cochain complexes, the eigenspace split of character tables
-(mod p) and subfield coordinates of cyclotomic numbers (over Q) all run on
-it, and so does ``minimal_polynomial``: one reduction of a Krylov sequence
-mod p, whose first kernel vector holds the coefficients.
+d_(k-1).  Cochain complexes and subfield coordinates of cyclotomic numbers
+(over Q) run on it, and so does ``minimal_polynomial``: one reduction of a
+Krylov sequence mod p, whose first kernel vector holds the coefficients.  It
+is the only reduction of the character-table split.
 ``smith_invariants`` is the only elimination over Z: it takes the same
 sparse columns, never cleared, and computes torsion; its rank is thus an
 independent witness of the cleared ranks.  ``is_unimodular`` reads
@@ -101,19 +101,22 @@ def reduce_columns(columns, p: int = 0, record: bool = False, skip=()):
     return echelon, kernel
 
 
-def minimal_polynomial(columns, v: dict, p: int) -> list[int]:
-    """The monic f of least degree over F_p with f(A) v = 0, A the square
-    matrix given by its n columns: coefficients, low degree first.
+def minimal_polynomial(columns, v: dict, p: int, n: int | None = None):
+    """(f, krylov): the monic f of least degree over F_p with f(A) v = 0, A the
+    square matrix given by its columns, as coefficients, low degree first;
+    and krylov = [v, Av, ..., A^(d-1) v], d = deg f.
 
-    The Krylov vectors v, Av, ..., A^n v are reduced once.  The first of them
-    that reduces to zero is A^d v with d = deg f, and its recorded kernel
-    vector (1 at d, other keys below d) holds the coefficients of f.
+    n bounds deg f: the dimension of some A-invariant space that holds v,
+    by default the whole space.  The Krylov vectors v, Av, ..., A^n v are
+    reduced once.  The first of them that reduces to zero is A^d v, and its
+    recorded kernel vector (1 at d, other keys below d) holds the
+    coefficients of f.
     """
     krylov = [v]
-    for _ in columns:
+    for _ in range(len(columns) if n is None else n):
         krylov.append(_apply(columns, krylov[-1], p))
     d, f = reduce_columns(krylov, p, record=True)[1][0]
-    return [f.get(k, 0) for k in range(d + 1)]
+    return [f.get(k, 0) for k in range(d + 1)], krylov[:d]
 
 
 # ---------------------------------------------------------------------------

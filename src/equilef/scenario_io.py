@@ -15,6 +15,7 @@ formats cannot disagree.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import namedtuple
@@ -205,9 +206,15 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",
             "$.options.subdivisions")
-    # the face closure has at most sum_s C(|s|, j+1) cells of dimension j > 0
-    f = [vertices] + [sum(math.comb(len(s), j + 1) for s in maximal)
-                      for j in range(1, max(map(len, maximal)))]
+    # the face closure has its distinct edges, counted exactly (stopping past
+    # the limit), and at most sum_s C(|s|, j+1) cells of each dimension j > 1
+    edges: set = set()
+    for s in maximal:
+        edges.update(itertools.combinations(s, 2))
+        if len(edges) > MAX_CELLS:
+            break
+    f = [vertices, len(edges)] + [sum(math.comb(len(s), j + 1) for s in maximal)
+                                  for j in range(2, max(map(len, maximal)))]
     cells = sum(f)
     _expect(cells <= MAX_CELLS,
             f"the complex may have {cells} cells, over the limit of {MAX_CELLS}",
@@ -656,6 +663,10 @@ def strata_text(data: dict) -> str:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+# the leaves, by exact type: a str or int subclass takes the general path
+_LEAF_TEXT = {str: _encode_str, int: int.__repr__,
+              bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
 
 
 def canonical_json(data) -> str:
@@ -663,43 +674,35 @@ def canonical_json(data) -> str:
 
     ``indent`` makes ``json.dumps`` use its pure-Python encoder, so the
     indentation is written here and only the leaves are encoded: strings by
-    the C string encoder, ints by ``repr``, anything else by ``json.dumps``.
+    the C string encoder, ints by ``repr``, bools and None from a table,
+    anything else by ``json.dumps``.  Each container is one join of its
+    items' texts.
     """
-    out: list[str] = []
-    _write_json(data, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return _json_text(data, "\n") + "\n"
 
 
-def _write_json(value, indent: str, out: list[str]):
+def _json_text(value, indent: str) -> str:
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, dict):
+        return _encode_str(value)
+    if isinstance(value, dict):
         if not value:
-            out.append("{}")
-            return
+            return "{}"
         inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep + _encode_str(key if isinstance(key, str) else _json_key(key)) + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
+        return "{" + inner + ("," + inner).join([
+            _encode_str(key if isinstance(key, str) else _json_key(key)) + ": "
+            + (leaf(item) if (leaf := _LEAF_TEXT.get(type(item))) else _json_text(item, inner))
+            for key, item in value.items()]) + indent + "}"
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
-            return
+            return "[]"
         inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif type(value) is int:
-        out.append(repr(value))
-    else:
-        out.append(json.dumps(value))
+        return "[" + inner + ("," + inner).join([
+            leaf(item) if (leaf := _LEAF_TEXT.get(type(item))) else _json_text(item, inner)
+            for item in value]) + indent + "]"
+    return json.dumps(value)
 
 
 def _json_key(key) -> str:

@@ -88,6 +88,18 @@ def test_shared_and_repeated_faces_are_not_counted_per_listing():
     assert parse_scenario_file(json.dumps(doc))
 
 
+def test_the_grid_torus_is_counted_exactly_on_both_sides_of_the_limit():
+    # 6 m^2 cells: shared edges count once; m = 158 gives 149,784, m = 159 151,686
+    assert 6 * 158 ** 2 <= MAX_CELLS < 6 * 159 ** 2
+    started = time.perf_counter()
+    assert parse_scenario_file(json.dumps(grid_torus_doc(158)))
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_file(json.dumps(grid_torus_doc(159)))
+    assert time.perf_counter() - started < 10
+    assert info.value.location == "$.complex.maximal_simplices"
+    assert str(6 * 159 ** 2) in info.value.message
+
+
 def test_an_oversized_closure_is_refused_at_the_field_that_makes_it():
     doc = simplex_doc(150)
     doc["complex"]["maximal_simplices"] = [list(range(i, i + 15)) for i in range(0, 150, 15)]

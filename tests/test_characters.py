@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from equilef.characters import (
+    CharacterTable,
     IntegralityError,
     _central_characters_mod_p,
     _dixon_prime,
@@ -31,7 +32,15 @@ from equilef.groups import (
     subgroups,
 )
 from equilef.scenarios import builtin_scenario
-from chartab_oracle import cyclotomic_inner_product, symmetric
+from chartab_oracle import (
+    alternating,
+    cyclic,
+    cyclotomic_inner_product,
+    exponent_lift,
+    kernel_split_mod_p,
+    oracle_table,
+    symmetric,
+)
 
 CHARACTERS = importlib.import_module("equilef.characters")
 LINALG = importlib.import_module("equilef.linalg")
@@ -254,54 +263,127 @@ def test_the_trivial_group_table_comes_from_the_class_algebra():
 
 
 def _table_reductions(monkeypatch, groups) -> int:
-    """The reductions (Krylov and shift) that building the character tables
-    of the groups takes, counted on ``reduce_columns``; the subfield search
-    of the lift reduces through ``cyclotomic`` and is not counted."""
+    """The reductions that building the character tables of the groups takes,
+    counted on ``linalg.reduce_columns``: the Krylov reductions of the split.
+    The subfield search of the lift reduces through ``cyclotomic`` and is not
+    counted."""
     calls = [0]
-    for module in (CHARACTERS, LINALG):
-        reduce_columns = module.reduce_columns
+    reduce_columns = LINALG.reduce_columns
 
-        def counted(*args, _reduce=reduce_columns, **kwargs):
-            calls[0] += 1
-            return _reduce(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reduce_columns(*args, **kwargs)
 
-        monkeypatch.setattr(module, "reduce_columns", counted)
+    monkeypatch.setattr(LINALG, "reduce_columns", counted)
     for g in groups:
         character_table(g)
     return calls[0]
 
 
 def test_a5_splits_in_a_dozen_reductions(monkeypatch):
-    # a sweep over every lambda in F_31 took 50; the roots need 8 shifts and
-    # one Krylov reduction for each of the two class sums used
+    # a sweep over every lambda in F_31 took 50, shifts at the roots 10
     a5 = group_from_permutations(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
     assert _table_reductions(monkeypatch, [a5]) <= 12
 
 
-def test_s6_subgroup_class_tables_split_in_under_700_reductions(monkeypatch):
-    # a sweep over every lambda in F_p took 2533 for these 56 tables; equal
-    # representatives share one group and one table, so 47 are built
+def test_s6_subgroup_class_tables_split_in_at_most_310_reductions(monkeypatch):
+    # a sweep over every lambda in F_p took 2533 for these 56 tables, shifts
+    # at the roots 663; equal representatives share one group and one table,
+    # so 47 are built
     groups = [c.representative.as_group() for c in conjugacy_classes_of_subgroups(symmetric(6))]
     assert len(groups) == 56
-    assert _table_reductions(monkeypatch, groups) <= 700
+    assert _table_reductions(monkeypatch, groups) <= 310
 
 
-def test_the_split_shifts_only_at_roots_of_the_minimal_polynomial(monkeypatch):
-    # every lam of a shift (K_i - lam) is a root of the class sum's last
-    # minimal polynomial; the shift subtracts lam s_j through characters._sub
-    minimal, sub = CHARACTERS.minimal_polynomial, CHARACTERS._sub
-    last, shifts = [], []
+def test_every_reduction_of_the_split_is_a_krylov_reduction(monkeypatch):
+    # the projections are combinations of Krylov vectors already built: no
+    # reduction runs outside minimal_polynomial
+    minimal, reduce_columns = CHARACTERS.minimal_polynomial, LINALG.reduce_columns
+    inside, calls = [False], []
 
-    def recorded(columns, v, p):
-        last[:] = minimal(columns, v, p)
-        return list(last)
+    def krylov(*args):
+        inside[0] = True
+        try:
+            return minimal(*args)
+        finally:
+            inside[0] = False
 
-    def shift(y, f, x, p=0):
-        shifts.append(sum(c * f ** k for k, c in enumerate(last)) % p)
-        sub(y, f, x, p)
+    def counted(*args, **kwargs):
+        calls.append(inside[0])
+        return reduce_columns(*args, **kwargs)
 
-    monkeypatch.setattr(CHARACTERS, "minimal_polynomial", recorded)
-    monkeypatch.setattr(CHARACTERS, "_sub", shift)
+    monkeypatch.setattr(CHARACTERS, "minimal_polynomial", krylov)
+    monkeypatch.setattr(LINALG, "reduce_columns", counted)
     for g in (symmetric(4), symmetric(5), group_from_permutations(6, [(1, 2, 3, 4, 5, 0)])):
         _central_characters_mod_p(g, _dixon_prime(g.order, g.exponent()))
-    assert shifts and set(shifts) == {0}
+    assert calls and all(calls)
+
+
+SPLIT_GROUPS = {
+    "s4": lambda: symmetric(4),
+    "a5": lambda: alternating(5),
+    "s5": lambda: symmetric(5),
+    "s6": lambda: symmetric(6),
+    "c12": lambda: cyclic(12),
+    "c30": lambda: cyclic(30),
+    "c60": lambda: cyclic(60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GROUPS))
+def test_the_idempotent_split_equals_the_kernel_split_on_every_subgroup_class(name):
+    for cls in conjugacy_classes_of_subgroups(SPLIT_GROUPS[name]()):
+        h = cls.representative.as_group()
+        p = _dixon_prime(h.order, h.exponent())
+        assert sorted(_central_characters_mod_p(h, p)) == sorted(kernel_split_mod_p(h, p)), \
+            cls.representative
+
+
+@pytest.mark.parametrize("name", ["s6", "c12"])
+def test_tables_equal_the_oracle_on_every_subgroup_class(name):
+    # the oracle checks every pair; C_30 and C_60 are compared split by split
+    # above and lift by lift below, since its cyclotomic pairs take seconds
+    for cls in conjugacy_classes_of_subgroups(SPLIT_GROUPS[name]()):
+        h = cls.representative.as_group()
+        table = character_table(h)
+        assert [(d, chi.values) for d, chi in zip(table.degrees, table.irreducibles)] \
+            == oracle_table(h), cls.representative
+
+
+@pytest.mark.parametrize("g", [
+    cyclic(12), cyclic(30), alternating(4), symmetric(4),
+    # C3 x S3: linear characters with values zeta_3 beside real degree-2 ones
+    group_from_permutations(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3), (0, 1, 2, 4, 3, 5)]),
+], ids=["c12", "c30", "a4", "s4", "c3xs3"])
+def test_the_lift_equals_the_exponent_lift_row_by_row(g):
+    # row by row, before the table is sorted: a lift that conjugated every
+    # linear character would still give the same sorted table
+    p = _dixon_prime(g.order, g.exponent())
+    rows = _central_characters_mod_p(g, p)
+    assert CHARACTERS._lift(g, p, rows) == exponent_lift(g, p, rows)
+
+
+def _plus_one_tables(table):
+    """The table with one value raised by 1, for each non-identity position."""
+    for i, chi in enumerate(table.irreducibles):
+        for k in range(1, len(chi.values)):
+            values = chi.values[:k] + (chi.values[k] + 1,) + chi.values[k + 1:]
+            rows = table.irreducibles[:i] + (chi._replace(values=values),) \
+                + table.irreducibles[i + 1:]
+            yield CharacterTable(table.group, table.classes, rows, table.degrees)
+
+
+@pytest.mark.parametrize("g", [cyclic(12), alternating(4), symmetric(4)], ids=["c12", "a4", "s4"])
+def test_the_orbit_check_names_the_pair_the_all_pairs_check_names(monkeypatch, g):
+    # on a genuine table every unit mod the exponent is a symmetry
+    table = character_table(g)
+    m = g.exponent()
+    assert len(CHARACTERS._symmetries(table)) == sum(math.gcd(k, m) == 1 for k in range(2, m))
+    for bad in _plus_one_tables(table):
+        with pytest.raises(ArithmeticError, match="not orthonormal") as by_orbit:
+            CHARACTERS._check_orthonormality(bad)
+        with monkeypatch.context() as patch:
+            patch.setattr(CHARACTERS, "_symmetries", lambda t: [])
+            with pytest.raises(ArithmeticError, match="not orthonormal") as by_pair:
+                CHARACTERS._check_orthonormality(bad)
+        assert str(by_orbit.value) == str(by_pair.value)

@@ -33,13 +33,13 @@ REGISTRY = {
      "the class algebra does not split"):
         CROSS + "test_a_repeated_root_means_the_class_algebra_does_not_split",
     ("characters", "_central_characters_mod_p", "class algebra failed to split over F_p"):
-        CROSS + "test_a_reduction_without_kernel_fails_to_split_the_class_algebra",
+        CROSS + "test_lost_krylov_vectors_make_a_zero_projection",
     ("characters", "_central_characters_mod_p",
      "common eigenspace splitting did not reach lines"):
-        CROSS + "test_a_reduction_returning_the_whole_basis_never_reaches_lines",
+        CROSS + "test_a_minimal_polynomial_that_never_splits_never_reaches_lines",
     ("characters", "_central_characters_mod_p",
      "central character vanishes at the identity class"):
-        CROSS + "test_eigenvectors_without_an_identity_coordinate_are_raised",
+        CROSS + "test_idempotents_without_an_identity_coordinate_are_raised",
     ("characters", "_degree_mod_p", "no degree up to {} squares to {} mod {}"):
         "tests/test_cli.py::test_missing_character_degree_is_an_internal_error",
     ("characters", "_lift", "eigenvalue multiplicities do not sum to the degree"):

@@ -58,6 +58,23 @@ def test_lattice_validation():
         GLattice.from_generator_matrices(c2, 1, [[[-2]]])
 
 
+def test_lattice_product_equals_the_triple_loop():
+    # rows with zeros up front, all-zero rows, coefficients 1, -1 and larger
+    rng = random.Random(2024)
+    for _ in range(200):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[0] * k if rng.random() < 0.2 else
+             [rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(k)]
+             for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+        product = cohomology_module._int_matmul(a, b)
+        assert product == matmul(a, b)
+        assert all(type(x) is int for row in product for x in row)
+        # b's rows are copied, never shared
+        product[0][0] += 1
+        assert matmul(a, b) == cohomology_module._int_matmul(a, b)
+
+
 def test_generator_matrices_must_be_square_of_the_rank():
     # the identity generator's relations hold for a 1 x 2 matrix: only the shape check sees it
     trivial = group_from_permutations(2, [(0, 1)])
@@ -425,7 +442,7 @@ def test_cochain_cache_is_keyed_by_lattice_value(by_name):
 
 # by import_module: the package exports a function named cohomology
 cohomology_module = importlib.import_module("equilef.cohomology")
-characters_module = importlib.import_module("equilef.characters")
+linalg_module = importlib.import_module("equilef.linalg")
 
 
 def _free_scenarios():
@@ -440,7 +457,8 @@ def _free_scenarios():
 
 def test_invariant_dims_run_no_elimination_after_the_lhs(monkeypatch):
     calls = []
-    for module in (cohomology_module, characters_module):
+    # linalg's own reduce_columns is the Krylov reduction of the character tables
+    for module in (cohomology_module, linalg_module):
         original = module.reduce_columns
 
         def counted(*args, _original=original, **kwargs):

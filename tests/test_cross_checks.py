@@ -15,7 +15,7 @@ factorized stratum character against the traced one, the orbit count of a
 free quotient, the degree squares of a character table, the integrality of a
 Galois orbit sum, and the integrality of the three characters the engine
 compares.  Last, the invariants of the character-table build (the Dixon
-prime, the roots of each class sum's minimal polynomial, the eigenspace
+prime, the roots of each class sum's minimal polynomial, the idempotent
 split mod p, the lift and the Galois action), of the cyclotomic arithmetic
 behind it, of the cohomology trace (the image of a cocycle is a cocycle)
 and of the stratum dimensions (multiples of the lattice rank).
@@ -320,57 +320,52 @@ def test_a_lowered_prime_bound_leaves_no_dixon_prime(monkeypatch, capsys):
            commands=("verify", "chartab"))
 
 
+def _patch_minimal_polynomial(monkeypatch, corrupt):
+    """Every Krylov reduction of the split returns corrupt(f, krylov): the
+    minimal polynomial of a class sum on a part, and the Krylov vectors that
+    its projections combine."""
+    minimal = CHARACTERS.minimal_polynomial
+    monkeypatch.setattr(CHARACTERS, "minimal_polynomial",
+                        lambda columns, v, p, n=None: corrupt(*minimal(columns, v, p, n), p))
+
+
 def test_a_repeated_root_means_the_class_algebra_does_not_split(monkeypatch, capsys):
     # f^2 has the roots of f, each twice: fewer distinct roots than its degree,
     # as for a class sum that is not diagonalizable mod p
-    minimal = CHARACTERS.minimal_polynomial
-
-    def squared(columns, v, p):
-        f = minimal(columns, v, p)
+    def squared(f, krylov, p):
         out = [0] * (2 * len(f) - 1)
         for a, x in enumerate(f):
             for b, y in enumerate(f):
                 out[a + b] = (out[a + b] + x * y) % p
-        return out
+        return out, krylov
 
-    monkeypatch.setattr(CHARACTERS, "minimal_polynomial", squared)
+    _patch_minimal_polynomial(monkeypatch, squared)
     _fires(capsys, NAME, "minimal polynomial of class sum 1 has 3 roots in F_p, fewer than "
            "its degree 6: the class algebra does not split", commands=("verify", "chartab"))
 
 
-def _patch_mod_p_reduction(monkeypatch, corrupt):
-    """Every shift reduction (K_i - lam) of the eigenspace split returns
-    corrupt(columns, kernel).  The Krylov reduction behind the minimal
-    polynomial runs inside ``linalg`` and stays exact, so the split still
-    shifts at the true eigenvalues."""
-    reduce_columns = CHARACTERS.reduce_columns
-
-    def corrupted(columns, p=0, record=False, skip=()):
-        echelon, kernel = reduce_columns(columns, p, record, skip)
-        return echelon, corrupt(columns, kernel)
-
-    monkeypatch.setattr(CHARACTERS, "reduce_columns", corrupted)
-
-
-def test_a_reduction_without_kernel_fails_to_split_the_class_algebra(monkeypatch, capsys):
-    _patch_mod_p_reduction(monkeypatch, lambda columns, kernel: [])
+def test_lost_krylov_vectors_make_a_zero_projection(monkeypatch, capsys):
+    # each projection q(K_i) e / q(lam) combines the Krylov vectors; with
+    # them lost it is zero, so no part splits off
+    _patch_minimal_polynomial(monkeypatch, lambda f, krylov, p: (f, [{} for _ in krylov]))
     _fires(capsys, NAME, "class algebra failed to split over F_p",
            commands=("verify", "chartab"))
 
 
-def test_a_reduction_returning_the_whole_basis_never_reaches_lines(monkeypatch, capsys):
-    # the first shift "kills" the whole space, so no space is ever split
-    _patch_mod_p_reduction(
-        monkeypatch, lambda columns, kernel: [(j, {j: 1}) for j in range(len(columns))])
+def test_a_minimal_polynomial_that_never_splits_never_reaches_lines(monkeypatch, capsys):
+    # every part reads as an eigenvector of every class sum, f = x - 1, so the
+    # identity is never split into the r parts
+    _patch_minimal_polynomial(monkeypatch, lambda f, krylov, p: ([p - 1, 1], krylov[:1]))
     _fires(capsys, NAME, "common eigenspace splitting did not reach lines",
            commands=("verify", "chartab"))
 
 
-def test_eigenvectors_without_an_identity_coordinate_are_raised(monkeypatch, capsys):
-    # C2 splits at its first shift, on the standard basis, so each kernel
-    # vector is the eigenvector itself; its identity-class coordinate is dropped
-    _patch_mod_p_reduction(monkeypatch, lambda columns, kernel: [
-        (j, {i: c for i, c in x.items() if i}) for j, x in kernel])
+def test_idempotents_without_an_identity_coordinate_are_raised(monkeypatch, capsys):
+    # C2 splits at its first class sum, into combinations of {0: 1} and
+    # {1: 1}; with the identity-class coordinate dropped from each Krylov
+    # vector, the idempotents have none
+    _patch_minimal_polynomial(monkeypatch, lambda f, krylov, p: (
+        f, [{i: c for i, c in x.items() if i} for x in krylov]))
     _fires(capsys, "point-c2", "central character vanishes at the identity class",
            commands=("verify", "chartab"))
 

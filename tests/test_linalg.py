@@ -114,7 +114,8 @@ def test_recorded_kernel_gives_coordinates():
 
 
 def test_minimal_polynomial_annihilates_and_is_least():
-    # f(A) v = 0, f monic, and v, Av, ..., A^(deg f - 1) v independent mod p
+    # f(A) v = 0, f monic, and v, Av, ..., A^(deg f - 1) v independent mod p;
+    # those are the Krylov vectors returned, and a bound n >= deg f changes nothing
     rng = random.Random(107)
     for _ in range(60):
         p = rng.choice([2, 3, 7, 31])
@@ -122,12 +123,14 @@ def test_minimal_polynomial_annihilates_and_is_least():
         rows = [[rng.randint(0, p - 1) if rng.random() < 0.5 else 0 for _ in range(n)]
                 for _ in range(n)]
         v = {i: x for i in range(n) if (x := rng.randint(0, p - 1))} or {0: 1}
-        f = minimal_polynomial(sparse_columns(rows, n), v, p)
+        f, returned = minimal_polynomial(sparse_columns(rows, n), v, p)
         assert f[-1] == 1 and all(0 <= c < p for c in f)
+        assert minimal_polynomial(sparse_columns(rows, n), v, p, len(f) - 1) == (f, returned)
         krylov = [[v.get(i, 0) for i in range(n)]]
         for _ in range(len(f) - 1):
             x = krylov[-1]
             krylov.append([sum(a * b for a, b in zip(row, x)) % p for row in rows])
+        assert [[x.get(i, 0) for i in range(n)] for x in returned] == krylov[:len(f) - 1]
         residue = [0] * n
         for c, x in zip(f, krylov):
             residue = [(r + c * y) % p for r, y in zip(residue, x)]

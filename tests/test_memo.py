@@ -150,7 +150,7 @@ def test_second_verification_recomputes_nothing(monkeypatch):
     for module, name in (
         (cohomology, "reduce_columns"),
         (cohomology, "smith_invariants"),
-        (characters, "reduce_columns"),
+        (characters, "minimal_polynomial"),
         (characters, "_build_character_table"),
         (cyclotomic, "reduce_columns"),
     ):
@@ -165,7 +165,7 @@ def test_second_verification_recomputes_nothing(monkeypatch):
     assert set(calls) == {
         "equilef.cohomology.reduce_columns",
         "equilef.cohomology.smith_invariants",
-        "equilef.characters.reduce_columns",
+        "equilef.characters.minimal_polynomial",
         "equilef.characters._build_character_table",
         "equilef.cyclotomic.reduce_columns",
     }

@@ -220,6 +220,20 @@ def test_canonical_json_writes_what_json_dumps_writes(data):
     assert canonical_json(data) == json.dumps(data, indent=2) + "\n"
 
 
+# containers of str, int, bool and None only are written with one join
+_leaf_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | _texts,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_keys, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_leaf_documents)
+def test_containers_of_leaves_are_written_as_json_dumps_writes_them(data):
+    assert canonical_json(data) == json.dumps(data, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("data", [{(1, 2): 0}, [{"a": {b"k": 1}}], {"a": {1, 2}}])
 def test_canonical_json_refuses_what_json_dumps_refuses(data):
     with pytest.raises(TypeError):
