@@ -13,11 +13,10 @@ q(K_i) e / q(lam), q = f / (x - lam), keeps the central characters of e with
 eigenvalue lam.  It combines the Krylov vectors already built, so the split
 makes no other reduction.  Each class is lifted over its own element order
 o, from the o powers of its representative, into Q(zeta_o), in integer
-arithmetic, once per distinct power row: ``Fraction``s are built only for
-the stored coefficients and for the subfield search of an irrational value.
-Every value is written once in integer coordinates over Z[zeta_e], e the lcm
-of the table's conductors, and the Galois orbit sums (the rational
-irreducibles) are added there.
+arithmetic, once per distinct power row; ``Cyclotomic`` finds its smallest
+field by relative traces, in ints too.  Every value is written once in
+integer coordinates over Z[zeta_e], e the lcm of the table's conductors, and
+the Galois orbit sums (the rational irreducibles) are added there.
 
 The table is checked orthonormal there too, one reduction mod Phi_e per
 pair of characters checked, and a pair is checked once per orbit.  A unit k
@@ -442,9 +441,8 @@ def _lift(g: Group, p: int, rows_mod_p) -> list[tuple[int, ClassFunction]]:
 
 def _ordered_table(g: Group, lifted) -> CharacterTable:
     """Trivial character first, the rest by (degree, values); degrees checked."""
-    one = Cyclotomic.from_rational(1)
-    trivial = [t for t in lifted if all(v == one for v in t[1].values)]
-    rest = [t for t in lifted if not all(v == one for v in t[1].values)]
+    trivial = [t for t in lifted if all(v == 1 for v in t[1].values)]
+    rest = [t for t in lifted if not all(v == 1 for v in t[1].values)]
     if len(trivial) != 1:
         raise ArithmeticError("expected exactly one trivial character")
     rest.sort(key=lambda t: (t[0], t[1].sort_key()))
@@ -461,19 +459,14 @@ def _coordinates(table: CharacterTable) -> tuple[int, list[list[tuple[int, ...]]
     """(e, rows): e the lcm of the table's conductors and rows[i][k] the
     integer coordinates of chi_i(x_k) in the power basis of Z[zeta_e].
 
-    Character values are algebraic integers, so a non-integer coordinate is
-    an error.  Each distinct value is promoted once.
+    Each distinct value is promoted once.
     """
     e = math.lcm(*(v.conductor for chi in table.irreducibles for v in chi.values))
     coords = {}
     for chi in table.irreducibles:
         for v in chi.values:
-            if v in coords:
-                continue
-            promoted = v._promoted(e)
-            if any(c.denominator != 1 for c in promoted):
-                raise ArithmeticError(f"character value {v!r} is not an algebraic integer")
-            coords[v] = tuple(int(c) for c in promoted)
+            if v not in coords:
+                coords[v] = tuple(v._promoted(e))
     return e, [[coords[v] for v in chi.values] for chi in table.irreducibles]
 
 

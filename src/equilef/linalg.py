@@ -6,10 +6,10 @@ column operations, which turns zero columns into kernel vectors.  Over Q an
 integral value is stored as an int, so columns of integers never pay for
 Fraction arithmetic.  A caller that knows some columns reduce to zero may
 skip them (clearing): cochain complexes skip, in d_k, the pivot rows of
-d_(k-1).  Cochain complexes and subfield coordinates of cyclotomic numbers
-(over Q) run on it, and so does ``minimal_polynomial``: one reduction of a
-Krylov sequence mod p, whose first kernel vector holds the coefficients.  It
-is the only reduction of the character-table split.
+d_(k-1).  Cochain complexes run on it over Q, and so does
+``minimal_polynomial``: one reduction of a Krylov sequence mod p, whose
+first kernel vector holds the coefficients.  It is the only reduction of the
+character-table split.
 ``smith_invariants`` is the only elimination over Z: it takes the same
 sparse columns, never cleared, and computes torsion; its rank is thus an
 independent witness of the cleared ranks.  ``is_unimodular`` reads

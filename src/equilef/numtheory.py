@@ -60,6 +60,12 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def mobius(n: int) -> int:
+    """The Moebius function: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    f = factorize(n)
+    return 0 if any(k > 1 for k in f.values()) else (-1) ** len(f)
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]

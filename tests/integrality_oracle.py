@@ -10,8 +10,8 @@ orbit sums.
 """
 
 from equilef.characters import character_table
-from equilef.cyclotomic import Cyclotomic
 from equilef.groups import element_classes
+from chartab_oracle import OracleCyclotomic, oracle_value
 
 
 def multiplicities(v) -> list:
@@ -20,9 +20,10 @@ def multiplicities(v) -> list:
     classes = element_classes(g)
     out = []
     for chi in character_table(g).irreducibles:
-        total = Cyclotomic.from_rational(0)
+        total = OracleCyclotomic.from_rational(0)
         for cl, a, b in zip(classes, v.values, chi.values):
-            total = total + Cyclotomic.from_rational(cl.size * a) * b.conjugate()
+            term = OracleCyclotomic.from_rational(cl.size * a) * oracle_value(b).conjugate()
+            total = total + term
         out.append(total / g.order)
     return out
 

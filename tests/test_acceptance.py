@@ -24,14 +24,13 @@ from equilef.characters import (
 )
 from equilef.cohomology import invariant_cohomology
 from equilef.complexes import quotient_complex
-from equilef.cyclotomic import Cyclotomic
 from equilef.engine import verify_theorem
 from equilef.groups import element_classes, subgroups
 from equilef.scenarios import builtin_scenarios
-from chartab_oracle import cyclotomic_inner_product
+from chartab_oracle import OracleCyclotomic, cyclotomic_inner_product, oracle_value
 
-ONE = Cyclotomic.from_rational(1)
-ZERO = Cyclotomic.from_rational(0)
+ONE = OracleCyclotomic.from_rational(1)
+ZERO = OracleCyclotomic.from_rational(0)
 
 
 def check(log, num, title, ok):
@@ -186,9 +185,10 @@ def test_criterion_6_character_theory(acceptance_log, corpus):
             for j in range(len(classes)):
                 total = ZERO
                 for chi in table.irreducibles:
-                    total = total + chi.values[i] * chi.values[j].conjugate()
+                    total = total + (oracle_value(chi.values[i])
+                                     * oracle_value(chi.values[j]).conjugate())
                 if i == j:
-                    expected = Cyclotomic.from_rational(
+                    expected = OracleCyclotomic.from_rational(
                         Fraction(g.order, classes[i].size)
                     )
                 else:

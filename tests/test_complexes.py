@@ -24,11 +24,12 @@ from equilef.groups import (
     group_from_permutations,
     subgroups,
 )
-from equilef.scenario_io import parse_scenario
+from equilef.scenario_io import parse_scenario, parse_scenario_file
 from equilef.scenarios import builtin_names, builtin_scenario
 from chartab_oracle import symmetric
 
 GEN = Path(__file__).parents[1] / "perfbench" / "gen.py"
+COMPLEXES = importlib.import_module("equilef.complexes")
 
 
 def test_face_closure():
@@ -274,6 +275,52 @@ def test_antipodal_quotient_is_projective_plane(by_name):
     q = quotient_complex(by_name["octahedron-antipodal"].complex)
     assert q.quotient.euler_characteristic() == 1
     assert by_name["projective-plane"].complex.euler_characteristic() == 1
+
+
+def _generated_builds():
+    """A build of each seed 1-3 generated document's complex, without its
+    forced subdivisions."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    builds = []
+    for seed in (1, 2, 3):
+        for workload in ("large-group", "large-complex"):
+            for doc in gen.workload_docs(workload, seed):
+                sf = parse_scenario_file(json.dumps(doc))
+                builds.append(lambda sf=sf: build_complex(
+                    sf.maximal_simplices,
+                    group_from_permutations(sf.group_degree, sf.group_generators),
+                    sf.complex_action, n_vertices=sf.vertices, pre_subdivisions=0))
+    return builds
+
+
+def test_one_subdivision_of_the_closure_is_regular(monkeypatch):
+    # an element mapping a flag s_0 < ... < s_k of sd X to itself fixes each
+    # s_i, their dimensions being distinct, so it fixes the flag pointwise:
+    # one subdivision makes any simplicial action regular, and build_complex
+    # never takes a second
+    subdivide = COMPLEXES.barycentric_subdivision
+    closures = []
+
+    def recorded(x):
+        closures.append(x)
+        return subdivide(x)
+
+    monkeypatch.setattr(COMPLEXES, "barycentric_subdivision", recorded)
+    builds = [lambda name=name: builtin_scenario(name).complex for name in builtin_names()]
+    builds += _generated_builds()
+    assert len(builds) > len(builtin_names())
+    subdivided = 0
+    for build in builds:
+        closures.clear()
+        x = build()
+        assert len(closures) <= 1 and x.subdivision_count == len(closures)
+        closure = closures[0] if closures else x
+        assert closure.subdivision_count == 0
+        assert subdivide(closure).regularity_violation() is None
+        subdivided += len(closures)
+    assert subdivided  # some closure does need its subdivision
 
 
 def test_triangle_action_needs_one_subdivision(by_name):

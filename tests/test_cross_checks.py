@@ -16,7 +16,7 @@ free quotient, the degree squares of a character table, the integrality of a
 Galois orbit sum, and the integrality of the three characters the engine
 compares.  Last, the invariants of the character-table build (the Dixon
 prime, the roots of each class sum's minimal polynomial, the idempotent
-split mod p, the lift and the Galois action), of the cyclotomic arithmetic
+split mod p, the lift and the Galois action), of the cyclotomic polynomials
 behind it, of the cohomology trace (the image of a cocycle is a cocycle)
 and of the stratum dimensions (multiples of the lattice rank).
 """
@@ -276,9 +276,9 @@ def _galois_fixed_rows(table):
     """C3's table with rows (1, z, z) and (1, z^2, z^2): the power map
     z -> z^2 swaps the two non-identity classes, so each row is its own orbit."""
     g = table.group
-    z = Cyclotomic.from_root_combination(3, [0, 1])
-    one = Cyclotomic.from_rational(1)
-    rows = (ClassFunction(g, (one, z, z)), ClassFunction(g, (one, z * z, z * z)))
+    z, z2 = (Cyclotomic.from_root_combination(3, [0] * k + [1]) for k in (1, 2))
+    one = Cyclotomic.from_root_combination(1, [1])
+    rows = (ClassFunction(g, (one, z, z)), ClassFunction(g, (one, z2, z2)))
     return CharacterTable(g, table.classes, table.irreducibles[:1] + rows, table.degrees)
 
 
@@ -406,7 +406,7 @@ def test_a_row_whose_galois_image_is_missing_is_raised(monkeypatch, capsys):
         if g.order != 3:
             return table
         z, z2 = (Cyclotomic.from_root_combination(3, [0] * k + [1]) for k in (1, 2))
-        one = Cyclotomic.from_rational(1)
+        one = Cyclotomic.from_root_combination(1, [1])
         rows = (ClassFunction(g, (one, z, z2)), ClassFunction(g, (one, z, z)))
         return CharacterTable(g, table.classes, table.irreducibles[:1] + rows, table.degrees)
 
@@ -447,20 +447,6 @@ def test_a_divisor_listed_twice_makes_a_division_inexact(
     divisors = CYCLOTOMIC.divisors
     monkeypatch.setattr(CYCLOTOMIC, "divisors", lambda e: [1] + divisors(e) if e > 1 else [1])
     _fires(capsys, NAME, "division was not exact", commands=("verify", "chartab"))
-
-
-def test_a_subfield_search_with_two_kernel_vectors_is_raised(monkeypatch, capsys):
-    # C6 values lie in Q(zeta_3) inside Q(zeta_6); the search must find one
-    # kernel vector, on the value's column
-    reduce_columns = CYCLOTOMIC.reduce_columns
-
-    def doubled(columns, p=0, record=False, skip=()):
-        echelon, kernel = reduce_columns(columns, p, record, skip)
-        return echelon, kernel + kernel
-
-    monkeypatch.setattr(CYCLOTOMIC, "reduce_columns", doubled)
-    _fires(capsys, "hexagon-rot6", "subfield expression failed",
-           commands=("verify", "chartab"))
 
 
 def test_a_stratum_dimension_off_the_lattice_rank_is_raised(monkeypatch, capsys):

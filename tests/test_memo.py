@@ -2,8 +2,8 @@
 
 ``groups.memo`` is the one cache of the package.  A guard reads the source
 with ``ast`` so that no module grows a hand-rolled ``_cache`` again, and a
-second verification of a warmed scenario must run no elimination and build
-no character table.
+second verification of a warmed scenario must run no elimination, build no
+character table and make no cyclotomic value.
 """
 
 import ast
@@ -152,7 +152,7 @@ def test_second_verification_recomputes_nothing(monkeypatch):
         (cohomology, "smith_invariants"),
         (characters, "minimal_polynomial"),
         (characters, "_build_character_table"),
-        (cyclotomic, "reduce_columns"),
+        (cyclotomic, "_make"),
     ):
         counted(module, name)
     second = [full_verification(s) for s in scenarios]
@@ -167,5 +167,5 @@ def test_second_verification_recomputes_nothing(monkeypatch):
         "equilef.cohomology.smith_invariants",
         "equilef.characters.minimal_polynomial",
         "equilef.characters._build_character_table",
-        "equilef.cyclotomic.reduce_columns",
+        "equilef.cyclotomic._make",
     }

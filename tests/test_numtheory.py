@@ -12,6 +12,7 @@ from equilef.numtheory import (
     euler_phi,
     factorize,
     is_prime,
+    mobius,
     primitive_root,
 )
 
@@ -77,3 +78,6 @@ def test_primitive_root_generates():
             seen.add(x)
         assert len(seen) == p - 1, p
 
+
+def test_mobius_matches_sympy():
+    assert [mobius(n) for n in range(1, 1001)] == [sympy.mobius(n) for n in range(1, 1001)]
