@@ -3,14 +3,15 @@
 When no nontrivial element fixes a point, every Lefschetz number away from
 the identity is zero, the Euler characteristic divides by the group order
 on passage to the quotient, and the whole equivariant Euler characteristic
-is an integer multiple of the regular character.  The antipodal sphere is
-the classic case: its quotient is the projective plane.
+is an integer multiple of the regular character.  The cells of the quotient
+are the orbits of cells, so its Euler characteristic is their alternating
+count.  The antipodal sphere is the classic case: its quotient is the
+projective plane.
 """
 
 from equilef import (
     builtin_scenario,
     lhs_character,
-    quotient_complex,
     regular_character,
     verify_free_action,
     verify_verdier,
@@ -26,11 +27,12 @@ for name in ("octahedron-antipodal", "pair-of-triangles", "hexagon-rot6"):
     print(f"  chi(X) = |G| * chi-invariant: {report.covering_ok} "
           f"(invariant Euler characteristic {report.invariant_euler})")
 
-    q = quotient_complex(s.complex)
-    print(f"  quotient complex {q.quotient.counts()}, "
-          f"Euler characteristic {q.quotient.euler_characteristic()}"
-          + (f", after {q.extra_subdivisions} subdivision(s) for simpliciality"
-             if q.extra_subdivisions else ""))
+    x = s.complex
+    orbits = tuple(
+        len({frozenset(x.act_simplex(e, t) for e in range(s.group.order)) for t in level})
+        for level in x.simplices)
+    print(f"  cell orbits {orbits}: chi(X/G) = "
+          f"{sum((-1) ** k * n for k, n in enumerate(orbits))}")
 
     verdier = verify_verdier(s)
     lhs = lhs_character(s)

@@ -45,7 +45,6 @@ from .characters import (
     trivial_character,
 )
 from .complexes import (
-    QuotientComplex,
     SimplicialGComplex,
     Stratum,
     barycentric_subdivision,
@@ -53,7 +52,6 @@ from .complexes import (
     exact_stratum,
     fixed_subcomplex,
     isotropy_classes,
-    quotient_complex,
 )
 from .cohomology import (
     CochainComplex,
@@ -106,10 +104,9 @@ __all__ = [
     "character_table", "induce", "inner_product", "power_map",
     "rational_coefficients", "rational_irreducibles", "regular_character",
     "restrict", "trivial_character",
-    "QuotientComplex", "SimplicialGComplex", "Stratum",
+    "SimplicialGComplex", "Stratum",
     "barycentric_subdivision", "build_complex",
     "exact_stratum", "fixed_subcomplex", "isotropy_classes",
-    "quotient_complex",
     "CochainComplex", "CohomologySummary", "GLattice", "cochain_complex",
     "cohomology", "invariant_cohomology",
     "modp_euler_characteristic",

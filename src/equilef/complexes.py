@@ -7,7 +7,10 @@ checks it against the multiplication table; ``build_complex`` checks that
 each generator maps simplices to simplices, and nothing is checked per element.
 
 The action is forced to be regular (an element fixing a simplex setwise
-fixes it pointwise) by barycentric subdivision, applied at most twice.
+fixes it pointwise) by one barycentric subdivision, which suffices for any
+simplicial action.  Its cells are counted before it is built: the cost model
+of the run, ``MAX_CELLS`` and the subdivided cell count, lives here, next to
+the subdivision whose output it predicts.
 Under regularity the open simplices with pointwise stabilizer exactly H
 tile the space; those tiles and the fixed subcomplexes are returned as
 Stratum objects which the cohomology layer consumes.
@@ -21,6 +24,7 @@ empty stratum are each one object with one set of cochain complexes.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .groups import (
@@ -35,6 +39,11 @@ from .groups import (
 )
 
 Simplex = tuple[int, ...]
+
+# A verify peaks at about 3 KB per cell (3.1 KB on the torus subdivided three
+# times, 20,736 cells; 2.3 KB on the 16-vertex simplex, 65,535 cells), so
+# this many cells stay near 0.5 GB.
+MAX_CELLS = 150_000
 
 
 class Stratum:
@@ -95,8 +104,8 @@ class Stratum:
 class SimplicialGComplex:
     """A finite simplicial complex with a simplicial action of a finite group.
 
-    Built only by ``build_complex``, ``barycentric_subdivision`` and
-    ``quotient_complex``: ``vertex_action`` holds one vertex permutation per element.
+    Built only by ``build_complex`` and ``barycentric_subdivision``:
+    ``vertex_action`` holds one vertex permutation per element.
     """
 
     __slots__ = (
@@ -217,8 +226,9 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
     """Build a G-complex from maximal simplices and generator vertex images.
 
     The action is extended to every group element, its generators checked to
-    be simplicial, and made regular by barycentric subdivision (at most two,
-    counted on the result).  ``pre_subdivisions`` forces extra subdivisions first.
+    be simplicial, and made regular by at most one barycentric subdivision,
+    counted on the result and refused (ValueError) when it would make more
+    than ``MAX_CELLS`` cells.  ``pre_subdivisions`` forces subdivisions first.
     """
     maximal = [tuple(sorted(set(s))) for s in maximal_simplices]
     if not maximal:
@@ -253,16 +263,31 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
     x = SimplicialGComplex(group, n_vertices, levels, action, subdivision_count=0)
     for _ in range(pre_subdivisions):
         x = barycentric_subdivision(x)
-    attempts = 0
-    while (violation := x.regularity_violation()) is not None:
-        if attempts >= 2:
-            e, s = violation
-            raise ValueError(
-                f"action is not regular after two subdivisions (element {e} on {s})"
-            )
+    # an element fixing a flag of sd X fixes each of its faces, their
+    # dimensions being distinct, so one subdivision makes the action regular
+    if x.regularity_violation() is not None:
+        cells = _subdivided_cells(x.counts(), 1)
+        if cells > MAX_CELLS:
+            raise ValueError(f"the action is not regular, and the subdivision that makes it "
+                             f"so would have {cells} cells, over the limit of {MAX_CELLS}")
         x = barycentric_subdivision(x)
-        attempts += 1
     return x
+
+
+def _surjections(n: int, m: int) -> int:
+    """Surjections of an n-set onto an m-set, m! S(n, m), by inclusion-exclusion."""
+    return sum((-1) ** i * math.comb(m, i) * (m - i) ** n for i in range(m + 1))
+
+
+def _subdivided_cells(f, times) -> int:
+    """The cell count after barycentric subdivisions of a complex with f-vector f.
+
+    A subdivision puts (j+1)! S(k+1, j+1) open j-cells in each k-cell.
+    """
+    for _ in range(times):
+        f = [sum(f[k] * _surjections(k + 1, j + 1) for k in range(j, len(f)))
+             for j in range(len(f))]
+    return sum(f)
 
 
 def barycentric_subdivision(x: SimplicialGComplex) -> SimplicialGComplex:
@@ -352,109 +377,22 @@ def _check_subgroup(x: SimplicialGComplex, h: Subgroup):
 
 
 # ---------------------------------------------------------------------------
-# quotients of free actions
-
-
-class QuotientComplex:
-    """Quotient of a free action, kept simplicial by subdividing when needed."""
-
-    __slots__ = ("base", "quotient", "vertex_orbit", "orbit_representatives",
-                 "extra_subdivisions")
-
-    def __init__(self, base, quotient, vertex_orbit, orbit_representatives,
-                 extra_subdivisions):
-        self.base = base
-        self.quotient = quotient
-        self.vertex_orbit = vertex_orbit
-        self.orbit_representatives = orbit_representatives
-        self.extra_subdivisions = extra_subdivisions
-
-    def project(self, s: Simplex) -> Simplex:
-        return tuple(sorted(self.vertex_orbit[v] for v in s))
-
-    def __repr__(self):
-        return f"QuotientComplex(counts={self.quotient.counts()})"
-
-
-def _vertex_orbits(x: SimplicialGComplex) -> tuple[list[int], int]:
-    """Orbit index of each vertex (numbered by least member), and the count."""
-    vorbit = [None] * x.n_vertices
-    count = 0
-    for v in range(x.n_vertices):
-        if vorbit[v] is None:
-            for row in x.vertex_action:
-                vorbit[row[v]] = count
-            count += 1
-    return vorbit, count
+# orbits
 
 
 def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
-    """Per level, the least simplex of each orbit, in sorted order."""
+    """Per level, the least simplex of each orbit, in sorted order.
+
+    The level is sorted, so the first simplex met of each orbit is its least.
+    For a free action these are the cells of X/G.
+    """
     reps_by_dim = []
     for level in x.simplices:
         covered: set = set()
         reps = []
         for s in level:
             if s not in covered:
-                orbit = {x.act_simplex(e, s) for e in range(x.group.order)}
-                covered |= orbit
-                reps.append(min(orbit))
-        reps_by_dim.append(tuple(sorted(reps)))
+                covered.update(x.act_simplex(e, s) for e in range(x.group.order))
+                reps.append(s)
+        reps_by_dim.append(tuple(reps))
     return reps_by_dim
-
-
-def _quotient_obstruction(reps_by_dim, quo_by_dim) -> str | None:
-    """Why the naive simplex-orbit quotient is not simplicial, if it is not."""
-    projected: dict[tuple, Simplex] = {}
-    for reps, images in zip(reps_by_dim, quo_by_dim):
-        for rep, img in zip(reps, images):
-            if len(set(img)) != len(rep):
-                return f"projection collapses simplex {rep}"
-            if img in projected:
-                return f"orbits of {projected[img]} and {rep} project to the same set"
-            projected[img] = rep
-    return None
-
-
-def quotient_complex(x: SimplicialGComplex) -> QuotientComplex:
-    """X/G for a free action; subdivides (at most twice) to stay simplicial."""
-    for level in x.simplices:
-        for s in level:
-            if len(x.stabilizer(s)) != 1:
-                raise ValueError(f"action is not free: simplex {s} has nontrivial stabilizer")
-
-    base = x
-    extra = 0
-    while True:
-        vorbit, next_id = _vertex_orbits(base)
-        reps_by_dim = _orbit_representatives(base)
-        quo_by_dim = [[tuple(sorted(vorbit[v] for v in s)) for s in reps]
-                      for reps in reps_by_dim]
-        obstruction = _quotient_obstruction(reps_by_dim, quo_by_dim)
-        if obstruction is None:
-            break
-        if extra >= 2:
-            raise ValueError(
-                f"quotient is not simplicial after two subdivisions: {obstruction}"
-            )
-        base = barycentric_subdivision(base)
-        extra += 1
-    for reps, level in zip(reps_by_dim, base.simplices):
-        if len(reps) * base.group.order != len(level):
-            raise ArithmeticError("orbit count mismatch for a free action")
-
-    trivial = Group(((0,),))
-    quotient = SimplicialGComplex(
-        trivial,
-        next_id,
-        quo_by_dim,
-        [tuple(range(next_id))],
-        subdivision_count=0,
-    )
-    return QuotientComplex(
-        base=base,
-        quotient=quotient,
-        vertex_orbit=tuple(vorbit),
-        orbit_representatives=tuple(reps_by_dim),
-        extra_subdivisions=extra,
-    )

@@ -55,10 +55,10 @@ from .characters import (
 from .cohomology import GLattice, CochainComplex, cochain_complex
 from .complexes import (
     SimplicialGComplex,
+    _orbit_representatives,
     exact_stratum,
     fixed_subcomplex,
     isotropy_classes,
-    quotient_complex,
 )
 from .groups import Group, class_index_of, element_classes, memo
 
@@ -319,11 +319,13 @@ def verify_free_action(s: Scenario) -> FreeActionReport:
     covering = chi == s.group.order * chi_inv
     quotient_ok = None
     if s.has_trivial_lattice():
-        q = quotient_complex(s.complex)
-        quotient_ok = (
-            q.base.euler_characteristic()
-            == s.group.order * q.quotient.euler_characteristic()
-        )
+        # the cells of X/G are the orbits of cells of X, each of |G| cells
+        x = s.complex
+        orbits = [len(reps) for reps in _orbit_representatives(x)]
+        if [s.group.order * n for n in orbits] != list(x.counts()):
+            raise ArithmeticError("orbit count mismatch for a free action")
+        quotient_ok = (x.euler_characteristic()
+                       == s.group.order * sum((-1) ** k * n for k, n in enumerate(orbits)))
     return FreeActionReport(
         applicable=True,
         vanishing_ok=vanishing,

@@ -22,7 +22,13 @@ from collections import namedtuple
 
 from .characters import character_table, rational_irreducibles
 from .cohomology import GLattice
-from .complexes import build_complex, exact_stratum, fixed_subcomplex
+from .complexes import (
+    MAX_CELLS,
+    _subdivided_cells,
+    build_complex,
+    exact_stratum,
+    fixed_subcomplex,
+)
 from .engine import DEFAULT_PRIMES, Scenario, VerificationSummary
 from .groups import (
     Group,
@@ -35,11 +41,6 @@ from .linalg import is_unimodular
 from .numtheory import is_prime
 
 SCHEMA_VERSION = 1
-
-# A verify peaks at about 3 KB per cell (3.1 KB on the torus subdivided three
-# times, 20,736 cells; 2.3 KB on the 16-vertex simplex, 65,535 cells), so
-# this many cells stay near 0.5 GB.
-MAX_CELLS = 150_000
 
 
 class ScenarioError(ValueError):
@@ -103,20 +104,56 @@ def _permutation(row, degree, location):
     return tuple(row)
 
 
-def _surjections(n: int, m: int) -> int:
-    """Surjections of an n-set onto an m-set, m! S(n, m), by inclusion-exclusion."""
-    return sum((-1) ** i * math.comb(m, i) * (m - i) ** n for i in range(m + 1))
+def _estimate(vertices, maximal, subdivisions, rank):
+    """What a document makes the run build, as (count, what, JSON path) in the
+    order they are refused, from its listed simplices; a later bound adds a
+    yield here.
 
-
-def _subdivided_cells(f, times) -> int:
-    """The cell count after barycentric subdivisions of a complex with f-vector f.
-
-    A subdivision puts (j+1)! S(k+1, j+1) open j-cells in each k-cell.
+    Lazy, so every simplex's faces are admitted before any edge is enumerated
+    and every size before any matrix is read.  The face closure has its
+    distinct edges, counted exactly (stopping past the limit), and at most
+    sum_s C(|s|, j+1) cells of each dimension j > 1; the subdivisions the
+    document declares multiply them as ``_subdivided_cells`` counts.
     """
-    for _ in range(times):
-        f = [sum(f[k] * _surjections(k + 1, j + 1) for k in range(j, len(f)))
-             for j in range(len(f))]
-    return sum(f)
+    for i, s in enumerate(maximal):
+        yield 2 ** len(s) - 1, "the simplex has {} faces", f"$.complex.maximal_simplices[{i}]"
+    maximal = sorted(set(maximal))
+    edges: set = set()
+    for s in maximal:
+        edges.update(itertools.combinations(s, 2))
+        if len(edges) > MAX_CELLS:
+            break
+    f = [vertices, len(edges)] + [sum(math.comb(len(s), j + 1) for s in maximal)
+                                  for j in range(2, max(map(len, maximal)))]
+    yield sum(f), "the complex may have {} cells", (
+        "$.complex.vertices" if vertices > MAX_CELLS else "$.complex.maximal_simplices")
+    cells = _subdivided_cells(f, subdivisions)
+    yield (cells, f"the complex may have {{}} cells after {subdivisions} subdivision(s)",
+           "$.options.subdivisions")
+    yield from _lattice_estimate(cells, rank)
+
+
+def _lattice_estimate(cells, rank):
+    """The cochains, r per cell, and the entries of each element's dense r x r matrix."""
+    yield (cells * rank, f"lattice rank {rank} on {cells} cell(s) may make {{}} cochains",
+           "$.lattice.rank")
+    yield rank * rank, f"lattice rank {rank} needs {{}}-entry matrices", "$.lattice.rank"
+
+
+def _admit(estimate):
+    """The one refusal site: a ScenarioError at the first size over ``MAX_CELLS``."""
+    for count, what, location in estimate:
+        _expect(count <= MAX_CELLS,
+                what.format(_written(count)) + f", over the limit of {MAX_CELLS}", location)
+
+
+def _written(n: int) -> str:
+    """n in decimal, or its power of two where it has more digits than ``str`` writes
+    (the faces of a simplex on 15,000 vertices, a rank of 4,300 digits on two cells)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 2^{n.bit_length()}"
 
 
 def parse_scenario_file(text: str) -> ScenarioFile:
@@ -169,12 +206,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
                 f"vertices must be integers in 0..{vertices - 1}", loc)
         _expect(len(set(simplex)) == len(simplex),
                 "simplex has a repeated vertex", loc)
-        # one simplex alone; the f-vector below bounds the whole closure
-        faces = 2 ** len(simplex) - 1
-        _expect(faces <= MAX_CELLS,
-                f"the simplex has {faces} faces, over the limit of {MAX_CELLS} cells", loc)
         maximal.append(tuple(sorted(simplex)))
-    maximal = tuple(sorted(set(maximal)))
     # each vertex map lists every vertex; without generators, a vertex that no
     # simplex names is an isolated point that nothing lists, so it must be [v]
     top = max(v for simplex in maximal for v in simplex)
@@ -206,36 +238,12 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",
             "$.options.subdivisions")
-    # the face closure has its distinct edges, counted exactly (stopping past
-    # the limit), and at most sum_s C(|s|, j+1) cells of each dimension j > 1
-    edges: set = set()
-    for s in maximal:
-        edges.update(itertools.combinations(s, 2))
-        if len(edges) > MAX_CELLS:
-            break
-    f = [vertices, len(edges)] + [sum(math.comb(len(s), j + 1) for s in maximal)
-                                  for j in range(2, max(map(len, maximal)))]
-    cells = sum(f)
-    _expect(cells <= MAX_CELLS,
-            f"the complex may have {cells} cells, over the limit of {MAX_CELLS}",
-            "$.complex.vertices" if vertices > MAX_CELLS else "$.complex.maximal_simplices")
-    cells = _subdivided_cells(f, subdivisions)
-    _expect(cells <= MAX_CELLS,
-            f"the complex may have {cells} cells after {subdivisions} subdivision(s), "
-            f"over the limit of {MAX_CELLS}",
-            "$.options.subdivisions")
 
     lat = data.get("lattice")
     _expect(isinstance(lat, dict), "field 'lattice' must be an object", "$.lattice")
     _known_fields(lat, "$.lattice", "rank", "action")
     rank = _int_field(lat, "rank", "$.lattice", minimum=1)
-    # the cochains are r per cell, and each element acts by a dense r x r matrix
-    _expect(cells * rank <= MAX_CELLS,
-            f"lattice rank {rank} on up to {cells} cell(s) may make {cells * rank} cochains, "
-            f"over the limit of {MAX_CELLS}", "$.lattice.rank")
-    _expect(rank * rank <= MAX_CELLS,
-            f"lattice rank {rank} needs {rank * rank}-entry matrices, "
-            f"over the limit of {MAX_CELLS}", "$.lattice.rank")
+    _admit(_estimate(vertices, maximal, subdivisions, rank))
     raw_mats = lat.get("action")
     _expect(isinstance(raw_mats, dict), "field 'action' must be an object",
             "$.lattice.action")
@@ -264,7 +272,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
         group_degree=degree,
         group_generators=generators,
         vertices=vertices,
-        maximal_simplices=maximal,
+        maximal_simplices=tuple(sorted(set(maximal))),
         complex_action=action,
         lattice_rank=rank,
         lattice_action=tuple(matrices),
@@ -289,6 +297,8 @@ def build_scenario(sf: ScenarioFile) -> Scenario:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc), "$.complex.action") from None
+    # the cells built, which a regularity subdivision can make more than declared
+    _admit(_lattice_estimate(sum(complex_.counts()), sf.lattice_rank))
     try:
         lattice = GLattice.from_generator_matrices(
             group, sf.lattice_rank, sf.lattice_action

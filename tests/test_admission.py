@@ -1,10 +1,15 @@
 """Cost-based admission: an oversized complex is refused before it is built.
 
-The parser bounds the cells a document can build, from its maximal simplices
-and its ``subdivisions`` option, and refuses more than ``MAX_CELLS`` with exit
-2 and a JSON path.  It refuses a lattice rank whose cochains (the cell bound
-times the rank) or whose r x r matrices exceed ``MAX_CELLS`` too.  Every
-builtin at its real rank, generated document and ladder rung stays admitted.
+The parser estimates what a document makes the run build, from its maximal
+simplices, its ``subdivisions`` option and its lattice rank, and refuses at
+one site, with exit 2 and a JSON path, any size over ``MAX_CELLS``: the
+faces of one simplex, the cells of the closure and after the declared
+subdivisions, the cochains (cells times rank) and the r x r matrices.  The
+one regularity subdivision that ``build_complex`` may add is counted by the
+same cost model and refused at ``$.complex.action`` before it is built, and
+the cochains are bounded again on the cells actually built.  Every builtin
+at its real rank, generated document and ladder rung stays admitted, builds,
+and builds no more cochains than its estimate.
 """
 
 import importlib.util
@@ -17,10 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from equilef.complexes import build_complex
+from equilef.complexes import MAX_CELLS, _subdivided_cells, build_complex
 from equilef.groups import group_from_permutations
 from equilef.scenario_io import (
-    MAX_CELLS, ScenarioError, _subdivided_cells, parse_scenario_file)
+    ScenarioError, _estimate, build_scenario, parse_scenario, parse_scenario_file)
 from equilef.scenarios import _BUILTINS, builtin_scenario
 
 from test_cli import CAPPED_RUN
@@ -189,6 +194,24 @@ def test_a_rank_whose_matrices_exceed_the_limit_is_refused_on_a_point():
     assert f"{(root + 1) ** 2}-entry matrices" in info.value.message
 
 
+def test_a_count_too_long_to_write_is_refused_without_a_traceback(tmp_path):
+    # 2^15000 - 1 faces, and 2 x 6 x 10^4299 cochains, have more digits than str writes
+    huge_rank = points_doc(2, 6 * 10 ** 4299)
+    for doc, location, count in [(simplex_doc(15_000), "$.complex.maximal_simplices[0]",
+                                  "about 2^15000 faces"),
+                                 (huge_rank, "$.lattice.rank", "about 2^14285 cochains")]:
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario_file(json.dumps(doc))
+        assert info.value.location == location
+        assert count in info.value.message
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(simplex_doc(15_000)))
+    result = subprocess.run(CAPPED_RUN + ["verify", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def builtin_doc(name):
     """The builtin scenario as a document at ``subdivisions: 2``, with its real lattice."""
     generators, maximal, _, _, *images = _BUILTINS[name]
@@ -222,4 +245,68 @@ def test_every_builtin_generated_document_and_ladder_rung_is_admitted(monkeypatc
     docs += [ladder.rung_doc(rung) for axis in _load("run").LADDER for rung in axis]
     assert len(docs) == 27 + 3 * 9 + 6
     for doc in docs:
-        parse_scenario_file(json.dumps(doc))
+        sf = parse_scenario_file(json.dumps(doc))
+        x = build_scenario(sf).complex
+        # the declared subdivisions, and the regularity subdivision only without
+        # them (S4 on the tetrahedron's boundary takes it: 14 cells become 74)
+        assert x.subdivision_count in {sf.pre_subdivisions, 1}, sf.name
+        estimate = _estimate(sf.vertices, sf.maximal_simplices, x.subdivision_count,
+                             sf.lattice_rank)
+        cochains = next(count for count, what, _ in estimate if "cochains" in what)
+        assert cochains >= sum(x.counts()) * sf.lattice_rank, sf.name
+
+
+def swap_doc(n, rank=1):
+    """The n-vertex simplex with C_2 swapping two vertices, on a trivial lattice.
+
+    The swap flips the edge (0, 1), so the action needs its one regularity
+    subdivision, which the declared ``subdivisions: 0`` does not count.
+    """
+    doc = simplex_doc(n)
+    doc["group"] = {"degree": 2, "generators": [[1, 0]]}
+    doc["complex"]["action"] = [[1, 0] + list(range(2, n))]
+    doc["lattice"] = {"rank": rank,
+                      "action": {"0": [[int(i == j) for j in range(rank)] for i in range(rank)]}}
+    return doc
+
+
+def test_the_regularity_subdivision_is_built_below_the_limit():
+    cells = _subdivided_cells([math.comb(7, k + 1) for k in range(7)], 1)
+    assert cells == 94_585 <= MAX_CELLS
+    x = parse_scenario(json.dumps(swap_doc(7))).complex
+    assert (sum(x.counts()), x.subdivision_count) == (cells, 1)
+
+
+def test_the_regularity_subdivision_is_refused_before_it_is_built(tmp_path):
+    # 255 cells pass the parser; their subdivision would have 1,091,669
+    text = json.dumps(swap_doc(8))
+    started = time.perf_counter()
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert time.perf_counter() - started < 1
+    assert info.value.location == "$.complex.action"
+    assert "1091669" in info.value.message
+    path = tmp_path / "swap.json"
+    path.write_text(text)
+    result = subprocess.run(CAPPED_RUN + ["verify", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "$.complex.action" in result.stderr and "1091669" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_the_rank_bound_holds_on_the_cells_built(tmp_path):
+    # 127 x 2 cochains at parse time, 94,585 x 2 once the action is made regular
+    text = json.dumps(swap_doc(7, rank=2))
+    assert parse_scenario_file(text)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert info.value.location == "$.lattice.rank"
+    assert "189170 cochains" in info.value.message
+    path = tmp_path / "swap.json"
+    path.write_text(text)
+    result = subprocess.run(CAPPED_RUN + ["verify", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "$.lattice.rank" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -68,8 +68,6 @@ REGISTRY = {
     ("cohomology", "CochainComplex.integral_cohomology",
      "rank of d_{} is {} over Z but {} over Q"):
         "tests/test_cli.py::test_smith_rank_mismatch_is_an_internal_error",
-    ("complexes", "quotient_complex", "orbit count mismatch for a free action"):
-        CROSS + "test_a_lost_orbit_representative_breaks_the_free_orbit_count",
     ("cyclotomic", "_poly_exact_div", "division was not exact"):
         CROSS + "test_a_divisor_listed_twice_makes_a_division_inexact",
     ("cyclotomic", "_descended", "trace {} over Q(zeta_{}) of a value of Q(zeta_{}) is not "
@@ -84,6 +82,8 @@ REGISTRY = {
     ("engine", "verify_corollary",
      "{}: Hopf trace of element {} disagrees with its Lefschetz number on the {} complex"):
         CROSS + "test_hopf_mismatch_at_a_non_identity_class_is_raised",
+    ("engine", "verify_free_action", "orbit count mismatch for a free action"):
+        CROSS + "test_a_lost_orbit_representative_breaks_the_free_orbit_count",
     ("engine", "verify_modp_comparison",
      "{}: mod {} dimension in degree {} does not reconcile with the integral cohomology: "
      "{} != {} + {} + {}"):

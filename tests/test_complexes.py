@@ -1,5 +1,6 @@
-"""Complexes, actions, strata, subdivisions, quotients."""
+"""Complexes, actions, strata, subdivisions, orbits of free actions."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -12,19 +13,21 @@ from equilef.cohomology import cochain_complex
 from equilef.complexes import (
     SimplicialGComplex,
     _face_closure,
+    _orbit_representatives,
     barycentric_subdivision,
     build_complex,
     exact_stratum,
     fixed_subcomplex,
-    quotient_complex,
 )
+from equilef.engine import full_verification
 from equilef.groups import (
     conjugacy_classes_of_subgroups,
     extend_from_generators,
     group_from_permutations,
     subgroups,
 )
-from equilef.scenario_io import parse_scenario, parse_scenario_file
+from equilef.scenario_io import (
+    canonical_json, parse_scenario, parse_scenario_file, summary_to_dict)
 from equilef.scenarios import builtin_names, builtin_scenario
 from chartab_oracle import symmetric
 
@@ -240,41 +243,64 @@ def test_stabilizers_agree_with_vertex_action(corpus):
             assert x.stabilizer((v,)) == expected
 
 
-QUOTIENT_SHAPES = {
-    # name -> (base counts, quotient counts, extra subdivisions)
-    "octahedron-antipodal": ((26, 72, 48), (13, 36, 24), 1),
-    "hexagon-rot2": ((6, 6), (3, 3), 0),
-    "hexagon-rot3": ((12, 12), (4, 4), 1),
-    "hexagon-rot6": ((24, 24), (4, 4), 2),
-    "pair-of-triangles": ((6, 6, 2), (3, 3, 1), 0),
+ORBIT_COUNTS = {
+    # name -> (orbits of cells per dimension, the Euler characteristic of X/G)
+    "octahedron-antipodal": ((3, 6, 4), 1),
+    "hexagon-rot2": ((3, 3), 0),
+    "hexagon-rot3": ((2, 2), 0),
+    "hexagon-rot6": ((1, 1), 0),
+    "pair-of-triangles": ((3, 3, 1), 1),
 }
 
 
-def test_quotients_of_free_actions(by_name):
-    for name, (base_counts, quot_counts, extra) in QUOTIENT_SHAPES.items():
-        s = by_name[name]
-        q = quotient_complex(s.complex)
-        assert q.base.counts() == base_counts, name
-        assert q.quotient.counts() == quot_counts, name
-        assert q.extra_subdivisions == extra, name
-        order = s.group.order
-        for k, count in enumerate(q.base.counts()):
-            assert count == order * q.quotient.counts()[k], (name, k)
-        # projection hits every quotient simplex
-        images = {q.project(t) for dim in q.base.simplices for t in dim}
-        assert images == q.quotient.simplex_set()
-
-
-def test_quotient_rejects_fixed_points(by_name):
-    with pytest.raises(ValueError):
-        quotient_complex(by_name["square-reflection"].complex)
-
-
-def test_antipodal_quotient_is_projective_plane(by_name):
-    # same homeomorphism type as the builtin six-vertex model: chi = 1
-    q = quotient_complex(by_name["octahedron-antipodal"].complex)
-    assert q.quotient.euler_characteristic() == 1
+def test_orbit_counts_of_free_actions(by_name):
+    for name, (orbits, chi) in ORBIT_COUNTS.items():
+        x = by_name[name].complex
+        reps = _orbit_representatives(x)
+        assert tuple(map(len, reps)) == orbits, name
+        assert sum((-1) ** k * n for k, n in enumerate(orbits)) == chi, name
+        order = x.group.order
+        for k, level in enumerate(x.simplices):
+            assert len(level) == order * orbits[k], (name, k)
+            # the orbits of the representatives partition the level
+            assert {x.act_simplex(e, t) for t in reps[k] for e in range(order)} == set(level)
+    # the antipodal quotient has the projective plane's Euler characteristic
     assert by_name["projective-plane"].complex.euler_characteristic() == 1
+
+
+def tetrahedra_doc(n=60):
+    """n disjoint tetrahedra cycled by C_3 in triples, and a triangle's boundary
+    rotated by it: a free action on 906 cells whose orbit quotient is not
+    simplicial (the triangle's boundary becomes one vertex with a loop)."""
+    perm = [4 * (t - t % 3 + (t + 1) % 3) + i for t in range(n) for i in range(4)]
+    a, b, c = 4 * n, 4 * n + 1, 4 * n + 2
+    return {
+        "schema_version": 1,
+        "name": f"tetrahedra-{n}",
+        "group": {"degree": 3, "generators": [[1, 2, 0]]},
+        "complex": {"vertices": 4 * n + 3,
+                    "maximal_simplices": [list(range(4 * t, 4 * t + 4)) for t in range(n)]
+                    + [[a, b], [b, c], [a, c]],
+                    "action": [perm + [b, c, a]]},
+        "lattice": {"rank": 1, "action": {"0": [[1]]}},
+    }
+
+
+def test_verify_builds_no_quotient(monkeypatch):
+    s = parse_scenario(json.dumps(tetrahedra_doc()))
+    assert sum(s.complex.counts()) == 906 and s.complex.is_free()
+    calls = []
+    subdivide = COMPLEXES.barycentric_subdivision
+    monkeypatch.setattr(COMPLEXES, "barycentric_subdivision",
+                        lambda x: calls.append(x) or subdivide(x))
+    summary = full_verification(s)
+    assert calls == []
+    assert summary.free_action.quotient_ok is True
+    # the report a verify that subdivided the whole base twice for a simplicial
+    # quotient (164,724 cells) wrote, byte for byte
+    report = canonical_json(summary_to_dict(summary, s)).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "cfa21b1fca714f526a87a47073d9c7c8ec1d0944e7b86ccf0675b1573b9a49b5")
 
 
 def _generated_builds():

@@ -12,7 +12,7 @@ two of them non-identity.  Further down: d o d = 0 on a built coboundary,
 Euler-Poincare over Q and over F_p, the per-degree reconciliation of the F_p
 dimensions with the integral cohomology (universal coefficients), the
 factorized stratum character against the traced one, the orbit count of a
-free quotient, the degree squares of a character table, the integrality of a
+free action, the degree squares of a character table, the integrality of a
 Galois orbit sum, and the integrality of the three characters the engine
 compares.  Last, the invariants of the character-table build (the Dixon
 prime, the roots of each class sum's minimal polynomial, the idempotent
@@ -45,9 +45,8 @@ from equilef.characters import (
 )
 from equilef.cohomology import CochainComplex
 from equilef.cyclotomic import cyclotomic_polynomial
-from equilef.complexes import quotient_complex
 from equilef.cyclotomic import Cyclotomic
-from equilef.engine import rhs_isotypic
+from equilef.engine import rhs_isotypic, verify_free_action
 from equilef.groups import group_from_permutations
 
 # the attribute equilef.cohomology is the function of that name
@@ -241,17 +240,17 @@ def test_a_corrupted_traced_stratum_character_is_raised(monkeypatch, capsys):
 
 
 def test_a_lost_orbit_representative_breaks_the_free_orbit_count(monkeypatch, capsys):
-    # hexagon-rot6 acts freely with trivial coefficients, so verify builds its
-    # quotient; one edge orbit goes missing from the representatives
-    representatives = COMPLEXES._orbit_representatives
+    # hexagon-rot6 acts freely with trivial coefficients, so verify counts the
+    # cells of its quotient as orbits; one edge orbit goes missing
+    representatives = ENGINE._orbit_representatives
 
     def lossy(x):
         reps = representatives(x)
         return reps[:1] + [reps[1][:-1]] + reps[2:]
 
-    monkeypatch.setattr(COMPLEXES, "_orbit_representatives", lossy)
+    monkeypatch.setattr(ENGINE, "_orbit_representatives", lossy)
     with pytest.raises(ArithmeticError, match="orbit count mismatch for a free action"):
-        quotient_complex(builtin_scenario("hexagon-rot6").complex)
+        verify_free_action(builtin_scenario("hexagon-rot6"))
     _fires(capsys, "hexagon-rot6", "orbit count mismatch for a free action")
 
 

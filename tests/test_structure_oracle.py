@@ -18,7 +18,7 @@ import pytest
 
 from equilef import builtin_names, isotropy_classes, parse_scenario
 from equilef.cohomology import GLattice
-from equilef.complexes import SimplicialGComplex, barycentric_subdivision, quotient_complex
+from equilef.complexes import SimplicialGComplex, barycentric_subdivision
 from equilef.groups import Group, group_from_permutations
 from structure_oracle import check_complex, check_group, check_lattice
 from test_isotropy import DOCUMENTS
@@ -30,11 +30,9 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equilef").glob(
 ALLOWED = {
     ("Group", "group_from_permutations"),
     ("Group", "_rebased"),
-    ("Group", "quotient_complex"),
     ("Group", "from_table"),
     ("SimplicialGComplex", "build_complex"),
     ("SimplicialGComplex", "barycentric_subdivision"),
-    ("SimplicialGComplex", "quotient_complex"),
     ("GLattice", "trivial"),
     ("GLattice", "regular"),
     ("GLattice", "from_generator_matrices"),
@@ -59,11 +57,6 @@ def test_complexes_pass_the_element_checks(scenario):
     x = scenario.complex
     check_complex(x)
     check_complex(barycentric_subdivision(x))
-    if x.is_free():
-        q = quotient_complex(x)
-        check_complex(q.base)
-        check_complex(q.quotient)
-        check_group(q.quotient.group)
 
 
 def test_lattices_pass_the_element_checks(scenario):
