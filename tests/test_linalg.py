@@ -8,9 +8,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
+from equilef import builtin_scenario, linalg
+from equilef.complexes import barycentric_subdivision
+from equilef.engine import Scenario
 from equilef.linalg import is_unimodular, minimal_polynomial, reduce_columns, smith_invariants
 
-from dense_oracle import column_space_basis, dm, kept_columns
+from dense_oracle import column_space_basis, dense_coboundary, dm, kept_columns
 
 
 def random_int_mat(rng, m, n, lo=-5, hi=5):
@@ -231,3 +234,90 @@ def test_smith_invariants_multiply_to_the_determinant():
     assert det != 0
     assert len(ours) == 40
     assert math.prod(ours) == abs(det)
+
+
+def subdivided_cochains(name, times):
+    """The whole cochain complex of a builtin after some barycentric subdivisions."""
+    s = builtin_scenario(name)
+    x = s.complex
+    for _ in range(times):
+        x = barycentric_subdivision(x)
+    return Scenario(s.name, s.group, x, s.lattice, s.description).whole_cochains()
+
+
+def test_the_heap_path_is_the_same_reduction(monkeypatch):
+    # a column past HEAP_THRESHOLD finds its lowest row through a heap; the
+    # pivots, hence echelon and kernel, are those of max(col) on every column
+    rng = random.Random(110)
+    inputs = []
+    for _ in range(6):
+        m, n = rng.randint(80, 160), rng.randint(20, 60)
+        columns = [{i: rng.choice((1, -1, 1, 2, -3)) for i in rng.sample(range(m), rng.randint(0, 4))}
+                   for _ in range(n)]
+        for j in rng.sample(range(n), 3):
+            columns[j] = {i: rng.choice((1, -1, 2, 5)) for i in range(m) if rng.random() < 0.8}
+        inputs.append((columns, set(rng.sample(range(n), n // 4))))
+    torus = subdivided_cochains("torus-involution", 2)
+    pivots = ()
+    for k in range(len(torus.bases) - 1):
+        columns = torus.coboundary(k)
+        inputs.append((columns, set(pivots)))
+        pivots = reduce_columns(columns)[0]
+    assert max(len(c) for columns, _ in inputs for c in columns) > linalg.HEAP_THRESHOLD
+    krylov_matrix = [{i: rng.randint(1, 6) for i in range(12) if rng.random() < 0.6}
+                     for _ in range(12)]
+
+    heaps = []
+    heapify = linalg.heapify
+    monkeypatch.setattr(linalg, "heapify", lambda h: (heaps.append(len(h)), heapify(h)))
+
+    def reductions():
+        out = [reduce_columns(columns, p, record, skip if cleared else ())
+               for columns, skip in inputs
+               for p in (0, 2, 3, 5) for record in (False, True) for cleared in (False, True)]
+        return out, minimal_polynomial(krylov_matrix, {0: 1}, 7)
+
+    scanned = reductions()
+    # at the default threshold only the columns past it build a heap
+    assert heaps and min(heaps) > linalg.HEAP_THRESHOLD
+    for threshold, fired in ((0, True), (10 ** 9, False)):
+        monkeypatch.setattr(linalg, "HEAP_THRESHOLD", threshold)
+        heaps.clear()
+        assert reductions() == scanned, threshold
+        assert bool(heaps) == fired, threshold
+
+
+def test_smith_matches_sympy_on_simplicial_coboundaries():
+    complexes = [subdivided_cochains("projective-plane", 0),
+                 subdivided_cochains("projective-plane", 1),
+                 subdivided_cochains("torus-involution", 1)]
+    torsion = []
+    for cc in complexes:
+        for k in range(len(cc.bases) - 1):
+            ours = smith_invariants(cc.coboundary(k))
+            assert ours == sympy_invariants(dense_coboundary(cc, k)), (cc, k)
+            torsion.append([d for d in ours if d > 1])
+    # the projective plane's H^2 has torsion Z/2, before and after subdivision
+    assert torsion == [[], [2], [], [2], [], []]
+
+
+def test_smith_matches_sympy_where_units_leave_a_non_unit_remainder():
+    # a unit pivot records a 1, so an invariant above 1 comes from the
+    # general loop on what the units left
+    rng = random.Random(111)
+    remainders = 0
+    for _ in range(80):
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, 6)) for _ in range(n)] for _ in range(m)]
+        ours = smith_invariants(sparse_columns(rows, n))
+        assert ours == sympy_invariants(rows), rows
+        remainders += 1 in ours and ours[-1] > 1
+    assert remainders > 10
+
+
+def test_smith_rank_equals_the_rational_rank_on_every_builtin(corpus):
+    for s in corpus:
+        cc = s.whole_cochains()
+        for k in range(len(cc.bases) - 1):
+            rank = dm(dense_coboundary(cc, k), cc.dims[k + 1], cc.dims[k]).rank()
+            assert len(smith_invariants(cc.coboundary(k))) == rank, (s.name, k)
