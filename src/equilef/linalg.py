@@ -35,7 +35,11 @@ from heapq import heapify, heappop, heappush
 # A working column with more entries than this finds its lowest row through
 # a max-heap instead of max(col).  On the subdivided tori 64 ran as fast as
 # 16 or 256, or faster, and at 16 small complexes build heaps too; without
-# any heap, torus-4 takes seven times as long.
+# any heap, torus-4 takes seven times as long.  A heap on every column
+# costs more than max(col) on short ones: reduce_columns alone runs 14-23 %
+# slower on the coboundaries of large-complex, large-group and torus-3, and
+# full_verification 2-8 % slower on large-complex, corpus and torus-2/3/4
+# (about flat on large-group; BENCH_27.json).
 HEAP_THRESHOLD = 64
 
 
@@ -222,6 +226,9 @@ def smith_invariants(columns) -> list[int]:
             units = [i for i, v in col.items() if v in (1, -1)] if col else ()
             if not units:
                 continue
+            # a unit leaves no remainder, so this is pivot(i, j) without its
+            # second scan of row i and its reduction of column j mod 1; through
+            # pivot(), Smith takes 15-29 % longer on large-complex and the tori
             i = min(units, key=lambda r: len(rows[r]))
             u = col[i]
             for j2 in rows[i] - {j}:
