@@ -18,13 +18,14 @@ field by relative traces, in ints too.  Every value is written once in
 integer coordinates over Z[zeta_e], e the lcm of the table's conductors, and
 the Galois orbit sums (the rational irreducibles) are added there.
 
-The table is checked orthonormal there too, one reduction mod Phi_e per
-pair of characters checked, and a pair is checked once per orbit.  A unit k
-mod the exponent is a symmetry of the table when chi -> chi o p_k, with p_k
-the class of x -> x^k, sends every row onto a row, compared exactly.  Then
-p_k permutes the classes and keeps their sizes, so
+The units k mod the exponent act on the table by chi -> chi o p_k, with p_k
+the class of x -> x^k, and ``_galois_action`` walks them once, comparing
+rows exactly.  Its row orbits are the Galois orbits, and its permutations
+serve the orthonormality check, one reduction mod Phi_e per pair of
+characters checked, once per orbit of pairs.  A unit that sends every row
+onto a row is a symmetry: p_k permutes the classes and keeps their sizes, so
 <chi_i o p_k, chi_j o p_k> = <chi_i, chi_j> term for term, for any class
-functions: the image of a checked pair needs no check of its own.  A
+functions, and the image of a checked pair needs no check of its own.  A
 corrupted row breaks every symmetry that moves it, so all of its pairs are
 still checked.  Induction, restriction and the inner product act on
 rational virtual characters only.
@@ -261,17 +262,10 @@ def _dixon_prime(order: int, exponent: int) -> int:
 
 
 @memo
-def _exponent(g: Group) -> int:
-    """exp(G), the lcm of the class representatives' orders: element order
-    is a class function."""
-    return math.lcm(*(g.element_order(cl.representative) for cl in element_classes(g)))
-
-
-@memo
 def power_map(g: Group) -> list[tuple[int, ...]]:
     """pm[j][k] = class index of (rep of class j)^k, for k = 0..exponent-1."""
     cls_of = class_index_of(g)
-    m = _exponent(g)
+    m = g.exponent()
     pm = []
     for cl in element_classes(g):
         rep = cl.representative
@@ -284,7 +278,7 @@ def power_map(g: Group) -> list[tuple[int, ...]]:
 
 
 def _build_character_table(g: Group) -> CharacterTable:
-    p = _dixon_prime(g.order, _exponent(g))
+    p = _dixon_prime(g.order, g.exponent())
     table = _ordered_table(g, _lift(g, p, _central_characters_mod_p(g, p)))
     _check_orthonormality(table)
     return table
@@ -399,7 +393,7 @@ def _lift(g: Group, p: int, rows_mod_p) -> list[tuple[int, ClassFunction]]:
     power row (chi(x^k) mod p for k < o) determines the multiplicities, so
     they are computed, checked and lifted once per degree and power row.
     """
-    m = _exponent(g)
+    m = g.exponent()
     pm = power_map(g)
     z = pow(primitive_root(p), (p - 1) // m, p)
     orders = [g.element_order(cl.representative) for cl in element_classes(g)]
@@ -470,32 +464,29 @@ def _coordinates(table: CharacterTable) -> tuple[int, list[list[tuple[int, ...]]
     return e, [[coords[v] for v in chi.values] for chi in table.irreducibles]
 
 
-def _symmetries(table: CharacterTable) -> list[list[int]]:
-    """The row permutations of the symmetries of the table.
+@memo
+def _galois_action(table: CharacterTable) -> list[list[int | None]]:
+    """For each unit k mod exp(G), in increasing order from 1, the row index
+    of chi_i o p_k for each row chi_i, or None where that is not a row.
 
-    A unit k mod exp(G) is a symmetry when chi o p_k, with p_k the class of
-    x -> x^k, is again a row for every row chi, all of them distinct: then
-    pi[i] is the row chi_i o p_k.  Rows are compared exactly, on their values.
+    p_k is the class of x -> x^k; rows are compared exactly, on their values.
+    The one walk of the units: orthonormality reads its permutations and the
+    rational irreducibles its row orbits.
     """
     g = table.group
-    m = _exponent(g)
+    m = g.exponent()
     pm = power_map(g)
     ids: dict = {}
     rows = [tuple(ids.setdefault(v, len(ids)) for v in chi.values) for chi in table.irreducibles]
     index = {row: i for i, row in enumerate(rows)}
-    perms = []
-    for k in range(2, m):
-        if math.gcd(k, m) == 1:
-            cols = [pm_j[k] for pm_j in pm]
-            pi = [index.get(tuple(map(row.__getitem__, cols))) for row in rows]
-            if None not in pi and len(set(pi)) == len(rows):
-                perms.append(pi)
-    return perms
+    columns = [[pm_j[k % m] for pm_j in pm] for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    return [[index.get(tuple(map(row.__getitem__, cols))) for row in rows] for cols in columns]
 
 
 def _check_orthonormality(table: CharacterTable):
     """<chi_i, chi_j> = delta_ij for every pair, in integer coordinates, checked
-    once per orbit of pairs under the ``_symmetries`` (module docstring).
+    once per orbit of pairs under the ``_galois_action``'s permutations
+    (module docstring).
 
     The pairs are walked in order and a pair is skipped when a symmetry maps
     a checked pair onto it, so the first pair that fails is always checked.
@@ -518,7 +509,7 @@ def _check_orthonormality(table: CharacterTable):
     conj_terms = {c: [(u, y) for u, y in enumerate(conjugates[c]) if y] for c in conjugates}
     term_rows = [[terms[c] for c in row] for row in rows]
     conj_rows = [[conj_terms[c] for c in row] for row in rows]
-    perms = _symmetries(table)
+    perms = [pi for pi in _galois_action(table) if None not in pi and len(set(pi)) == len(pi)]
     covered = set()
     for i, a_row in enumerate(term_rows):
         for j in range(i, len(rows)):
@@ -552,25 +543,18 @@ def rational_irreducibles(table: CharacterTable) -> list[RationalIrreducible]:
     trivial orbit comes first.
     """
     g = table.group
-    m = _exponent(g)
-    pm = power_map(g)
     r = len(table.classes)
     coords = _coordinates(table)[1]
-    lookup = {table.irreducibles[t].values: t for t in range(len(table.irreducibles))}
-    seen = [False] * len(table.irreducibles)
+    action = _galois_action(table)
+    seen: set = set()
     out = []
     for t in range(len(table.irreducibles)):
-        if seen[t]:
+        if t in seen:
             continue
-        base = table.irreducibles[t].values
-        orbit = set()
-        for k in range(1, m + 1):
-            if math.gcd(k, m) == 1:
-                u = lookup.get(tuple(base[pm[j][k % m]] for j in range(r)))
-                if u is None:
-                    raise ArithmeticError("Galois action left the character table")
-                orbit.add(u)
-                seen[u] = True
+        orbit = {pi[t] for pi in action}
+        if None in orbit:
+            raise ArithmeticError("Galois action left the character table")
+        seen |= orbit
         orbit = tuple(sorted(orbit))
         # a value is rational when only its constant coordinate is nonzero
         acc = [[sum(c) for c in zip(*(coords[u][j] for u in orbit))] for j in range(r)]

@@ -11,6 +11,9 @@ fixes it pointwise) by one barycentric subdivision, which suffices for any
 simplicial action.  Its cells are counted before it is built: the cost model
 of the run, ``MAX_CELLS`` and the subdivided cell count, lives here, next to
 the subdivision whose output it predicts.
+The G-orbits of cells are walked once, by ``_orbit_representatives``,
+memoized on the complex: the regularity scan and the cell count of a free
+quotient both read its representatives.
 Under regularity the open simplices with pointwise stabilizer exactly H
 tile the space; those tiles and the fixed subcomplexes are returned as
 Stratum objects which the cohomology layer consumes.
@@ -169,21 +172,15 @@ class SimplicialGComplex:
 
         The first violating simplex in level order, with its least element.
         Regularity is G-invariant (if e fixes s setwise but not pointwise,
-        g e g^-1 does so for g s), so a simplex in the orbit of one already
-        scanned is skipped: the first violating simplex is the first of its
-        orbit.  The orbit is collected while scanning the elements.
+        g e g^-1 does so for g s), so the first violating simplex is the
+        first of its orbit: only the ``_orbit_representatives`` are scanned.
         """
-        for level in self.simplices[1:]:
-            seen = set()
+        for level in _orbit_representatives(self)[1:]:
             for s in level:
-                if s in seen:
-                    continue
                 stab = self.stabilizer(s)
                 for e in range(1, self.group.order):
-                    image = self.act_simplex(e, s)
-                    if image == s and e not in stab:
+                    if e not in stab and self.act_simplex(e, s) == s:
                         return (e, s)
-                    seen.add(image)
         return None
 
     def is_free(self) -> bool:
@@ -380,10 +377,13 @@ def _check_subgroup(x: SimplicialGComplex, h: Subgroup):
 # orbits
 
 
+@memo
 def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
     """Per level, the least simplex of each orbit, in sorted order.
 
     The level is sorted, so the first simplex met of each orbit is its least.
+    Each simplex is met once, so only the images under non-identity elements
+    are marked covered.
     For a free action these are the cells of X/G.
     """
     reps_by_dim = []
@@ -392,7 +392,7 @@ def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
         reps = []
         for s in level:
             if s not in covered:
-                covered.update(x.act_simplex(e, s) for e in range(x.group.order))
+                covered.update(x.act_simplex(e, s) for e in range(1, x.group.order))
                 reps.append(s)
         reps_by_dim.append(tuple(reps))
     return reps_by_dim

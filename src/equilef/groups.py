@@ -124,7 +124,8 @@ class Group:
 
     @memo
     def exponent(self) -> int:
-        return math.lcm(*(self.element_order(a) for a in range(self.order)))
+        """The lcm of the class representatives' orders: element order is a class function."""
+        return math.lcm(*(self.element_order(cl.representative) for cl in element_classes(self)))
 
     def subgroup(self, members) -> "Subgroup":
         """The subgroup with the given member set (canonical, cached instance)."""

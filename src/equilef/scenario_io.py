@@ -583,6 +583,9 @@ def chartab_dict(scenario: Scenario) -> dict:
     g = scenario.group
     table = character_table(g)
     rats = rational_irreducibles(table)
+    # one dict per distinct value: a table repeats few values many times
+    distinct = {v for chi in table.irreducibles for v in chi.values}
+    rendered = {v: _cyclotomic_dict(v) for v in distinct}
     return {
         "scenario": scenario.name,
         "group_order": g.order,
@@ -590,7 +593,7 @@ def chartab_dict(scenario: Scenario) -> dict:
         "irreducibles": [
             {
                 "degree": d,
-                "values": [_cyclotomic_dict(v) for v in chi.values],
+                "values": [rendered[v] for v in chi.values],
             }
             for chi, d in zip(table.irreducibles, table.degrees)
         ],

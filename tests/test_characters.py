@@ -379,15 +379,31 @@ def _plus_one_tables(table):
 
 @pytest.mark.parametrize("g", [cyclic(12), alternating(4), symmetric(4)], ids=["c12", "a4", "s4"])
 def test_the_orbit_check_names_the_pair_the_all_pairs_check_names(monkeypatch, g):
-    # on a genuine table every unit mod the exponent is a symmetry
+    # on a genuine table every unit mod the exponent gives a permutation of the rows
     table = character_table(g)
     m = g.exponent()
-    assert len(CHARACTERS._symmetries(table)) == sum(math.gcd(k, m) == 1 for k in range(2, m))
+    action = CHARACTERS._galois_action(table)
+    assert len(action) == sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+    assert all(sorted(pi) == list(range(len(table.irreducibles))) for pi in action)
     for bad in _plus_one_tables(table):
         with pytest.raises(ArithmeticError, match="not orthonormal") as by_orbit:
             CHARACTERS._check_orthonormality(bad)
         with monkeypatch.context() as patch:
-            patch.setattr(CHARACTERS, "_symmetries", lambda t: [])
+            patch.setattr(CHARACTERS, "_galois_action", lambda t: [])
             with pytest.raises(ArithmeticError, match="not orthonormal") as by_pair:
                 CHARACTERS._check_orthonormality(bad)
         assert str(by_orbit.value) == str(by_pair.value)
+
+
+def test_the_rational_irreducibles_read_the_action_the_table_check_walked(monkeypatch):
+    # the units mod the exponent are walked once, while the table is checked
+    table = character_table(cyclic(12))
+
+    def refused(g):
+        raise AssertionError("a second walk of the units")
+
+    monkeypatch.setattr(CHARACTERS, "power_map", refused)
+    orbits = [lam.orbit for lam in rational_irreducibles(table)]
+    assert sorted(u for orbit in orbits for u in orbit) == list(range(12))
+    assert len(orbits) == 6  # one per divisor of 12
+

@@ -253,6 +253,19 @@ ORBIT_COUNTS = {
 }
 
 
+def test_the_orbits_of_a_regular_complex_are_walked_once(monkeypatch):
+    # C6 rotating a hexagon: the regularity scan at build time walks the orbits
+    c6 = group_from_permutations(6, [(1, 2, 3, 4, 5, 0)])
+    x = build_complex([(i, (i + 1) % 6) for i in range(6)], c6, [(1, 2, 3, 4, 5, 0)])
+    assert x.subdivision_count == 0
+
+    def refused(self, e, s):
+        raise AssertionError("a second walk of the orbits")
+
+    monkeypatch.setattr(SimplicialGComplex, "act_simplex", refused)
+    assert _orbit_representatives(x) == [((0,),), ((0, 1),)]
+
+
 def test_orbit_counts_of_free_actions(by_name):
     for name, (orbits, chi) in ORBIT_COUNTS.items():
         x = by_name[name].complex

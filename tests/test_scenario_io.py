@@ -317,6 +317,15 @@ def test_chartab_output():
     assert "rational irreducibles" in text
 
 
+def test_chartab_renders_each_distinct_value_once():
+    # C6 has 36 values but only 6 distinct ones: each is one shared dict
+    d = chartab_dict(builtin_scenario("hexagon-rot6"))
+    values = [v for row in d["irreducibles"] for v in row["values"]]
+    distinct = {json.dumps(v, sort_keys=True) for v in values}
+    assert len(values) == 36 and len(distinct) == 6
+    assert len({id(v) for v in values}) == len(distinct)
+
+
 def test_strata_output():
     s = builtin_scenario("square-reflection")
     d = strata_dict(s)
