@@ -18,6 +18,11 @@ field by relative traces, in ints too.  Every value is written once in
 integer coordinates over Z[zeta_e], e the lcm of the table's conductors, and
 the Galois orbit sums (the rational irreducibles) are added there.
 
+A table depends only on the multiplication table, so ``character_table``
+builds one per distinct table in a process, on the first group with that
+table to ask (``groups.interned``); scenarios and subgroups with equal
+tables share it, and with it every fact memoized on it.
+
 The units k mod the exponent act on the table by chi -> chi o p_k, with p_k
 the class of x -> x^k, and ``_galois_action`` walks them once, comparing
 rows exactly.  Its row orbits are the Galois orbits, and its permutations
@@ -45,7 +50,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, _reduce_mod_phi
-from .groups import Group, Subgroup, ElementClass, element_classes, class_index_of, memo
+from .groups import (Group, Subgroup, ElementClass, element_classes, class_index_of, interned,
+                     memo)
 from .linalg import _sub, minimal_polynomial
 from .numtheory import euler_phi, is_prime, primitive_root
 
@@ -246,7 +252,11 @@ def restrict(f: VirtualCharacter, h: Subgroup) -> VirtualCharacter:
 
 @memo
 def character_table(g: Group) -> CharacterTable:
-    return _build_character_table(g)
+    """The table of g's multiplication table, built once per process on the
+    first Group with that table to ask (``groups.interned``): its ``group``
+    may be that first group rather than g."""
+    first = interned(g)
+    return _build_character_table(g) if first is g else character_table(first)
 
 
 def _dixon_prime(order: int, exponent: int) -> int:

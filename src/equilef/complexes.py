@@ -11,9 +11,10 @@ fixes it pointwise) by one barycentric subdivision, which suffices for any
 simplicial action.  Its cells are counted before it is built: the cost model
 of the run, ``MAX_CELLS`` and the subdivided cell count, lives here, next to
 the subdivision whose output it predicts.
-The G-orbits of cells are walked once, by ``_orbit_representatives``,
-memoized on the complex: the regularity scan and the cell count of a free
-quotient both read its representatives.
+The G-orbits of cells are walked once per level, by
+``_level_representatives``, memoized on the complex: the regularity scan
+reads them level by level up to the first violation, and the cell count of
+a free quotient reads every level.
 Under regularity the open simplices with pointwise stabilizer exactly H
 tile the space; those tiles and the fixed subcomplexes are returned as
 Stratum objects which the cohomology layer consumes.
@@ -173,10 +174,11 @@ class SimplicialGComplex:
         The first violating simplex in level order, with its least element.
         Regularity is G-invariant (if e fixes s setwise but not pointwise,
         g e g^-1 does so for g s), so the first violating simplex is the
-        first of its orbit: only the ``_orbit_representatives`` are scanned.
+        first of its orbit: only the ``_level_representatives`` are scanned,
+        and no level past the first violating one is walked.
         """
-        for level in _orbit_representatives(self)[1:]:
-            for s in level:
+        for k in range(1, len(self.simplices)):
+            for s in _level_representatives(self, k):
                 stab = self.stabilizer(s)
                 for e in range(1, self.group.order):
                     if e not in stab and self.act_simplex(e, s) == s:
@@ -378,21 +380,22 @@ def _check_subgroup(x: SimplicialGComplex, h: Subgroup):
 
 
 @memo
-def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
-    """Per level, the least simplex of each orbit, in sorted order.
+def _level_representatives(x: SimplicialGComplex, k: int) -> tuple:
+    """The least simplex of each orbit of k-simplices, in sorted order.
 
     The level is sorted, so the first simplex met of each orbit is its least.
     Each simplex is met once, so only the images under non-identity elements
     are marked covered.
-    For a free action these are the cells of X/G.
     """
-    reps_by_dim = []
-    for level in x.simplices:
-        covered: set = set()
-        reps = []
-        for s in level:
-            if s not in covered:
-                covered.update(x.act_simplex(e, s) for e in range(1, x.group.order))
-                reps.append(s)
-        reps_by_dim.append(tuple(reps))
-    return reps_by_dim
+    covered: set = set()
+    reps = []
+    for s in x.simplices[k]:
+        if s not in covered:
+            covered.update(x.act_simplex(e, s) for e in range(1, x.group.order))
+            reps.append(s)
+    return tuple(reps)
+
+
+def _orbit_representatives(x: SimplicialGComplex) -> list[tuple]:
+    """``_level_representatives`` of every level: for a free action, the cells of X/G."""
+    return [_level_representatives(x, k) for k in range(len(x.simplices))]

@@ -21,6 +21,10 @@ least member.
 
 ``memo`` is how every derived fact is cached, on its owner; a cache keyed by
 a value normalises the value and passes it to a memoized function of it.
+The one exception is ``interned``, the process's map from a multiplication
+table to the first ``Group`` with that table to ask: re-based subgroups and
+character tables go through it, so equal tables share one group and one
+character table across scenarios.
 """
 
 from __future__ import annotations
@@ -135,11 +139,6 @@ class Group:
     def _subgroup(self, members: tuple) -> "Subgroup":
         return Subgroup(self, members)
 
-    @memo
-    def _rebased(self, table: tuple) -> "Group":
-        """The one Group of a re-based subgroup table, interned by the table."""
-        return Group(table)
-
     def cyclic_subgroup(self, a: int) -> "Subgroup":
         return self.subgroup(generated(self, (a,)))
 
@@ -148,6 +147,27 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+# The first Group of each distinct multiplication table to ask ``interned``,
+# for the life of the process.  A bucket is keyed by rows 1 and n-1, O(n) to
+# hash, and its groups are told apart by comparing tables.
+_INTERN: dict[tuple, list[Group]] = {}
+
+
+def interned(g: Group) -> Group:
+    """The first Group with g's multiplication table to ask: g itself if none had.
+
+    Whatever is memoized on the returned group, its classes and character
+    table above all, is then computed once per table in a process.
+    """
+    mul = g.mul
+    bucket = _INTERN.setdefault((mul[1 % g.order], mul[-1]), [])
+    for first in bucket:
+        if first is g or first.mul == mul:
+            return first
+    bucket.append(g)
+    return g
 
 
 class ElementClass(namedtuple("ElementClass", "representative members")):
@@ -192,16 +212,16 @@ class Subgroup:
         """This subgroup as a group in its own right (indices re-based).
 
         The whole subgroup returns the parent itself, so characters computed
-        on it live on the original group object.  Any other is interned on
-        the parent by its table: subgroups with equal re-based tables share
-        one Group, and with it its classes and character table.
+        on it live on the original group object.  Any other is ``interned``
+        by its table: subgroups with equal re-based tables, of any parent,
+        share one Group, and with it its classes and character table.
         """
         if self.order == self.parent.order:
             return self.parent
         mem = self.member_set
         idx = {e: i for i, e in enumerate(mem)}
         table = tuple(tuple(idx[self.parent.mul[a][b]] for b in mem) for a in mem)
-        return self.parent._rebased(table)
+        return interned(Group(table))
 
     def __eq__(self, other):
         return (

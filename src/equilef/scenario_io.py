@@ -615,8 +615,13 @@ def chartab_text(data: dict) -> str:
     sizes = [c["size"] for c in data["classes"]]
     lines.append(f"  class representatives: {reps}")
     lines.append(f"  class sizes:           {sizes}")
+    # a chartab_dict shares one dict per distinct value: each is rendered once
+    texts = {}
     for i, chi in enumerate(data["irreducibles"]):
-        vals = ", ".join(cyclotomic_str(v) for v in chi["values"])
+        for v in chi["values"]:
+            if id(v) not in texts:
+                texts[id(v)] = cyclotomic_str(v)
+        vals = ", ".join(texts[id(v)] for v in chi["values"])
         lines.append(f"  chi_{i}: [{vals}]")
     lines.append("  rational irreducibles (orbit sums):")
     for lam in data["rational_irreducibles"]:

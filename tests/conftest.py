@@ -2,15 +2,24 @@
 
 Scenario objects memoize strata and cochain solvers, so unit tests share
 one corpus build.  Anything that needs to measure cold-start cost builds
-its own fresh scenarios instead.
+its own fresh scenarios instead.  Character tables are shared by every group
+with the same multiplication table in a process, through the intern of
+``groups.interned``; each test starts with it empty, so a fresh scenario
+builds its tables again, through any builder the test patches.
 """
 
 import pytest
 
 from equilef import builtin_scenarios, full_verification
+from equilef.groups import _INTERN
 
 # (criterion number, title, ok) rows recorded by the acceptance tests
 ACCEPTANCE_RESULTS = []
+
+
+@pytest.fixture(autouse=True)
+def empty_intern():
+    _INTERN.clear()
 
 
 @pytest.fixture(scope="session")

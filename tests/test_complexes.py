@@ -254,16 +254,40 @@ ORBIT_COUNTS = {
 
 
 def test_the_orbits_of_a_regular_complex_are_walked_once(monkeypatch):
-    # C6 rotating a hexagon: the regularity scan at build time walks the orbits
+    # C6 rotating a hexagon: the regularity scan at build time walks the
+    # orbit of edges; the vertices are walked once, when first asked for
     c6 = group_from_permutations(6, [(1, 2, 3, 4, 5, 0)])
     x = build_complex([(i, (i + 1) % 6) for i in range(6)], c6, [(1, 2, 3, 4, 5, 0)])
     assert x.subdivision_count == 0
+    act, walked = SimplicialGComplex.act_simplex, []
 
-    def refused(self, e, s):
-        raise AssertionError("a second walk of the orbits")
+    def counted(self, e, s):
+        walked.append(s)
+        return act(self, e, s)
 
-    monkeypatch.setattr(SimplicialGComplex, "act_simplex", refused)
-    assert _orbit_representatives(x) == [((0,),), ((0, 1),)]
+    monkeypatch.setattr(SimplicialGComplex, "act_simplex", counted)
+    for _ in range(2):
+        assert _orbit_representatives(x) == [((0,),), ((0, 1),)]
+    assert walked == [(0,)] * 5
+
+
+def test_the_regularity_scan_stops_at_the_first_violating_level(monkeypatch):
+    # S4 on the tetrahedron's boundary: the scan walks the one orbit of edges
+    # (23 images of (0, 1)) and finds the transposition of its ends at once,
+    # element 1; no vertex or triangle is walked.  The subdivision then maps
+    # each of the 14 cells by each of the 24 elements.
+    act, dims = SimplicialGComplex.act_simplex, []
+
+    def counted(self, e, s):
+        dims.append(len(s) - 1)
+        return act(self, e, s)
+
+    monkeypatch.setattr(SimplicialGComplex, "act_simplex", counted)
+    s4 = symmetric(4)
+    x = build_complex(list(combinations(range(4), 3)), s4, s4.generator_permutations)
+    assert x.subdivision_count == 1
+    assert dims[:24] == [1] * 24
+    assert len(dims) == 24 + 14 * 24
 
 
 def test_orbit_counts_of_free_actions(by_name):

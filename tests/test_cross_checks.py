@@ -47,7 +47,7 @@ from equilef.cohomology import CochainComplex
 from equilef.cyclotomic import cyclotomic_polynomial
 from equilef.cyclotomic import Cyclotomic
 from equilef.engine import rhs_isotypic, verify_free_action
-from equilef.groups import group_from_permutations
+from equilef.groups import _INTERN, group_from_permutations
 
 # the attribute equilef.cohomology is the function of that name
 COHOMOLOGY = importlib.import_module("equilef.cohomology")
@@ -285,6 +285,8 @@ def test_a_galois_fixed_non_rational_row_breaks_orbit_sum_integrality(monkeypatc
     c3 = group_from_permutations(3, [(1, 2, 0)])
     with pytest.raises(IntegralityError, match="Galois orbit sum has a non-integer value"):
         rational_irreducibles(_galois_fixed_rows(character_table(c3)))
+    # hexagon-rot3's C3 would otherwise share the table just built
+    _INTERN.clear()
     build = CHARACTERS._build_character_table
     monkeypatch.setattr(
         CHARACTERS, "_build_character_table",

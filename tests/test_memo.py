@@ -1,19 +1,27 @@
 """The memo contract: every derived fact is computed once per owner.
 
-``groups.memo`` is the one cache of the package.  A guard reads the source
-with ``ast`` so that no module grows a hand-rolled ``_cache`` again, and a
-second verification of a warmed scenario must run no elimination, build no
-character table and make no cyclotomic value.
+``groups.memo`` is the one cache of the package, and ``groups.interned`` its
+one module-level map, from a multiplication table to the first group with
+it.  Guards read the source with ``ast`` so that no module grows a
+hand-rolled ``_cache`` or a second such map, and a second verification of a
+warmed scenario must run no elimination, build no character table and make
+no cyclotomic value.  A fresh build of the same scenarios builds no
+character table either, until the intern is emptied.
 """
 
 import ast
+import gc
 import importlib
+import types
 from pathlib import Path
 
 import pytest
 
 from equilef import builtin_names, builtin_scenario, full_verification
-from equilef.groups import memo
+from equilef.cohomology import CochainComplex, GLattice
+from equilef.complexes import SimplicialGComplex, Stratum
+from equilef.engine import Scenario
+from equilef.groups import _INTERN, memo
 
 # by import_module: the package exports a function named cohomology
 characters, cohomology, cyclotomic = (
@@ -159,7 +167,16 @@ def test_second_verification_recomputes_nothing(monkeypatch):
     assert calls == []
     assert [s.passed for s in second] == [s.passed for s in first]
     assert all(a.theorem.lhs == b.theorem.lhs for a, b in zip(first, second))
-    # the counters do see the work: a fresh build of the same scenarios runs it
+    # the counters do see the work: a fresh build of the same scenarios runs
+    # the eliminations, and its tables are those of the first build
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    assert set(calls) == {
+        "equilef.cohomology.reduce_columns",
+        "equilef.cohomology.smith_invariants",
+    }
+    # once the intern is emptied, the tables are built again
+    _INTERN.clear()
     for name in builtin_names():
         full_verification(builtin_scenario(name))
     assert set(calls) == {
@@ -169,3 +186,116 @@ def test_second_verification_recomputes_nothing(monkeypatch):
         "equilef.characters._build_character_table",
         "equilef.cyclotomic._make",
     }
+
+
+# names of the calls that make an empty map
+MAP_MAKERS = {"dict", "defaultdict", "OrderedDict", "Counter",
+              "WeakKeyDictionary", "WeakValueDictionary"}
+
+# (module, name) that may be bound to a map at module or class level: the intern
+ALLOWED_MAPS = {("groups", "_INTERN")}
+
+
+def _is_empty_map(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in MAP_MAKERS
+    return False
+
+
+def _module_maps(tree) -> list[str]:
+    """Names bound to an empty map outside any function: at module level or
+    in a class body, where a map outlives every call and keys by value."""
+    found = []
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if isinstance(node, ast.Assign) and _is_empty_map(node.value):
+                found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif (isinstance(node, ast.AnnAssign) and node.value is not None
+                  and _is_empty_map(node.value) and isinstance(node.target, ast.Name)):
+                found.append(node.target.id)
+    return found
+
+
+def test_the_intern_is_the_only_module_level_map():
+    found = {
+        (path.stem, name)
+        for path in SOURCES
+        for name in _module_maps(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == ALLOWED_MAPS
+
+
+def test_the_map_guard_sees_every_binding():
+    tree = ast.parse(
+        "A = {}\n"
+        "B: dict[int, int] = dict()\n"
+        "C = collections.defaultdict(list)\n"
+        "TABLE = {1: 2}\n"
+        "class K:\n"
+        "    cache = weakref.WeakValueDictionary()\n"
+        "def f():\n"
+        "    local = {}\n"
+    )
+    assert _module_maps(tree) == ["A", "B", "C", "cache"]
+
+
+def _count_builds(monkeypatch) -> list[int]:
+    """The order of every group whose character table is built from now on."""
+    built = []
+    build = characters._build_character_table
+
+    def counted(g):
+        built.append(g.order)
+        return build(g)
+
+    monkeypatch.setattr(characters, "_build_character_table", counted)
+    return built
+
+
+def test_a_pass_over_the_builtins_builds_one_table_per_distinct_group_table(monkeypatch):
+    built = _count_builds(monkeypatch)
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    # C1, C2, C3, C2 x C2, C6 and S3, where a table per group object made 53
+    assert sorted(built) == [1, 2, 3, 4, 6, 6]
+
+
+def test_builtins_with_equal_group_tables_share_one_character_table(monkeypatch):
+    built = _count_builds(monkeypatch)
+    point, square = builtin_scenario("point-c2"), builtin_scenario("square-reflection")
+    assert point.group is not square.group and point.group.mul == square.group.mul
+    table = characters.character_table(point.group)
+    assert characters.character_table(square.group) is table
+    assert characters.rational_irreducibles(table) is characters.rational_irreducibles(
+        characters.character_table(square.group))
+    assert built == [2]
+
+
+def _reachable(roots):
+    """Every object reachable from roots, not entering modules, classes or functions."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, (types.ModuleType, type, types.FunctionType,
+                            types.BuiltinFunctionType)):
+            continue
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+def test_the_intern_keeps_no_scenario_data_alive():
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    assert _INTERN
+    kept = {type(obj).__name__ for obj in _reachable([_INTERN])}
+    assert {"Group", "Subgroup", "CharacterTable"} <= kept
+    assert not kept & {cls.__name__ for cls in
+                       (Scenario, SimplicialGComplex, Stratum, GLattice, CochainComplex)}

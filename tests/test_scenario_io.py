@@ -1,6 +1,7 @@
 """Scenario files, canonical JSON reports, text rendering."""
 
 import copy
+import importlib
 import json
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from equilef.scenario_io import (
 )
 from equilef.scenarios import builtin_scenario
 from chartab_oracle import OracleCyclotomic
+
+SCENARIO_IO = importlib.import_module("equilef.scenario_io")
 
 VALID = {
     "schema_version": 1,
@@ -317,13 +320,23 @@ def test_chartab_output():
     assert "rational irreducibles" in text
 
 
-def test_chartab_renders_each_distinct_value_once():
-    # C6 has 36 values but only 6 distinct ones: each is one shared dict
+def test_chartab_renders_each_distinct_value_once(monkeypatch):
+    # C6 has 36 values but only 6 distinct ones: each is one shared dict,
+    # and its text is made once
     d = chartab_dict(builtin_scenario("hexagon-rot6"))
     values = [v for row in d["irreducibles"] for v in row["values"]]
     distinct = {json.dumps(v, sort_keys=True) for v in values}
     assert len(values) == 36 and len(distinct) == 6
     assert len({id(v) for v in values}) == len(distinct)
+    text, rendered = chartab_text(d), []
+
+    def counted(v):
+        rendered.append(v)
+        return cyclotomic_str(v)
+
+    monkeypatch.setattr(SCENARIO_IO, "cyclotomic_str", counted)
+    assert chartab_text(d) == text
+    assert len(rendered) == 6
 
 
 def test_strata_output():

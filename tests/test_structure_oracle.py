@@ -29,7 +29,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "equilef").glob(
 # checked at the generators or valid by construction
 ALLOWED = {
     ("Group", "group_from_permutations"),
-    ("Group", "_rebased"),
+    ("Group", "as_group"),
     ("Group", "from_table"),
     ("SimplicialGComplex", "build_complex"),
     ("SimplicialGComplex", "barycentric_subdivision"),
