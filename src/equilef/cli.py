@@ -32,7 +32,7 @@ from .scenario_io import (
     canonical_json,
     chartab_dict,
     chartab_text,
-    check_prime,
+    check_primes,
     parse_scenario,
     strata_dict,
     strata_text,
@@ -43,8 +43,7 @@ from .scenarios import builtin_names, builtin_scenario
 
 
 def _load_scenario(target: str, primes) -> Scenario:
-    for p in primes or ():
-        check_prime(p, "--prime")
+    check_primes(primes or [], lambda i: "--prime")
     if os.path.exists(target):
         with open(target, "r", encoding="utf-8") as handle:
             try:

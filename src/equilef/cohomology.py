@@ -8,6 +8,18 @@ locally closed stratum S the complex restricts the full simplicial coboundary
 to the simplices of S; its cohomology is the compactly supported cohomology
 of the open union of S.  All arithmetic is exact.
 
+Coefficients are flat, so on a lattice of rank r the coboundary is
+d (x) I_r, with d that of S's cells under rank-one coefficients: every rank
+over Q and F_p, and every Smith invariant over Z, is r copies of one of d.
+The lattice enters only through the action, that is the traces.  So a
+``CellCochains`` holds everything that depends on the cells alone (the
+simplex index, the coboundaries d_k, their reductions and Smith
+invariants), one per distinct cell set in a process: ``cell_cochains``
+keeps it in the package's one intern (``groups.interned_value``), keyed by
+``Stratum.simplices``.  A ``CochainComplex`` of (stratum, lattice) copies
+its eliminations from it, cell i becoming i*r + c in copy c, and owns the
+action and the traces.
+
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
 question: it runs once per degree over Q, in ints except where a value has
@@ -36,7 +48,8 @@ from fractions import Fraction
 from .linalg import _apply, _sub, reduce_columns, smith_invariants
 from .characters import VirtualCharacter, _rational, rational_coefficients
 from .complexes import Stratum
-from .groups import Group, Subgroup, element_classes, extend_from_generators, memo
+from .groups import (Group, Subgroup, element_classes, extend_from_generators,
+                     interned_value, memo)
 
 
 def _dims_from_ranks(sizes, ranks) -> tuple[int, ...]:
@@ -144,6 +157,108 @@ class GLattice:
         return f"GLattice(|G|={self.group.order}, rank={self.rank})"
 
 
+class CellCochains:
+    """The rank-one integer cochains of a cell set: all that no lattice enters.
+
+    Built only by ``cell_cochains``, once per distinct ``Stratum.simplices``
+    in a process: it keeps those cells and what is derived from them, the
+    simplex index, the coboundaries d_k (one {row: +-1} column per k-cell,
+    checked to square to zero), their reductions over Q and ranks over F_p,
+    and their Smith invariants, never the stratum itself.
+    """
+
+    __slots__ = ("simplices", "sizes", "coboundaries", "_cache")
+
+    def __init__(self, stratum: Stratum):
+        if not stratum.is_locally_closed():
+            raise ValueError(f"stratum of sizes {stratum.sizes()} is not locally closed")
+        self.simplices = stratum.simplices
+        self.sizes = tuple(len(level) for level in self.simplices)
+        self._cache = {}
+        self.coboundaries = tuple(
+            self._build_coboundary(k) for k in range(len(self.simplices) - 1)
+        )
+        self._check_dd_zero()
+
+    def _build_coboundary(self, k):
+        index_k = self.index(k)
+        columns = [{} for _ in range(self.sizes[k])]
+        for t_i, tau in enumerate(self.simplices[k + 1]):
+            for drop in range(len(tau)):
+                s_i = index_k.get(tau[:drop] + tau[drop + 1:])
+                if s_i is not None:
+                    columns[s_i][t_i] = -1 if drop % 2 else 1
+        return tuple(columns)
+
+    def _check_dd_zero(self):
+        for lower, upper in zip(self.coboundaries, self.coboundaries[1:]):
+            if any(_apply(upper, col) for col in lower):
+                raise ArithmeticError("differential does not square to zero")
+
+    def coboundary(self, k):
+        """d_k as sparse columns, or None when k is outside 0..top-1."""
+        if 0 <= k < len(self.coboundaries):
+            return self.coboundaries[k]
+        return None
+
+    @memo
+    def index(self, k):
+        """Position of each k-cell in its degree."""
+        return {s: i for i, s in enumerate(self.simplices[k])}
+
+    @memo
+    def reduction(self, k):
+        """reduce_columns of d_k over Q with kernel vectors; d_top has no rows.
+
+        The pivot rows of d_(k-1) are cleared: a pivot j of d_(k-1) has a
+        reduced column r in im d_(k-1), so d_k r = 0 with r[j] = 1 and no
+        key above j, and column j of d_k reduces to zero.
+        """
+        columns = self.coboundary(k) or [{}] * self.sizes[k]
+        cleared = self.reduction(k - 1)[0] if k >= 1 else ()
+        return reduce_columns(columns, record=True, skip=cleared)
+
+    @memo
+    def modp_ranks(self, p: int) -> tuple[int, ...]:
+        """Ranks of d_0..d_(top-1) over F_p, each cleared by the pivots of the last."""
+        ranks, pivots = [], ()
+        for columns in self.coboundaries:
+            pivots = reduce_columns(columns, p, skip=pivots)[0]
+            ranks.append(len(pivots))
+        return tuple(ranks)
+
+    @memo
+    def torsion(self) -> tuple[tuple[int, ...], ...]:
+        """Torsion coefficients of H^k per degree, from Smith invariants.
+
+        The torsion of H^(k+1) is the invariants of d_k above 1; their count,
+        the rank of d_k over Z, must equal its rank over Q.
+        """
+        torsion = [()]
+        for k, columns in enumerate(self.coboundaries):
+            invariants = smith_invariants(columns)
+            rank = len(self.reduction(k)[0])
+            if len(invariants) != rank:
+                raise ArithmeticError(
+                    f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
+                )
+            torsion.append(tuple(v for v in invariants if v > 1))
+        return tuple(torsion)
+
+    def __repr__(self):
+        return f"CellCochains(sizes={self.sizes})"
+
+
+def cell_cochains(stratum: Stratum) -> CellCochains:
+    """The process's one CellCochains of the stratum's cells (``groups.interned_value``)."""
+    return interned_value(CellCochains, stratum.simplices, lambda: CellCochains(stratum))
+
+
+def _copy(column: dict, r: int, c: int) -> dict:
+    """Copy c of a rank-one cochain in the r-fold one: cell i becomes i*r + c."""
+    return {i * r + c: v for i, v in column.items()}
+
+
 class CochainComplex:
     """Simplicial cochains of a stratum with values in a lattice.
 
@@ -151,68 +266,41 @@ class CochainComplex:
     the stratum, simplex-major.  The differential is the coboundary summed
     over faces that stay inside the stratum; cochains are sparse
     {index: value} dicts over this basis.
+
+    Coefficients are flat, so the differential is d (x) I_r, with d that of
+    the stratum's ``cells``: every elimination is r copies of theirs, and
+    only the action (hence every trace) depends on the lattice.
     """
 
-    __slots__ = ("stratum", "lattice", "bases", "dims", "_coboundaries", "_cache")
+    __slots__ = ("stratum", "lattice", "cells", "bases", "dims", "_cache")
 
     def __init__(self, stratum: Stratum, lattice: GLattice):
         if stratum.parent.group is not lattice.group:
             raise ValueError("stratum and lattice belong to different groups")
-        if not stratum.is_locally_closed():
-            raise ValueError(f"stratum of sizes {stratum.sizes()} is not locally closed")
+        self.cells = cell_cochains(stratum)
         self.stratum = stratum
         self.lattice = lattice
-        self.bases = tuple(stratum.simplices)
-        r = lattice.rank
-        self.dims = tuple(r * len(level) for level in self.bases)
+        self.bases = stratum.simplices
+        self.dims = tuple(lattice.rank * n for n in self.cells.sizes)
         self._cache = {}
-        self._coboundaries = tuple(
-            self._build_coboundary(k) for k in range(len(self.bases) - 1)
-        )
-        self._check_dd_zero()
-
-    # -- construction --------------------------------------------------------
-
-    def _build_coboundary(self, k):
-        r = self.lattice.rank
-        index_k = self._simplex_index(k)
-        columns = [{} for _ in range(self.dims[k])]
-        for t_i, tau in enumerate(self.bases[k + 1]):
-            for drop in range(len(tau)):
-                s_i = index_k.get(tau[:drop] + tau[drop + 1:])
-                if s_i is None:
-                    continue
-                sign = -1 if drop % 2 else 1
-                for c in range(r):
-                    columns[s_i * r + c][t_i * r + c] = sign
-        return tuple(columns)
-
-    def _check_dd_zero(self):
-        for k in range(len(self._coboundaries) - 1):
-            upper = self._coboundaries[k + 1]
-            if any(_apply(upper, col) for col in self._coboundaries[k]):
-                raise ArithmeticError("differential does not square to zero")
 
     def coboundary(self, k):
-        """d_k as sparse columns, one {row: +-1} per degree-k basis cochain.
-
-        None when k is outside 0..top-1, where d_k has no target.
-        """
-        if 0 <= k < len(self._coboundaries):
-            return self._coboundaries[k]
-        return None
+        """d_k = d (x) I_r as sparse columns, one {row: +-1} per degree-k basis
+        cochain; None when k is outside 0..top-1.  Expanded from the cells' d_k
+        on each call: no computation reads it."""
+        columns = self.cells.coboundary(k)
+        r = self.lattice.rank
+        if columns is None or r == 1:
+            return columns
+        return tuple(_copy(col, r, c) for col in columns for c in range(r))
 
     # -- group action ---------------------------------------------------------
-
-    @memo
-    def _simplex_index(self, k):
-        return {s: i for i, s in enumerate(self.bases[k])}
 
     @memo
     def _moves(self, e: int, k: int):
         """(image index, orientation sign) of each degree-k simplex under e."""
         x = self.stratum.parent
-        index = self._simplex_index(k)
+        index = self.cells.index(k)
         moves = []
         for s in self.bases[k]:
             image, sign = x.act_simplex_signed(e, s)
@@ -269,15 +357,17 @@ class CochainComplex:
 
     @memo
     def _reduction(self, k):
-        """reduce_columns of d_k over Q with kernel vectors; d_top has no rows.
-
-        The pivot rows of d_(k-1) are cleared: a pivot j of d_(k-1) has a
-        reduced column r in im d_(k-1), so d_k r = 0 with r[j] = 1 and no
-        key above j, and column j of d_k reduces to zero.
-        """
-        columns = self.coboundary(k) or [{}] * self.dims[k]
-        cleared = self._reduction(k - 1)[0] if k >= 1 else ()
-        return reduce_columns(columns, record=True, skip=cleared)
+        """The cells' reduction of d_k over Q, in r copies: pivot and kernel
+        column i of the cells is i*r + c in copy c, in the order a reduction
+        of d (x) I_r finds them.  At rank one, the cells' own."""
+        echelon, kernel = self.cells.reduction(k)
+        r = self.lattice.rank
+        if r == 1:
+            return echelon, kernel
+        return (
+            {i * r + c: _copy(col, r, c) for i, col in echelon.items() for c in range(r)},
+            [(j * r + c, _copy(v, r, c)) for j, v in kernel for c in range(r)],
+        )
 
     @memo
     def _cocycles(self, k):
@@ -353,31 +443,19 @@ class CochainComplex:
 
     @memo
     def integral_cohomology(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(betti numbers, torsion coefficients per degree), from Smith invariants.
-
-        The torsion of H^(k+1) is the invariants of d_k above 1; their count,
-        the rank of d_k over Z, must equal its rank over Q.
-        """
+        """(betti numbers, torsion coefficients per degree), from the cells'
+        Smith invariants: each torsion coefficient of theirs, r times."""
         betti = self.rational_dims()
-        torsion = [()]
-        for k, columns in enumerate(self._coboundaries):
-            invariants = smith_invariants(columns)
-            rank = len(self._reduction(k)[0])
-            if len(invariants) != rank:
-                raise ArithmeticError(
-                    f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
-                )
-            torsion.append(tuple(v for v in invariants if v > 1))
-        return betti, tuple(torsion)
+        r = self.lattice.rank
+        return betti, tuple(
+            tuple(v for v in degree for _ in range(r)) for degree in self.cells.torsion())
 
     @memo
     def modp_dims(self, p: int) -> tuple[int, ...]:
-        """dim_{F_p} H^k for k = 0..top; checked against Euler-Poincare."""
-        ranks, pivots = [], ()
-        for columns in self._coboundaries:
-            pivots = reduce_columns(columns, p, skip=pivots)[0]
-            ranks.append(len(pivots))
-        dims = _dims_from_ranks(self.dims, ranks)
+        """dim_{F_p} H^k for k = 0..top, from r times the cells' ranks;
+        checked against Euler-Poincare."""
+        r = self.lattice.rank
+        dims = _dims_from_ranks(self.dims, [r * n for n in self.cells.modp_ranks(p)])
         return _euler_checked(self.dims, dims, f"mod {p}")
 
     @memo

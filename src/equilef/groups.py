@@ -21,10 +21,15 @@ least member.
 
 ``memo`` is how every derived fact is cached, on its owner; a cache keyed by
 a value normalises the value and passes it to a memoized function of it.
-The one exception is ``interned``, the process's map from a multiplication
-table to the first ``Group`` with that table to ask: re-based subgroups and
-character tables go through it, so equal tables share one group and one
-character table across scenarios.
+The one exception is the intern, the process's one module-level map.
+``interned`` maps a multiplication table to the first ``Group`` with that
+table to ask: re-based subgroups and character tables go through it, so
+equal tables share one group and one character table across scenarios.
+``interned_value`` maps a kind and a value to the object first made for
+them: ``cohomology`` keeps there one rank-one cochain object per cell set, so
+every stratum with those cells, under any lattice, shares its coboundaries
+and eliminations.  The intern holds groups, tables and cells, never a
+scenario, complex, stratum or lattice.
 """
 
 from __future__ import annotations
@@ -149,10 +154,12 @@ class Group:
         return f"Group(order={self.order})"
 
 
-# The first Group of each distinct multiplication table to ask ``interned``,
-# for the life of the process.  A bucket is keyed by rows 1 and n-1, O(n) to
-# hash, and its groups are told apart by comparing tables.
-_INTERN: dict[tuple, list[Group]] = {}
+# What a process keeps across scenarios, for its whole life.  The first Group
+# of each distinct multiplication table to ask ``interned``: a bucket is keyed
+# by rows 1 and n-1, O(n) to hash, and its groups are told apart by comparing
+# tables.  And under (kind, hash of a value), the kind objects that
+# ``interned_value`` first made for each value with that hash.
+_INTERN: dict[tuple, list] = {}
 
 
 def interned(g: Group) -> Group:
@@ -168,6 +175,23 @@ def interned(g: Group) -> Group:
             return first
     bucket.append(g)
     return g
+
+
+def interned_value(kind: type, value, make):
+    """The kind object made for the first value equal to value to ask: make()
+    then, kept for the process; a make that raises keeps nothing.
+
+    Callers whose equal values are different objects share one object and
+    whatever is memoized on it.  The value is hashed once per ask: a bucket
+    is keyed by (kind, hash), and its values are told apart by comparing.
+    """
+    key = (kind, hash(value))
+    for kept, made in _INTERN.get(key, ()):
+        if kept == value:
+            return made
+    made = make()
+    _INTERN.setdefault(key, []).append((value, made))
+    return made
 
 
 class ElementClass(namedtuple("ElementClass", "representative members")):

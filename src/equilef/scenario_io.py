@@ -71,13 +71,16 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def check_prime(p, location):
-    """A ScenarioError at location unless p is an integer prime below ``MR_BOUND``."""
-    try:
-        prime = _is_int(p) and is_prime(p)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), location) from None
-    _expect(prime, f"{p!r} is not a prime", location)
+def check_primes(primes, location):
+    """A ScenarioError at location(i) unless entry i is an integer prime below
+    ``MR_BOUND`` that no earlier entry repeats: its verdict would print twice."""
+    for i, p in enumerate(primes):
+        try:
+            prime = _is_int(p) and is_prime(p)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), location(i)) from None
+        _expect(prime, f"{p!r} is not a prime", location(i))
+        _expect(p not in primes[:i], f"prime {p} is repeated", location(i))
 
 
 def _known_fields(obj, location, *fields):
@@ -232,8 +235,7 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     primes = options.get("primes", list(DEFAULT_PRIMES))
     _expect(isinstance(primes, list) and primes,
             "option 'primes' must be a nonempty list", "$.options.primes")
-    for i, p in enumerate(primes):
-        check_prime(p, f"$.options.primes[{i}]")
+    check_primes(primes, lambda i: f"$.options.primes[{i}]")
     subdivisions = options.get("subdivisions", 0)
     _expect(_is_int(subdivisions) and 0 <= subdivisions <= 2,
             "option 'subdivisions' must be an integer 0..2",

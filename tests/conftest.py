@@ -3,9 +3,11 @@
 Scenario objects memoize strata and cochain solvers, so unit tests share
 one corpus build.  Anything that needs to measure cold-start cost builds
 its own fresh scenarios instead.  Character tables are shared by every group
-with the same multiplication table in a process, through the intern of
-``groups.interned``; each test starts with it empty, so a fresh scenario
-builds its tables again, through any builder the test patches.
+with the same multiplication table in a process, and the coboundaries and
+eliminations of a cell set by every stratum with those cells, through the
+intern of ``groups``; each test starts with it empty, so a fresh scenario
+builds its tables and runs its eliminations again, through any builder or
+kernel the test patches.
 """
 
 import pytest

@@ -4,9 +4,11 @@ Dense exact linear algebra from sympy's ``DomainMatrix`` over QQ and GF(p),
 none of equilef's own: a nullspace and a column space per degree for H^k,
 coordinates of g . H^k from one rref, dense ranks over GF(p), and the
 averaging projector for invariant cochains.  It reads a CochainComplex only
-through its public accessors (``coboundary``, ``apply_action``, ``dims``),
-so it checks the sparse kernel independently.  It is cubic in the number of
-cells; keep it to small complexes.
+through its cells (``bases``), its lattice rank, ``dims`` and
+``apply_action``, and builds d (x) I_r itself on the r-fold basis
+(``explicit_coboundary``), so it checks the sparse kernel, and the copies
+that it makes of the rank-one eliminations, independently.  It is cubic in
+the number of cells; keep it to small complexes.
 """
 
 from fractions import Fraction
@@ -37,9 +39,29 @@ def kept_columns(base: DomainMatrix, candidates: DomainMatrix) -> list[int]:
     return [j - b for j in pivots if j >= b]
 
 
+def explicit_coboundary(cc, k):
+    """d_k as sparse columns on the r-fold basis, written entry by entry as
+    d (x) I_r: each face relation of the cells gives r entries, one per copy
+    of the lattice basis.  None outside 0..top-1."""
+    if not 0 <= k < len(cc.bases) - 1:
+        return None
+    r = cc.lattice.rank
+    index_k = {s: i for i, s in enumerate(cc.bases[k])}
+    columns = [{} for _ in range(cc.dims[k])]
+    for t_i, tau in enumerate(cc.bases[k + 1]):
+        for drop in range(len(tau)):
+            s_i = index_k.get(tau[:drop] + tau[drop + 1:])
+            if s_i is None:
+                continue
+            sign = -1 if drop % 2 else 1
+            for c in range(r):
+                columns[s_i * r + c][t_i * r + c] = sign
+    return tuple(columns)
+
+
 def dense_coboundary(cc, k):
     """d_k as integer rows (dims[k+1] x dims[k]), or None outside 0..top-1."""
-    columns = cc.coboundary(k)
+    columns = explicit_coboundary(cc, k)
     if columns is None:
         return None
     return [

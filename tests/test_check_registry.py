@@ -59,14 +59,13 @@ REGISTRY = {
         CROSS + "test_a_halved_lhs_breaks_its_integrality",
     ("cohomology", "_euler_checked", "Euler-Poincare mismatch {}: cells {}, cohomology {}"):
         CROSS + "test_a_lost_cocycle_breaks_euler_poincare_over_q",
-    ("cohomology", "CochainComplex._check_dd_zero", "differential does not square to zero"):
+    ("cohomology", "CellCochains._check_dd_zero", "differential does not square to zero"):
         CROSS + "test_a_flipped_coboundary_entry_breaks_d_squared",
     ("cohomology", "CochainComplex.class_coordinates", "degree-{} cochain is not a cocycle"):
         CROSS + "test_an_image_with_a_stray_entry_is_not_a_cocycle",
     ("cohomology", "CochainComplex.lefschetz_number", "non-integral alternating trace {}"):
         CROSS + "test_non_integral_alternating_trace_is_raised",
-    ("cohomology", "CochainComplex.integral_cohomology",
-     "rank of d_{} is {} over Z but {} over Q"):
+    ("cohomology", "CellCochains.torsion", "rank of d_{} is {} over Z but {} over Q"):
         "tests/test_cli.py::test_smith_rank_mismatch_is_an_internal_error",
     ("cyclotomic", "_poly_exact_div", "division was not exact"):
         CROSS + "test_a_divisor_listed_twice_makes_a_division_inexact",

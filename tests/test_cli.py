@@ -143,6 +143,14 @@ def test_non_prime_flag_is_an_input_error(capsys):
         assert f"{p} is not a prime" in err
 
 
+def test_a_repeated_prime_flag_is_an_input_error(capsys):
+    # it was accepted, and its mod-p verdict printed twice; a file's repeat
+    # is refused at $.options.primes[i] (tests/test_scenario_io.py)
+    assert cli.main(["verify", "point-c2", "--prime", "3", "--prime", "3"]) == 2
+    assert capsys.readouterr().err == "input error: --prime: prime 3 is repeated\n"
+    assert cli.main(["verify", "point-c2", "--prime", "3", "--prime", "5"]) == 0
+
+
 PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
 
 

@@ -21,7 +21,8 @@ from equilef.cohomology import (
 )
 from equilef.complexes import (
     barycentric_subdivision, exact_stratum, fixed_subcomplex, isotropy_classes)
-from equilef.engine import lhs_character
+from equilef.engine import Scenario, lhs_character
+from equilef.linalg import smith_invariants
 from equilef.groups import class_index_of, group_from_permutations, normalizer, subgroups
 from equilef.scenario_io import parse_scenario
 from equilef.scenarios import builtin_names, builtin_scenario
@@ -554,3 +555,58 @@ def test_no_reduction_entry_is_an_integral_fraction():
             for column in [*echelon.values(), *(v for _, v in kernel)]:
                 assert not any(type(v) is Fraction and v.denominator == 1
                                for v in column.values()), (name, k)
+
+
+# -- flat coefficients: r copies of the cells' eliminations ---------------------
+
+
+def _rank_r_complexes():
+    """For each scenario with a lattice of rank > 1 (the six ``-regular``
+    builtins, the seed-1 permutation lattices of rank 4 and 5, and the
+    projective plane with Z^3, whose torsion is then three copies of Z/2):
+    the cochains of the whole complex, of each exact stratum and of each
+    fixed subcomplex X^<g>."""
+    scenarios = [builtin_scenario(name) for name in builtin_names() if name.endswith("-regular")]
+    with generated_documents() as paths:
+        scenarios += [parse_scenario(path.read_text(encoding="utf-8"))
+                      for path in paths if path.stem.endswith("-permutation")]
+    rp2 = builtin_scenario("projective-plane")
+    scenarios.append(Scenario("projective-plane-z3", rp2.group, rp2.complex,
+                              GLattice.from_generator_matrices(rp2.group, 3, [])))
+    assert len(scenarios) == 9 and {s.lattice.rank for s in scenarios} >= {3, 4, 5}
+    for s in scenarios:
+        x = s.complex
+        yield s.name, s.whole_cochains()
+        for cls in isotropy_classes(x):
+            yield s.name, cochain_complex(exact_stratum(x, cls.representative), s.lattice)
+        for g in range(s.group.order):
+            yield s.name, cochain_complex(
+                fixed_subcomplex(x, s.group.cyclic_subgroup(g)), s.lattice)
+
+
+def test_a_rank_r_lattice_eliminates_r_copies_of_its_cells():
+    # d (x) I_r written entry by entry, reduced as it stands, against the
+    # copies the complex makes of its cells' rank-one eliminations
+    complexes = {cc: name for name, cc in _rank_r_complexes()}
+    assert sum(1 for cc in complexes if sum(cc.dims)) == 15
+    assert any(cc.integral_cohomology()[1] == ((), (), (2, 2, 2)) for cc in complexes)
+    for cc, name in complexes.items():
+        _, torsion = cc.integral_cohomology()
+        echelon = {}
+        for k in range(len(cc.bases)):
+            explicit = dense_oracle.explicit_coboundary(cc, k)
+            assert explicit == cc.coboundary(k), (name, k)
+            columns = explicit or [{}] * cc.dims[k]
+            reduction = reduce_columns(columns, record=True, skip=echelon)
+            # equal dicts and lists, and in the same order
+            assert reduction == cc._reduction(k), (name, k)
+            assert list(reduction[0]) == list(cc._reduction(k)[0]), (name, k)
+            echelon = reduction[0]
+            if explicit is not None:
+                invariants = smith_invariants(explicit)
+                assert len(invariants) == len(echelon), (name, k)
+                assert tuple(v for v in invariants if v > 1) == torsion[k + 1], (name, k)
+        for p in (2, 3, 5):
+            ranks = [len(reduce_columns(dense_oracle.explicit_coboundary(cc, k), p)[0])
+                     for k in range(len(cc.bases) - 1)]
+            assert cc.modp_dims(p) == dense_oracle._dims_from_ranks(cc.dims, ranks), (name, p)

@@ -43,7 +43,7 @@ from equilef.characters import (
     rational_irreducibles,
     trivial_character,
 )
-from equilef.cohomology import CochainComplex
+from equilef.cohomology import CellCochains, CochainComplex
 from equilef.cyclotomic import cyclotomic_polynomial
 from equilef.cyclotomic import Cyclotomic
 from equilef.engine import rhs_isotypic, verify_free_action
@@ -129,16 +129,16 @@ def _fires(capsys, name, message, error=ArithmeticError, commands=("verify",)):
 
 def test_a_flipped_coboundary_entry_breaks_d_squared(monkeypatch, capsys):
     # one sign of d_0 on the disc: the edge bounds a triangle, so d_1 d_0 != 0
-    build = CochainComplex._build_coboundary
+    build = CellCochains._build_coboundary
 
-    def flipped(cc, k):
-        columns = build(cc, k)
+    def flipped(cells, k):
+        columns = build(cells, k)
         if k == 0 and columns[0]:
             row = min(columns[0])
             columns[0][row] = -columns[0][row]
         return columns
 
-    monkeypatch.setattr(CochainComplex, "_build_coboundary", flipped)
+    monkeypatch.setattr(CellCochains, "_build_coboundary", flipped)
     _fires(capsys, "disc-reflection", "differential does not square to zero")
 
 

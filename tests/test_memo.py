@@ -1,12 +1,15 @@
 """The memo contract: every derived fact is computed once per owner.
 
-``groups.memo`` is the one cache of the package, and ``groups.interned`` its
-one module-level map, from a multiplication table to the first group with
-it.  Guards read the source with ``ast`` so that no module grows a
-hand-rolled ``_cache`` or a second such map, and a second verification of a
-warmed scenario must run no elimination, build no character table and make
-no cyclotomic value.  A fresh build of the same scenarios builds no
-character table either, until the intern is emptied.
+``groups.memo`` is the one cache of the package, and the intern of
+``groups`` its one module-level map: ``interned`` files there the first
+group with each multiplication table, ``interned_value`` the first object
+made for each value of a kind.  Guards read the source with ``ast`` so
+that no module grows a hand-rolled ``_cache`` or a second such map, and a
+second verification of a warmed scenario must run no elimination, build no
+character table and make no cyclotomic value.  A fresh build of the same
+scenarios does none of it either, until the intern is emptied: it holds the
+character table of each multiplication table and the eliminations of each
+cell set.
 """
 
 import ast
@@ -18,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from equilef import builtin_names, builtin_scenario, full_verification
-from equilef.cohomology import CochainComplex, GLattice
+from equilef.cohomology import CellCochains, CochainComplex, GLattice
 from equilef.complexes import SimplicialGComplex, Stratum
 from equilef.engine import Scenario
 from equilef.groups import _INTERN, memo
@@ -141,9 +144,8 @@ def test_memo_caches_no_failure():
     assert f.calls == ["boom", "boom"]
 
 
-def test_second_verification_recomputes_nothing(monkeypatch):
-    scenarios = [builtin_scenario(name) for name in builtin_names()]
-    first = [full_verification(s) for s in scenarios]
+def _count_calls(monkeypatch, *targets) -> list[str]:
+    """The qualified name of every call to the (module, name) targets from now on."""
     calls = []
 
     def counted(module, name):
@@ -155,27 +157,34 @@ def test_second_verification_recomputes_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in (
-        (cohomology, "reduce_columns"),
-        (cohomology, "smith_invariants"),
+    for module, name in targets:
+        counted(module, name)
+    return calls
+
+
+ELIMINATIONS = ((cohomology, "reduce_columns"), (cohomology, "smith_invariants"))
+
+
+def test_second_verification_recomputes_nothing(monkeypatch):
+    scenarios = [builtin_scenario(name) for name in builtin_names()]
+    first = [full_verification(s) for s in scenarios]
+    calls = _count_calls(
+        monkeypatch, *ELIMINATIONS,
         (characters, "minimal_polynomial"),
         (characters, "_build_character_table"),
         (cyclotomic, "_make"),
-    ):
-        counted(module, name)
+    )
     second = [full_verification(s) for s in scenarios]
     assert calls == []
     assert [s.passed for s in second] == [s.passed for s in first]
     assert all(a.theorem.lhs == b.theorem.lhs for a, b in zip(first, second))
-    # the counters do see the work: a fresh build of the same scenarios runs
-    # the eliminations, and its tables are those of the first build
+    # a fresh build of the same scenarios has the same cells and group tables,
+    # so it runs no elimination either: they are those of the first build
     for name in builtin_names():
         full_verification(builtin_scenario(name))
-    assert set(calls) == {
-        "equilef.cohomology.reduce_columns",
-        "equilef.cohomology.smith_invariants",
-    }
-    # once the intern is emptied, the tables are built again
+    assert calls == []
+    # the counters do see the work: once the intern is emptied, the
+    # eliminations run and the tables are built again
     _INTERN.clear()
     for name in builtin_names():
         full_verification(builtin_scenario(name))
@@ -186,6 +195,31 @@ def test_second_verification_recomputes_nothing(monkeypatch):
         "equilef.characters._build_character_table",
         "equilef.cyclotomic._make",
     }
+
+
+def test_a_pass_over_the_builtins_builds_one_cell_set_per_distinct_cells(monkeypatch):
+    built, cells = [], []
+    for cls, log in ((CochainComplex, built), (CellCochains, cells)):
+        init = cls.__init__
+
+        def logged(self, stratum, *args, init=init, log=log):
+            init(self, stratum, *args)
+            log.append(stratum.simplices)
+
+        monkeypatch.setattr(cls, "__init__", logged)
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    # the 66 cochain complexes share one rank-one object per distinct cell set
+    assert (len(built), len(set(built))) == (66, 23)
+    assert len(cells) == len(set(cells)) and set(cells) == set(built)
+
+
+def test_a_sign_twin_runs_no_elimination(monkeypatch):
+    # the same cells under another rank-one lattice: only the traces differ
+    full_verification(builtin_scenario("torus-involution"))
+    calls = _count_calls(monkeypatch, *ELIMINATIONS)
+    assert full_verification(builtin_scenario("torus-involution-sign")).passed
+    assert calls == []
 
 
 # names of the calls that make an empty map
@@ -296,6 +330,6 @@ def test_the_intern_keeps_no_scenario_data_alive():
         full_verification(builtin_scenario(name))
     assert _INTERN
     kept = {type(obj).__name__ for obj in _reachable([_INTERN])}
-    assert {"Group", "Subgroup", "CharacterTable"} <= kept
+    assert {"Group", "Subgroup", "CharacterTable", "CellCochains"} <= kept
     assert not kept & {cls.__name__ for cls in
                        (Scenario, SimplicialGComplex, Stratum, GLattice, CochainComplex)}

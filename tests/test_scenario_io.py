@@ -94,6 +94,9 @@ ERROR_CASES = [
     # psi_12, a strong pseudoprime to every Miller-Rabin base 2..37
     (lambda d: d.setdefault("options", {}).update(primes=[2, 318665857834031151167461]),
      "$.options.primes[1]"),
+    # a repeated prime would print its verdict twice
+    (lambda d: d.setdefault("options", {}).update(primes=[3, 5, 3]),
+     "$.options.primes[2]"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=3),
      "$.options.subdivisions"),
     (lambda d: d.setdefault("options", {}).update(subdivisions=True),
