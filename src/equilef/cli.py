@@ -11,8 +11,9 @@ Exit code 0 means every verdict passed; 1 means a verification failed;
 2 means the input was invalid; 3 means an internal invariant broke (d o d = 0,
 Euler-Poincare, class coordinates, integrality, the Hopf trace against the
 Lefschetz number, the rank of a coboundary over Z against its rank over Q),
-which is a bug, not a verdict.  EQUILEF_MAX_GROUP_ORDER caps group sizes;
-a file or builtin over the cap is an input error.
+which is a bug, not a verdict; 4 means memory or the recursion limit ran
+out, reported on one line.  EQUILEF_MAX_GROUP_ORDER caps group sizes; a
+file or builtin over the cap is an input error.
 
 Each subcommand builds one canonical report dict; --format json writes it
 as canonical JSON, --format text renders the same dict as text.
@@ -170,6 +171,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # IntegralityError included
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:
+        print(f"resource error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

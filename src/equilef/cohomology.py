@@ -8,17 +8,22 @@ locally closed stratum S the complex restricts the full simplicial coboundary
 to the simplices of S; its cohomology is the compactly supported cohomology
 of the open union of S.  All arithmetic is exact.
 
-Coefficients are flat, so on a lattice of rank r the coboundary is
-d (x) I_r, with d that of S's cells under rank-one coefficients: every rank
-over Q and F_p, and every Smith invariant over Z, is r copies of one of d.
-The lattice enters only through the action, that is the traces.  So a
+Coefficients are flat, so the cochains with values in a lattice L of rank r
+are C^*(S) (x) L, with d (x) I_r as differential and an element acting as
+its signed move of the cells tensored with its matrix: every rank over Q
+and F_p, and every Smith invariant over Z, is r copies of one of d, and over
+Q every trace is the rank-one one times the lattice trace chi_L (Kunneth,
+with L in degree 0).  The lattice enters only through chi_L.  So a
 ``CellCochains`` holds everything that depends on the cells alone (the
-simplex index, the coboundaries d_k, their reductions and Smith
-invariants), one per distinct cell set in a process: ``cell_cochains``
-keeps it in the package's one intern (``groups.interned_value``), keyed by
-``Stratum.simplices``.  A ``CochainComplex`` of (stratum, lattice) copies
-its eliminations from it, cell i becoming i*r + c in copy c, and owns the
-action and the traces.
+simplex index, the coboundaries d_k, their reductions and Smith invariants,
+and the moves and traces of each vertex map, keyed by the images of the
+cells' own vertices), one per distinct cell set in a process:
+``cell_cochains`` keeps it in the package's one intern
+(``groups.interned_value``), keyed by ``Stratum.simplices``.  A
+``CochainComplex`` of (stratum, lattice) scales its dimensions by r and its
+traces by chi_L, and checks that the stratum is invariant under each
+element it traces.  The identity moves no cell and its traces are the
+dimensions, so a group fixing its stratum pointwise walks no cell.
 
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
@@ -30,10 +35,10 @@ skipped (Chen-Kerber's twist).
 Reducing d_k yields an echelon basis of im d_k and, from the recorded column
 operations, kernel vectors of d_k; with the cleared columns left out, each
 has a pivot that im d_(k-1) leaves free, and they represent H^k.  A trace
-on H^k reduces the image of each representative against this basis of
-ker d_k; a residue raises ArithmeticError.  Over Q the invariants of H^k are
-read off its trace character (Maschke), and integral torsion is read off the
-Smith invariants of the same sparse columns, uncleared
+on H^k moves each rank-one representative and reduces its image against
+this basis of ker d_k; a residue raises ArithmeticError.  Over Q the
+invariants of H^k are read off its trace character (Maschke), and integral
+torsion is read off the Smith invariants of the same sparse columns, uncleared
 (``linalg.smith_invariants``), whose count must match the rank over Q: a
 wrong clearing would lower a rank over a field, and Smith does not share it.
 The chain-level alternating trace is exposed separately so callers can
@@ -44,10 +49,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from .linalg import _apply, _sub, reduce_columns, smith_invariants
 from .characters import VirtualCharacter, _rational, rational_coefficients
-from .complexes import Stratum
+from .complexes import Stratum, signed_image
 from .groups import (Group, Subgroup, element_classes, extend_from_generators,
                      interned_value, memo)
 
@@ -164,16 +170,19 @@ class CellCochains:
     in a process: it keeps those cells and what is derived from them, the
     simplex index, the coboundaries d_k (one {row: +-1} column per k-cell,
     checked to square to zero), their reductions over Q and ranks over F_p,
-    and their Smith invariants, never the stratum itself.
+    their Smith invariants, and the action and traces of vertex maps, never
+    the stratum itself.  A vertex map is given by ``images``, the image of
+    each of the cells' ``vertices`` in order, so equal maps share a trace.
     """
 
-    __slots__ = ("simplices", "sizes", "coboundaries", "_cache")
+    __slots__ = ("simplices", "sizes", "vertices", "coboundaries", "_cache")
 
     def __init__(self, stratum: Stratum):
         if not stratum.is_locally_closed():
             raise ValueError(f"stratum of sizes {stratum.sizes()} is not locally closed")
         self.simplices = stratum.simplices
         self.sizes = tuple(len(level) for level in self.simplices)
+        self.vertices = tuple(sorted(set().union(*chain.from_iterable(self.simplices))))
         self._cache = {}
         self.coboundaries = tuple(
             self._build_coboundary(k) for k in range(len(self.simplices) - 1)
@@ -206,6 +215,37 @@ class CellCochains:
         """Position of each k-cell in its degree."""
         return {s: i for i, s in enumerate(self.simplices[k])}
 
+    # -- the action of a vertex map -------------------------------------------
+
+    def is_identity(self, images) -> bool:
+        """Whether the vertex map fixes every vertex: then it moves no cell,
+        and nothing of it is walked or kept."""
+        return images == self.vertices
+
+    @memo
+    def moves(self, images, k):
+        """(image index, orientation sign) of each k-cell under the vertex map,
+        or None when some k-cell leaves the set."""
+        row = dict(zip(self.vertices, images))
+        index = self.index(k)
+        moves = []
+        for s in self.simplices[k]:
+            image, sign = signed_image(row, s)
+            t_i = index.get(image)
+            if t_i is None:
+                return None
+            moves.append((t_i, sign))
+        return moves
+
+    @memo
+    def fixed(self, images, k) -> int:
+        """Trace of the vertex map on the k-cochains: the signs of the cells it fixes."""
+        if self.is_identity(images):
+            return self.sizes[k]
+        return sum(sign for s_i, (t_i, sign) in enumerate(self.moves(images, k)) if t_i == s_i)
+
+    # -- cohomology over Q ----------------------------------------------------
+
     @memo
     def reduction(self, k):
         """reduce_columns of d_k over Q with kernel vectors; d_top has no rows.
@@ -217,6 +257,63 @@ class CellCochains:
         columns = self.coboundary(k) or [{}] * self.sizes[k]
         cleared = self.reduction(k - 1)[0] if k >= 1 else ()
         return reduce_columns(columns, record=True, skip=cleared)
+
+    @memo
+    def cocycles(self, k):
+        """(basis, representatives) of ker d_k in echelon form.
+
+        basis maps each pivot to a cocycle with leading coefficient 1: the
+        echelon of im d_(k-1), completed by the kernel vectors of d_k.  Its
+        pivots were cleared from d_k, so theirs are free: they are the
+        representatives of H^k.
+        """
+        basis = dict(self.reduction(k - 1)[0]) if k >= 1 else {}
+        kernel = self.reduction(k)[1]
+        basis.update(kernel)
+        return basis, tuple(j for j, _ in kernel)
+
+    def class_coordinates(self, k: int, cocycle: dict) -> dict:
+        """Coordinates of a degree-k cocycle's class on the representatives.
+
+        Raises ArithmeticError when the cochain is not a cocycle.
+        """
+        basis, representatives = self.cocycles(k)
+        wanted = set(representatives)
+        w = dict(cocycle)
+        coords = {}
+        while w:
+            pivot = max(w)
+            b = basis.get(pivot)
+            if b is None:
+                raise ArithmeticError(f"degree-{k} cochain is not a cocycle")
+            f = w[pivot]
+            if pivot in wanted:
+                coords[pivot] = f
+            _sub(w, f, b)
+        return coords
+
+    @memo
+    def rational_dims(self) -> tuple[int, ...]:
+        """dim_Q H^k for k = 0..top; checked against Euler-Poincare."""
+        dims = tuple(len(self.cocycles(k)[1]) for k in range(len(self.simplices)))
+        return _euler_checked(self.sizes, dims, "over Q")
+
+    @memo
+    def trace(self, images, k: int) -> int | Fraction:
+        """Trace of the vertex map on H^k over Q: an int, or a Fraction if it
+        is not an integer (a Fraction coordinate appears only after a non-unit
+        pivot of the reduction).  The identity's is the dimension."""
+        if self.is_identity(images):
+            return self.rational_dims()[k]
+        moves = self.moves(images, k)
+        basis, representatives = self.cocycles(k)
+        total = 0
+        for j in representatives:
+            image = {moves[s_i][0]: moves[s_i][1] * v for s_i, v in basis[j].items()}
+            total += self.class_coordinates(k, image).get(j, 0)
+        return _rational(total)
+
+    # -- cohomology over Z and F_p ---------------------------------------------
 
     @memo
     def modp_ranks(self, p: int) -> tuple[int, ...]:
@@ -254,22 +351,14 @@ def cell_cochains(stratum: Stratum) -> CellCochains:
     return interned_value(CellCochains, stratum.simplices, lambda: CellCochains(stratum))
 
 
-def _copy(column: dict, r: int, c: int) -> dict:
-    """Copy c of a rank-one cochain in the r-fold one: cell i becomes i*r + c."""
-    return {i * r + c: v for i, v in column.items()}
-
-
 class CochainComplex:
     """Simplicial cochains of a stratum with values in a lattice.
 
     Basis of degree k: one copy of the lattice basis per open k-simplex of
-    the stratum, simplex-major.  The differential is the coboundary summed
-    over faces that stay inside the stratum; cochains are sparse
-    {index: value} dicts over this basis.
-
-    Coefficients are flat, so the differential is d (x) I_r, with d that of
-    the stratum's ``cells``: every elimination is r copies of theirs, and
-    only the action (hence every trace) depends on the lattice.
+    the stratum, simplex-major; an element acts as its signed move of the
+    cells tensored with its lattice matrix.  Coefficients are flat, so every
+    elimination is r copies of that of the stratum's ``cells``, and every
+    trace, on cochains and on cohomology, is theirs times the lattice trace.
     """
 
     __slots__ = ("stratum", "lattice", "cells", "bases", "dims", "_cache")
@@ -284,58 +373,23 @@ class CochainComplex:
         self.dims = tuple(lattice.rank * n for n in self.cells.sizes)
         self._cache = {}
 
-    def coboundary(self, k):
-        """d_k = d (x) I_r as sparse columns, one {row: +-1} per degree-k basis
-        cochain; None when k is outside 0..top-1.  Expanded from the cells' d_k
-        on each call: no computation reads it."""
-        columns = self.cells.coboundary(k)
-        r = self.lattice.rank
-        if columns is None or r == 1:
-            return columns
-        return tuple(_copy(col, r, c) for col in columns for c in range(r))
-
     # -- group action ---------------------------------------------------------
 
     @memo
-    def _moves(self, e: int, k: int):
-        """(image index, orientation sign) of each degree-k simplex under e."""
-        x = self.stratum.parent
-        index = self.cells.index(k)
-        moves = []
-        for s in self.bases[k]:
-            image, sign = x.act_simplex_signed(e, s)
-            t_i = index.get(image)
-            if t_i is None:
-                raise ValueError(
-                    f"stratum of sizes {self.stratum.sizes()} is not invariant "
-                    f"under element {e}"
-                )
-            moves.append((t_i, sign))
-        return moves
+    def _images(self, e: int) -> tuple[int, ...]:
+        """The images of the cells' vertices under e: its vertex map, by value."""
+        row = self.stratum.parent.vertex_action[e]
+        return tuple(row[v] for v in self.cells.vertices)
 
-    def apply_action(self, e: int, k: int, cochain: dict) -> dict:
-        """Image of a sparse degree-k cochain under the element's action.
-
-        The action sends the basis cochain at simplex s to the signed lattice
-        image at the simplex e*s; the stratum must be invariant under e.
-        """
-        moves = self._moves(e, k)
-        r = self.lattice.rank
-        rho = self.lattice.matrices[e]
-        out: dict = {}
-        for idx, v in cochain.items():
-            s_i, j = divmod(idx, r)
-            t_i, sign = moves[s_i]
-            for i in range(r):
-                a = rho[i][j]
-                if a:
-                    t = t_i * r + i
-                    w = out.get(t, 0) + sign * a * v
-                    if w:
-                        out[t] = w
-                    else:
-                        del out[t]
-        return out
+    def _acting(self, e: int, k: int) -> tuple[int, ...]:
+        """``_images`` of e, once the stratum's k-cells are checked invariant under e."""
+        images = self._images(e)
+        if not self.cells.is_identity(images) and self.cells.moves(images, k) is None:
+            raise ValueError(
+                f"stratum of sizes {self.stratum.sizes()} is not invariant "
+                f"under element {e}"
+            )
+        return images
 
     def chain_trace(self, e: int, k: int) -> int:
         """Trace of the element on degree-k cochains (no cohomology needed).
@@ -343,9 +397,7 @@ class CochainComplex:
         Each simplex that e maps to itself contributes its orientation sign
         times the lattice trace; the stratum must be invariant under e.
         """
-        moves = self._moves(e, k)
-        fixed = sum(sign for s_i, (t_i, sign) in enumerate(moves) if t_i == s_i)
-        return fixed * self.lattice.trace(e)
+        return self.cells.fixed(self._acting(e, k), k) * self.lattice.trace(e)
 
     def hopf_trace(self, e: int) -> int:
         """Alternating chain-level trace; equals the alternating cohomology trace."""
@@ -355,71 +407,15 @@ class CochainComplex:
 
     # -- cohomology over Q ----------------------------------------------------
 
-    @memo
-    def _reduction(self, k):
-        """The cells' reduction of d_k over Q, in r copies: pivot and kernel
-        column i of the cells is i*r + c in copy c, in the order a reduction
-        of d (x) I_r finds them.  At rank one, the cells' own."""
-        echelon, kernel = self.cells.reduction(k)
-        r = self.lattice.rank
-        if r == 1:
-            return echelon, kernel
-        return (
-            {i * r + c: _copy(col, r, c) for i, col in echelon.items() for c in range(r)},
-            [(j * r + c, _copy(v, r, c)) for j, v in kernel for c in range(r)],
-        )
-
-    @memo
-    def _cocycles(self, k):
-        """(basis, representatives) of ker d_k in echelon form.
-
-        basis maps each pivot to a cocycle with leading coefficient 1: the
-        echelon of im d_(k-1), completed by the kernel vectors of d_k.  Its
-        pivots were cleared from d_k, so theirs are free: they are the
-        representatives of H^k.
-        """
-        basis = dict(self._reduction(k - 1)[0]) if k >= 1 else {}
-        kernel = self._reduction(k)[1]
-        basis.update(kernel)
-        return basis, tuple(j for j, _ in kernel)
-
-    def class_coordinates(self, k: int, cocycle: dict) -> dict:
-        """Coordinates of a degree-k cocycle's class on the representatives.
-
-        Raises ArithmeticError when the cochain is not a cocycle.
-        """
-        basis, representatives = self._cocycles(k)
-        wanted = set(representatives)
-        w = dict(cocycle)
-        coords = {}
-        while w:
-            pivot = max(w)
-            b = basis.get(pivot)
-            if b is None:
-                raise ArithmeticError(f"degree-{k} cochain is not a cocycle")
-            f = w[pivot]
-            if pivot in wanted:
-                coords[pivot] = f
-            _sub(w, f, b)
-        return coords
-
-    @memo
     def rational_dims(self) -> tuple[int, ...]:
-        """dim_Q H^k for k = 0..top; checked against Euler-Poincare."""
-        dims = tuple(len(self._cocycles(k)[1]) for k in range(len(self.bases)))
-        return _euler_checked(self.dims, dims, "over Q")
+        """dim_Q H^k for k = 0..top: r times the cells' (checked against Euler-Poincare)."""
+        return tuple(self.lattice.rank * d for d in self.cells.rational_dims())
 
     @memo
     def trace_on_cohomology(self, e: int, k: int) -> int | Fraction:
-        """Trace of the element on H^k over Q: an int, or a Fraction if it is
-        not an integer (a Fraction coordinate appears only after a non-unit
-        pivot of the reduction)."""
-        basis, representatives = self._cocycles(k)
-        total = 0
-        for j in representatives:
-            image = self.apply_action(e, k, basis[j])
-            total += self.class_coordinates(k, image).get(j, 0)
-        return _rational(total)
+        """Trace of the element on H^k over Q: the cells' trace times the
+        lattice trace (Kunneth over Q with L concentrated in degree 0)."""
+        return _rational(self.cells.trace(self._acting(e, k), k) * self.lattice.trace(e))
 
     def lefschetz_number(self, e: int) -> int:
         """Alternating trace on cohomology; always an integer, checked."""

@@ -50,6 +50,18 @@ Simplex = tuple[int, ...]
 MAX_CELLS = 150_000
 
 
+def signed_image(row, s: Simplex) -> tuple[Simplex, int]:
+    """The image of a simplex under a vertex map (row[v] is v's image), sorted,
+    and the sign of the permutation that sorts it."""
+    image = [row[v] for v in s]
+    sign = 1
+    for i in range(len(image)):
+        for j in range(i + 1, len(image)):
+            if image[i] > image[j]:
+                sign = -sign
+    return tuple(sorted(image)), sign
+
+
 class Stratum:
     """A locally closed union of open simplices of a parent complex.
 
@@ -139,17 +151,6 @@ class SimplicialGComplex:
     def act_simplex(self, e: int, s: Simplex) -> Simplex:
         row = self.vertex_action[e]
         return tuple(sorted(row[v] for v in s))
-
-    def act_simplex_signed(self, e: int, s: Simplex) -> tuple[Simplex, int]:
-        """Image simplex and the sign of the sort permutation of the images."""
-        row = self.vertex_action[e]
-        image = [row[v] for v in s]
-        sign = 1
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                if image[i] > image[j]:
-                    sign = -sign
-        return tuple(sorted(image)), sign
 
     @memo
     def vertex_stabilizers(self) -> list[frozenset]:

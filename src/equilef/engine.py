@@ -154,17 +154,9 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
         cc = cochain_complex(stratum, s.lattice)
         euler = stratum.euler_characteristic()
 
-        # H fixes its stratum pointwise and coefficients are flat, so the
-        # coboundary is d (x) I_r: each lattice dimension is r times the
-        # trivial-coefficient one, and the character factorizes through the
-        # lattice trace.
-        r = s.lattice.rank
-        dims = cc.rational_dims()
-        if any(d % r for d in dims):
-            raise ArithmeticError(
-                f"{s.name}: cohomology dimensions of the stratum of {h!r} are not "
-                f"multiples of the lattice rank {r}"
-            )
+        # H fixes its stratum pointwise and coefficients are flat, so theta is
+        # the lattice character times the stratum's Euler characteristic; the
+        # traced one reads the cells' cohomology, each dimension r times theirs.
         theta = restrict(s.lattice.character(), h).scale(euler)
         if theta != cc.equivariant_euler_characteristic(h):
             raise ArithmeticError(
@@ -183,7 +175,7 @@ def _class_terms(s: Scenario) -> tuple[ClassTerm, ...]:
                 weight=weight,
                 stratum_sizes=stratum.sizes(),
                 stratum_euler=euler,
-                cohomology_dims=tuple(d // r for d in dims),
+                cohomology_dims=cc.cells.rational_dims(),
                 theta=theta,
                 induced=induce(h, theta),
                 isotypic=tuple(

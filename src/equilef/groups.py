@@ -27,8 +27,9 @@ table to ask: re-based subgroups and character tables go through it, so
 equal tables share one group and one character table across scenarios.
 ``interned_value`` maps a kind and a value to the object first made for
 them: ``cohomology`` keeps there one rank-one cochain object per cell set, so
-every stratum with those cells, under any lattice, shares its coboundaries
-and eliminations.  The intern holds groups, tables and cells, never a
+every stratum with those cells, under any lattice, shares its coboundaries,
+eliminations, cell moves and cohomology traces (a vertex map is keyed by
+its images, a value).  The intern holds groups, tables and cells, never a
 scenario, complex, stratum or lattice.
 """
 

@@ -4,17 +4,20 @@ Dense exact linear algebra from sympy's ``DomainMatrix`` over QQ and GF(p),
 none of equilef's own: a nullspace and a column space per degree for H^k,
 coordinates of g . H^k from one rref, dense ranks over GF(p), and the
 averaging projector for invariant cochains.  It reads a CochainComplex only
-through its cells (``bases``), its lattice rank, ``dims`` and
-``apply_action``, and builds d (x) I_r itself on the r-fold basis
-(``explicit_coboundary``), so it checks the sparse kernel, and the copies
-that it makes of the rank-one eliminations, independently.  It is cubic in
-the number of cells; keep it to small complexes.
+through its stratum (``bases``, the parent's vertex maps), its lattice and
+``dims``, and builds d (x) I_r (``explicit_coboundary``) and the action
+(``explicit_action``) itself on the r-fold basis, so it checks the sparse
+kernel, and the factoring of every rank-r fact through the rank-one cells,
+independently.  It is cubic in the number of cells; keep it to small
+complexes.
 """
 
 from fractions import Fraction
 
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
+
+from equilef.complexes import signed_image
 
 
 def dm(rows, m, n, domain=QQ) -> DomainMatrix:
@@ -70,10 +73,32 @@ def dense_coboundary(cc, k):
     ]
 
 
+def explicit_action(cc, e, k, cochain):
+    """Image of a sparse degree-k cochain on the r-fold basis under e, written
+    out as (signed cell move) (x) rho(e): the basis cochain of lattice vector
+    j at simplex s goes to sign times column j of rho(e) at the simplex e*s.
+    Raises ValueError when e moves a k-simplex out of the stratum."""
+    x = cc.stratum.parent
+    index = {s: i for i, s in enumerate(cc.bases[k])}
+    r = cc.lattice.rank
+    rho = cc.lattice.matrices[e]
+    out = {}
+    for idx, v in cochain.items():
+        s_i, j = divmod(idx, r)
+        image, sign = signed_image(x.vertex_action[e], cc.bases[k][s_i])
+        if image not in index:
+            raise ValueError(f"element {e} moves {cc.bases[k][s_i]} out of the stratum")
+        for i in range(r):
+            if rho[i][j]:
+                t = index[image] * r + i
+                out[t] = out.get(t, 0) + sign * rho[i][j] * v
+    return {t: w for t, w in out.items() if w}
+
+
 def dense_action(cc, e, k):
     """The element's action on degree-k cochains as an integer matrix."""
     n = cc.dims[k]
-    cols = [cc.apply_action(e, k, {j: 1}) for j in range(n)]
+    cols = [explicit_action(cc, e, k, {j: 1}) for j in range(n)]
     return [[cols[j].get(i, 0) for j in range(n)] for i in range(n)]
 
 

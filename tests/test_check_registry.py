@@ -61,7 +61,7 @@ REGISTRY = {
         CROSS + "test_a_lost_cocycle_breaks_euler_poincare_over_q",
     ("cohomology", "CellCochains._check_dd_zero", "differential does not square to zero"):
         CROSS + "test_a_flipped_coboundary_entry_breaks_d_squared",
-    ("cohomology", "CochainComplex.class_coordinates", "degree-{} cochain is not a cocycle"):
+    ("cohomology", "CellCochains.class_coordinates", "degree-{} cochain is not a cocycle"):
         CROSS + "test_an_image_with_a_stray_entry_is_not_a_cocycle",
     ("cohomology", "CochainComplex.lefschetz_number", "non-integral alternating trace {}"):
         CROSS + "test_non_integral_alternating_trace_is_raised",
@@ -72,9 +72,6 @@ REGISTRY = {
     ("cyclotomic", "_descended", "trace {} over Q(zeta_{}) of a value of Q(zeta_{}) is not "
      "divisible by {}"):
         "tests/test_chartab_oracle.py::test_half_integer_coordinate_is_rejected",
-    ("engine", "_class_terms",
-     "{}: cohomology dimensions of the stratum of {} are not multiples of the lattice rank {}"):
-        CROSS + "test_a_stratum_dimension_off_the_lattice_rank_is_raised",
     ("engine", "_class_terms",
      "{}: factorized character disagrees with traced character on stratum of {}"):
         CROSS + "test_a_corrupted_traced_stratum_character_is_raised",

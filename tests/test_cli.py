@@ -325,6 +325,21 @@ def test_hopf_trace_mismatch_is_an_internal_error(monkeypatch, capsys):
     assert "Hopf trace" in err
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("command", ["verify", "corpus"])
+def test_an_exhausted_resource_exits_4_on_one_line(monkeypatch, capsys, error, command):
+    # exit 1 is a failed identity, which an exhausted resource is not
+    def exhausted(scenario):
+        raise error("out of it")
+
+    monkeypatch.setattr(cli, "full_verification", exhausted)
+    argv = ["verify", "point-trivial"] if command == "verify" else ["corpus"]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"resource error: {error.__name__}: out of it\n"
+
+
 def test_smith_rank_mismatch_is_an_internal_error(monkeypatch, capsys):
     # the rank of each coboundary over Z (its Smith invariants) is checked
     # against its rank over Q

@@ -23,7 +23,8 @@ from equilef.complexes import (
     barycentric_subdivision, exact_stratum, fixed_subcomplex, isotropy_classes)
 from equilef.engine import Scenario, lhs_character
 from equilef.linalg import smith_invariants
-from equilef.groups import class_index_of, group_from_permutations, normalizer, subgroups
+from equilef.groups import (
+    class_index_of, element_classes, group_from_permutations, normalizer, subgroups)
 from equilef.scenario_io import parse_scenario
 from equilef.scenarios import builtin_names, builtin_scenario
 
@@ -184,6 +185,10 @@ def test_action_on_noninvariant_stratum_is_rejected(by_name):
     )
     with pytest.raises(ValueError):
         dense_action(cc, rotation, 0)
+    with pytest.raises(ValueError, match=f"not invariant under element {rotation}"):
+        cc.trace_on_cohomology(rotation, 0)
+    with pytest.raises(ValueError, match=f"not invariant under element {rotation}"):
+        cc.chain_trace(rotation, 0)
 
 
 # -- integral and mod-p cohomology against sympy -------------------------------
@@ -385,16 +390,16 @@ def test_sparse_kernel_matches_dense_oracle(corpus):
 
 
 def test_class_coordinates_reject_non_cocycles(by_name):
-    cc = by_name["square-reflection"].whole_cochains()
+    cells = by_name["square-reflection"].whole_cochains().cells
     # the indicator of one vertex has a nonzero coboundary
-    assert cc.coboundary(0)[0]
+    assert cells.coboundary(0)[0]
     with pytest.raises(ArithmeticError):
-        cc.class_coordinates(0, {0: 1})
+        cells.class_coordinates(0, {0: 1})
     # the constant cochain is a cocycle representing the generator of H^0
-    constant = {i: 1 for i in range(cc.dims[0])}
-    assert list(cc.class_coordinates(0, constant).values()) == [1]
+    constant = {i: 1 for i in range(cells.sizes[0])}
+    assert list(cells.class_coordinates(0, constant).values()) == [1]
     # a coboundary has class zero
-    assert cc.class_coordinates(1, dict(cc.coboundary(0)[0])) == {}
+    assert cells.class_coordinates(1, dict(cells.coboundary(0)[0])) == {}
 
 
 def test_reduce_columns_ranks_match_sympy():
@@ -525,7 +530,7 @@ def test_clearing_skips_only_columns_that_reduce_to_zero():
         for p in (0, 2, 3, 5):
             pivots = {}
             for k in range(len(cc.bases)):
-                columns = cc.coboundary(k) or [{}] * cc.dims[k]
+                columns = dense_oracle.explicit_coboundary(cc, k) or [{}] * cc.dims[k]
                 full, full_kernel = reduce_columns(columns, p, record=True)
                 cleared, kernel = reduce_columns(columns, p, record=True, skip=pivots)
                 assert cleared == full, (name, cc, p, k)
@@ -539,8 +544,8 @@ def test_clearing_skips_only_columns_that_reduce_to_zero():
 def test_the_rational_reduction_skips_exactly_the_rank_of_the_previous_degree():
     for cc, name in _verified_complexes().items():
         previous = 0
-        for k, n in enumerate(cc.dims):
-            echelon, kernel = cc._reduction(k)
+        for k, n in enumerate(cc.cells.sizes):
+            echelon, kernel = cc.cells.reduction(k)
             # every column is reduced once, except rank(d_(k-1)) of them
             assert len(echelon) + len(kernel) == n - previous, (name, k)
             previous = len(echelon)
@@ -551,21 +556,21 @@ def test_no_reduction_entry_is_an_integral_fraction():
     # columns never meet Fraction arithmetic
     for cc, name in _verified_complexes().items():
         for k in range(len(cc.bases)):
-            echelon, kernel = cc._reduction(k)
+            echelon, kernel = cc.cells.reduction(k)
             for column in [*echelon.values(), *(v for _, v in kernel)]:
                 assert not any(type(v) is Fraction and v.denominator == 1
                                for v in column.values()), (name, k)
 
 
-# -- flat coefficients: r copies of the cells' eliminations ---------------------
+# -- flat coefficients: r copies of the cells' eliminations and traces -----------
 
 
 def _rank_r_complexes():
     """For each scenario with a lattice of rank > 1 (the six ``-regular``
     builtins, the seed-1 permutation lattices of rank 4 and 5, and the
     projective plane with Z^3, whose torsion is then three copies of Z/2):
-    the cochains of the whole complex, of each exact stratum and of each
-    fixed subcomplex X^<g>."""
+    its group and the cochains of the whole complex, of each exact stratum
+    and of each fixed subcomplex X^<g>."""
     scenarios = [builtin_scenario(name) for name in builtin_names() if name.endswith("-regular")]
     with generated_documents() as paths:
         scenarios += [parse_scenario(path.read_text(encoding="utf-8"))
@@ -584,29 +589,71 @@ def _rank_r_complexes():
                 fixed_subcomplex(x, s.group.cyclic_subgroup(g)), s.lattice)
 
 
+def _copies(reduction, r):
+    """The reduction of d (x) I_r predicted from that of d: pivot and kernel
+    column i become i*r + c in copy c, in the order a reduction of d (x) I_r
+    finds them."""
+    def copy(column, c):
+        return {i * r + c: v for i, v in column.items()}
+
+    echelon, kernel = reduction
+    return ({i * r + c: copy(col, c) for i, col in echelon.items() for c in range(r)},
+            [(j * r + c, copy(v, c)) for j, v in kernel for c in range(r)])
+
+
 def test_a_rank_r_lattice_eliminates_r_copies_of_its_cells():
-    # d (x) I_r written entry by entry, reduced as it stands, against the
-    # copies the complex makes of its cells' rank-one eliminations
+    # d (x) I_r written entry by entry, reduced as it stands, against r copies
+    # of its cells' rank-one eliminations
     complexes = {cc: name for name, cc in _rank_r_complexes()}
     assert sum(1 for cc in complexes if sum(cc.dims)) == 15
     assert any(cc.integral_cohomology()[1] == ((), (), (2, 2, 2)) for cc in complexes)
     for cc, name in complexes.items():
+        r = cc.lattice.rank
         _, torsion = cc.integral_cohomology()
-        echelon = {}
+        echelon, dims = {}, []
         for k in range(len(cc.bases)):
             explicit = dense_oracle.explicit_coboundary(cc, k)
-            assert explicit == cc.coboundary(k), (name, k)
             columns = explicit or [{}] * cc.dims[k]
             reduction = reduce_columns(columns, record=True, skip=echelon)
             # equal dicts and lists, and in the same order
-            assert reduction == cc._reduction(k), (name, k)
-            assert list(reduction[0]) == list(cc._reduction(k)[0]), (name, k)
+            expected = _copies(cc.cells.reduction(k), r)
+            assert reduction == expected, (name, k)
+            assert list(reduction[0]) == list(expected[0]), (name, k)
             echelon = reduction[0]
+            dims.append(len(reduction[1]))
             if explicit is not None:
                 invariants = smith_invariants(explicit)
                 assert len(invariants) == len(echelon), (name, k)
                 assert tuple(v for v in invariants if v > 1) == torsion[k + 1], (name, k)
+        assert cc.rational_dims() == tuple(dims), name
         for p in (2, 3, 5):
             ranks = [len(reduce_columns(dense_oracle.explicit_coboundary(cc, k), p)[0])
                      for k in range(len(cc.bases) - 1)]
             assert cc.modp_dims(p) == dense_oracle._dims_from_ranks(cc.dims, ranks), (name, p)
+
+
+def test_rank_r_traces_are_the_cells_traces_times_the_lattice_trace():
+    # the explicit rank-r action, (signed cell move) (x) rho(e), traced on the
+    # dense cohomology of d (x) I_r, against the rank-one trace times chi_L(e),
+    # per degree and per element class; an element that moves a cell out of
+    # the complex is refused by both
+    traced = refused = at_zero = 0
+    for cc, name in {cc: name for name, cc in _rank_r_complexes()}.items():
+        group = cc.stratum.parent.group
+        for c in element_classes(group):
+            e = c.representative
+            for k in range(len(cc.bases)):
+                try:
+                    action = dense_action(cc, e, k)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not invariant"):
+                        cc.trace_on_cohomology(e, k)
+                    refused += 1
+                    continue
+                explicit = dense_oracle.trace_on_cohomology(cc, e, k)
+                assert cc.trace_on_cohomology(e, k) == explicit, (name, cc, e, k)
+                assert cc.chain_trace(e, k) == sum(
+                    action[i][i] for i in range(cc.dims[k])), (name, cc, e, k)
+                traced += 1
+                at_zero += explicit == 0 and cc.cells.rational_dims()[k] > 0
+    assert (traced, refused, at_zero) == (90, 5, 24)

@@ -18,6 +18,7 @@ from equilef.complexes import (
     build_complex,
     exact_stratum,
     fixed_subcomplex,
+    signed_image,
 )
 from equilef.engine import full_verification
 from equilef.groups import (
@@ -93,9 +94,9 @@ def test_sign_cocycle(corpus):
             for b in range(g.order):
                 ab = g.mul[a][b]
                 for t in simplices[:25]:
-                    bt, sign_b = x.act_simplex_signed(b, t)
-                    abt, sign_a = x.act_simplex_signed(a, bt)
-                    image, sign_ab = x.act_simplex_signed(ab, t)
+                    bt, sign_b = signed_image(x.vertex_action[b], t)
+                    abt, sign_a = signed_image(x.vertex_action[a], bt)
+                    image, sign_ab = signed_image(x.vertex_action[ab], t)
                     assert image == abt
                     assert sign_ab == sign_a * sign_b
 

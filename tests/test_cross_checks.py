@@ -17,8 +17,8 @@ Galois orbit sum, and the integrality of the three characters the engine
 compares.  Last, the invariants of the character-table build (the Dixon
 prime, the roots of each class sum's minimal polynomial, the idempotent
 split mod p, the lift and the Galois action), of the cyclotomic polynomials
-behind it, of the cohomology trace (the image of a cocycle is a cocycle)
-and of the stratum dimensions (multiples of the lattice rank).
+behind it, and of the cohomology trace (the image of a cocycle is a
+cocycle).
 """
 
 import importlib
@@ -417,18 +417,19 @@ def test_a_row_whose_galois_image_is_missing_is_raised(monkeypatch, capsys):
 
 
 def test_an_image_with_a_stray_entry_is_not_a_cocycle(monkeypatch, capsys):
-    # degree-0 cocycles of the circle are the constants; one entry more is not one
-    apply_action = CochainComplex.apply_action
+    # degree-0 cocycles of the circle are the constants; under rank-one moves
+    # that flip the sign of one vertex, a constant's image has one stray entry
+    # of the other sign, and is not one
+    moves = CellCochains.moves
 
-    def stray(cc, e, k, cochain):
-        out = apply_action(cc, e, k, cochain)
-        if k == 0:
-            out[0] = out.get(0, 0) + 1
-            if not out[0]:
-                del out[0]
+    def flipped(cells, images, k):
+        out = moves(cells, images, k)
+        if k == 0 and out:
+            (t_i, sign), *rest = out
+            return [(t_i, -sign), *rest]
         return out
 
-    monkeypatch.setattr(CochainComplex, "apply_action", stray)
+    monkeypatch.setattr(CellCochains, "moves", flipped)
     _fires(capsys, NAME, "degree-0 cochain is not a cocycle")
 
 
@@ -450,11 +451,3 @@ def test_a_divisor_listed_twice_makes_a_division_inexact(
     _fires(capsys, NAME, "division was not exact", commands=("verify", "chartab"))
 
 
-def test_a_stratum_dimension_off_the_lattice_rank_is_raised(monkeypatch, capsys):
-    # coefficients are flat, so each stratum dimension is a multiple of the
-    # rank (2 for the regular lattice of C2); one more in degree 0 is not
-    dims = CochainComplex.rational_dims
-    monkeypatch.setattr(CochainComplex, "rational_dims",
-                        lambda cc: (dims(cc)[0] + 1,) + dims(cc)[1:])
-    _fires(capsys, "point-c2-regular",
-           "point-c2-regular: cohomology dimensions of the stratum of ")

@@ -8,8 +8,10 @@ that no module grows a hand-rolled ``_cache`` or a second such map, and a
 second verification of a warmed scenario must run no elimination, build no
 character table and make no cyclotomic value.  A fresh build of the same
 scenarios does none of it either, until the intern is emptied: it holds the
-character table of each multiplication table and the eliminations of each
-cell set.
+character table of each multiplication table and the eliminations, cell
+moves and rank-one traces of each cell set, so a pass over the builtins
+builds one cocycle basis per cell set and degree, and a lattice twin on the
+same cells moves no cell and traces nothing.
 """
 
 import ast
@@ -212,6 +214,45 @@ def test_a_pass_over_the_builtins_builds_one_cell_set_per_distinct_cells(monkeyp
     # the 66 cochain complexes share one rank-one object per distinct cell set
     assert (len(built), len(set(built))) == (66, 23)
     assert len(cells) == len(set(cells)) and set(cells) == set(built)
+
+
+def _logged(monkeypatch, cls, name) -> list:
+    """(cells, *arguments) of every computation of the memoized method from now
+    on: it is memoized afresh around a logging copy of the function."""
+    log, compute = [], getattr(cls, name).__wrapped__
+
+    def logged(owner, *args):
+        log.append((owner.simplices, *args))
+        return compute(owner, *args)
+
+    monkeypatch.setattr(cls, name, memo(logged))
+    return log
+
+
+def test_a_pass_over_the_builtins_builds_one_cocycle_basis_per_cell_set_and_degree(monkeypatch):
+    built = _logged(monkeypatch, CellCochains, "cocycles")
+    for name in builtin_names():
+        full_verification(builtin_scenario(name))
+    # one per degree of each of the 23 cell sets, where a basis per cochain
+    # complex and degree made 157
+    cell_sets = {cells for cells, _ in built}
+    assert len(cell_sets) == 23
+    assert len(built) == len(set(built)) == sum(map(len, cell_sets)) == 59
+
+
+def test_twins_on_the_same_cells_compute_no_move_and_no_trace(monkeypatch):
+    # the sign and regular lattices on triangle-s3's circle scale its
+    # rank-one traces by their characters: every vertex map, cell set and
+    # degree they act on was met by the trivial lattice
+    moves = _logged(monkeypatch, CellCochains, "moves")
+    traces = _logged(monkeypatch, CellCochains, "trace")
+    assert full_verification(builtin_scenario("triangle-s3")).passed
+    assert moves and traces
+    moves.clear()
+    traces.clear()
+    for name in ("triangle-s3-sign", "triangle-s3-regular"):
+        assert full_verification(builtin_scenario(name)).passed, name
+    assert (moves, traces) == ([], [])
 
 
 def test_a_sign_twin_runs_no_elimination(monkeypatch):
