@@ -405,6 +405,13 @@ class CochainComplex:
             (-1) ** k * self.chain_trace(e, k) for k in range(len(self.bases))
         )
 
+    def cell_traces(self, e: int) -> tuple:
+        """(Hopf, cohomology) alternating traces of e on the cells at rank one:
+        chi_L(e) scales both, so they are compared also where it is 0."""
+        acting = [(k, self._acting(e, k)) for k in range(len(self.bases))]
+        return tuple(sum((-1) ** k * f(images, k) for k, images in acting)
+                     for f in (self.cells.fixed, self.cells.trace))
+
     # -- cohomology over Q ----------------------------------------------------
 
     def rational_dims(self) -> tuple[int, ...]:

@@ -76,7 +76,8 @@ REGISTRY = {
      "{}: factorized character disagrees with traced character on stratum of {}"):
         CROSS + "test_a_corrupted_traced_stratum_character_is_raised",
     ("engine", "verify_corollary",
-     "{}: Hopf trace of element {} disagrees with its Lefschetz number on the {} complex"):
+     "{}: Hopf trace of element {} disagrees with its Lefschetz number on the cells of the {} "
+     "complex"):
         CROSS + "test_hopf_mismatch_at_a_non_identity_class_is_raised",
     ("engine", "verify_free_action", "orbit count mismatch for a free action"):
         CROSS + "test_a_lost_orbit_representative_breaks_the_free_orbit_count",

@@ -11,7 +11,7 @@ import pytest
 
 import equilef.cli as cli
 from equilef.characters import IntegralityError
-from equilef.cohomology import CochainComplex
+from equilef.cohomology import CellCochains
 from equilef.engine import full_verification
 from equilef.scenarios import builtin_names, builtin_scenario
 
@@ -248,6 +248,38 @@ def test_no_arguments_shows_usage():
     assert "usage" in (result.stderr + result.stdout).lower()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    ([], "a command is required"),
+    (["bogus"], "'bogus'"),
+    (["verify", "x", "--format", "xml"], "'xml'"),
+    (["verify", "x", "--prime", "x"], "'x'"),
+    (["verify", "x", "--out"], "--out"),
+    (["chartab", "x", "--timings"], "--timings"),
+    (["verify", "x", "y"], " y"),
+    (["verify"], "scenario"),
+])
+def test_a_refused_command_line_returns_2_with_usage_and_error_lines(capsys, argv, bad):
+    # a library caller gets the exit code, not a SystemExit
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: equilef ")
+    assert error.startswith("equilef: error: ") and bad in error
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "-h"],
+                                  ["corpus", "--format", "json", "--he"],
+                                  ["--bogus", "strata", "x", "-hh"]])
+def test_help_prints_the_static_help_and_returns_0(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == f"{cli.USAGE}\n{cli.__doc__}"
+    for option in ("--format", "--out", "--prime", "--timings", "--help"):
+        assert option in out
+
+
 def _verify_file(tmp_path, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -316,28 +348,35 @@ def test_integrality_error_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_hopf_trace_mismatch_is_an_internal_error(monkeypatch, capsys):
-    # the element corollary confronts every Lefschetz number with the Hopf trace
-    hopf = CochainComplex.hopf_trace
-    monkeypatch.setattr(CochainComplex, "hopf_trace", lambda cc, e: hopf(cc, e) + 1)
+    # the element corollary confronts every Lefschetz number with the Hopf
+    # trace, at rank one on the cells
+    fixed = CellCochains.fixed
+    monkeypatch.setattr(CellCochains, "fixed",
+                        lambda cells, images, k: fixed(cells, images, k) + (k == 0))
     assert cli.main(["verify", "point-trivial"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
     assert "Hopf trace" in err
 
 
-@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("out of it"), "MemoryError: out of it"),
+    (RecursionError("out of it"), "RecursionError: out of it"),
+    # Python raises a failed allocation without a message: no dangling colon
+    (MemoryError(), "MemoryError"),
+], ids=["memory", "recursion", "memory-without-message"])
 @pytest.mark.parametrize("command", ["verify", "corpus"])
-def test_an_exhausted_resource_exits_4_on_one_line(monkeypatch, capsys, error, command):
+def test_an_exhausted_resource_exits_4_on_one_line(monkeypatch, capsys, error, line, command):
     # exit 1 is a failed identity, which an exhausted resource is not
     def exhausted(scenario):
-        raise error("out of it")
+        raise error
 
     monkeypatch.setattr(cli, "full_verification", exhausted)
     argv = ["verify", "point-trivial"] if command == "verify" else ["corpus"]
     assert cli.main(argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"resource error: {error.__name__}: out of it\n"
+    assert err == f"resource error: {line}\n"
 
 
 def test_smith_rank_mismatch_is_an_internal_error(monkeypatch, capsys):
@@ -451,8 +490,7 @@ def test_huge_vertex_count_with_short_action_is_an_input_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_parser_is_built_once_and_reused(tmp_path):
-    assert cli.build_parser() is cli.build_parser()
+def test_repeated_calls_in_one_process_give_identical_reports(tmp_path):
     # reports of repeated calls in one process are byte-identical, also when a
     # call with --prime comes in between (no option state leaks between calls)
     runs = [["--format", "json"], ["--format", "json", "--prime", "7"],
