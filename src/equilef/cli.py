@@ -9,22 +9,24 @@ SCENARIO is a JSON file or a builtin's name.  Options come before or after it,
 as --opt value, --opt=value or a unique prefix of --opt; -- ends them:
   -h, --help            print this text
   --format {json,text}  write the report as canonical JSON or as text (default)
-  --out PATH            write it to PATH, not to standard output
+  --out PATH            write it over PATH in place, not to standard output; a
+                        regular file is then trimmed to the report's length
   --prime P             add P to the mod-p primes (repeatable; verify, corpus)
   --timings             add timing data to JSON output (verify, corpus)
 
-Exit codes: 0 every verdict passed; 1 a verification failed; 2 bad input or
-command line; 3 a broken internal invariant (d o d = 0, Euler-Poincare, class
-coordinates, integrality, the Hopf trace against the cohomology trace, the rank
-of a coboundary over Z against over Q), a bug, not a verdict; 4 memory or the
-recursion limit ran out.  EQUILEF_MAX_GROUP_ORDER caps group sizes; a scenario
-over the cap is bad input.
+Exit codes: 0 every verdict passed; 1 a verification failed; 2 bad input, a
+bad command line or an --out PATH that cannot be written; 3 a broken internal
+invariant (d o d = 0, Euler-Poincare, class coordinates, integrality, the Hopf
+trace against the cohomology trace, the rank of a coboundary over Z against
+over Q), a bug, not a verdict; 4 memory or the recursion limit ran out.
+EQUILEF_MAX_GROUP_ORDER caps group sizes; a scenario over the cap is bad input.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import stat
 import sys
 from functools import partial
 from types import SimpleNamespace
@@ -104,11 +106,33 @@ def _run(args) -> int:
         render = _corpus_text
     text = canonical_json(data) if args.format == "json" else render(data)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_in_place(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return 0 if data.get("passed", True) else 1
+
+
+def _write_in_place(path: str, data: bytes) -> None:
+    """Write data over what path holds, then trim a regular file to its length.
+
+    Opening without O_TRUNC keeps the old report's blocks for the new one, where
+    truncating to zero first frees them.  The trim is to the bytes written, so
+    a write that fails part way leaves no tail of the old report after them.  A
+    device or pipe (/dev/null, /dev/stdout) is written without trimming: it
+    cannot be truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        view, written = memoryview(data), 0
+        try:
+            while written < len(data):
+                written += os.write(fd, view[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 USAGE = "usage: equilef {verify,chartab,strata,corpus} [SCENARIO] [options]\n"
@@ -130,7 +154,9 @@ def _option(token: str, options) -> tuple | None:
         raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], value if eq else None
-    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
+    # argparse's negative-number pattern, matched only where it can match
+    number = (token[1] == "." or token[1].isdecimal()) and re.match(r"-\d+$|-\d*\.\d+$", token)
+    return None if number or " " in token else (None, None)
 
 
 def _flag(option: str, explicit) -> bool:

@@ -222,13 +222,16 @@ def _face_closure(maximal) -> list[list[Simplex]]:
 
 
 def build_complex(maximal_simplices, group: Group, vertex_action,
-                  n_vertices: int | None = None, pre_subdivisions: int = 0) -> SimplicialGComplex:
+                  n_vertices: int | None = None, pre_subdivisions: int = 0,
+                  admit=None) -> SimplicialGComplex:
     """Build a G-complex from maximal simplices and generator vertex images.
 
     The action is extended to every group element, its generators checked to
     be simplicial, and made regular by at most one barycentric subdivision,
     counted on the result and refused (ValueError) when it would make more
-    than ``MAX_CELLS`` cells.  ``pre_subdivisions`` forces subdivisions first.
+    than ``MAX_CELLS`` cells.  ``admit``, when given, is called with that
+    count before the subdivision is built, and refuses it by raising.
+    ``pre_subdivisions`` forces subdivisions first.
     """
     maximal = [tuple(sorted(set(s))) for s in maximal_simplices]
     if not maximal:
@@ -270,6 +273,8 @@ def build_complex(maximal_simplices, group: Group, vertex_action,
         if cells > MAX_CELLS:
             raise ValueError(f"the action is not regular, and the subdivision that makes it "
                              f"so would have {cells} cells, over the limit of {MAX_CELLS}")
+        if admit is not None:
+            admit(cells)
         x = barycentric_subdivision(x)
     return x
 

@@ -296,11 +296,14 @@ def build_scenario(sf: ScenarioFile) -> Scenario:
             sf.complex_action,
             n_vertices=sf.vertices,
             pre_subdivisions=sf.pre_subdivisions,
+            # a regularity subdivision makes more cells than the document
+            # declares, so its cochains are admitted before it is built
+            admit=lambda cells: _admit(_lattice_estimate(cells, sf.lattice_rank)),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(str(exc), "$.complex.action") from None
-    # the cells built, which a regularity subdivision can make more than declared
-    _admit(_lattice_estimate(sum(complex_.counts()), sf.lattice_rank))
     try:
         lattice = GLattice.from_generator_matrices(
             group, sf.lattice_rank, sf.lattice_action

@@ -7,9 +7,9 @@ faces of one simplex, the cells of the closure and after the declared
 subdivisions, the cochains (cells times rank) and the r x r matrices.  The
 one regularity subdivision that ``build_complex`` may add is counted by the
 same cost model and refused at ``$.complex.action`` before it is built, and
-the cochains are bounded again on the cells actually built.  Every builtin
-at its real rank, generated document and ladder rung stays admitted, builds,
-and builds no more cochains than its estimate.
+so are its cochains, at ``$.lattice.rank``.  Every builtin at its real rank,
+generated document and ladder rung stays admitted, builds, and builds no
+more cochains than its estimate.
 """
 
 import importlib.util
@@ -30,6 +30,7 @@ from equilef.scenarios import _BUILTINS, builtin_scenario
 
 from test_cli import CAPPED_RUN
 
+complexes = importlib.import_module("equilef.complexes")
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
@@ -293,6 +294,17 @@ def test_the_regularity_subdivision_is_refused_before_it_is_built(tmp_path):
     assert result.returncode == 2, result.stderr
     assert "$.complex.action" in result.stderr and "1091669" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_the_rank_bound_refuses_the_regularity_subdivision_before_it_is_built(monkeypatch):
+    def never(x):
+        raise AssertionError("the regularity subdivision was built")
+
+    monkeypatch.setattr(complexes, "barycentric_subdivision", never)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(swap_doc(7, rank=2)))
+    assert info.value.location == "$.lattice.rank"
+    assert "189170 cochains" in info.value.message
 
 
 def test_the_rank_bound_holds_on_the_cells_built(tmp_path):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -121,6 +122,86 @@ def test_out_flag_writes_file(tmp_path):
     assert result.returncode == 0, result.stderr
     payload = json.loads(out.read_text())
     assert payload["scenario"] == "point-trivial"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "point-c2", "--format", "json"], ["verify", "octahedron-klein4"],
+    ["chartab", "point-c2", "--format", "json"], ["strata", "octahedron-klein4"],
+    ["corpus"],
+])
+def test_a_report_over_a_longer_file_leaves_exactly_its_bytes(tmp_path, argv):
+    # --out rewrites in place: the old tail is trimmed and the file stays the same file
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    old.write_bytes(b"\xff" * (3 * fresh.stat().st_size + 7))
+    inode = old.stat().st_ino
+    assert cli.main([*argv, "--out", str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    assert old.stat().st_ino == inode
+
+
+def test_a_write_that_fails_part_way_leaves_no_old_tail(tmp_path, monkeypatch, capsys):
+    # the disk fills after the first 10 bytes: the file holds those and nothing of the old report
+    argv = ["verify", "point-c2", "--format", "json", "--out"]
+    fresh, out = tmp_path / "fresh", tmp_path / "report.json"
+    assert cli.main([*argv, str(fresh)]) == 0
+    out.write_bytes(b"\xff" * 100000)
+    real_write, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:10])
+
+    monkeypatch.setattr(os, "write", write)
+    assert cli.main([*argv, str(out)]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert out.read_bytes() == fresh.read_bytes()[:10]
+
+
+def test_out_to_dev_null_exits_0(capsys):
+    # /dev/null is seekable, but truncating it fails: a device is not trimmed
+    assert cli.main(["verify", "point-c2", "--format", "json", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_to_dev_stdout_on_a_pipe_delivers_the_whole_report():
+    piped = run_cli("verify", "octahedron-klein4", "--format", "json", "--out", "/dev/stdout")
+    direct = run_cli("verify", "octahedron-klein4", "--format", "json")
+    assert piped.returncode == direct.returncode == 0, piped.stderr
+    assert piped.stdout == direct.stdout
+    assert json.loads(piped.stdout)["scenario"] == "octahedron-klein4"
+
+
+def test_a_read_only_report_is_an_input_error_and_keeps_its_contents():
+    # root writes through permission bits, so as root the command drops to an
+    # unprivileged user after its imports; the directory lets that user look up the file
+    drop = "import os; os.setgid(65534); os.setuid(65534); " if os.geteuid() == 0 else ""
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chmod(tmp, 0o755)
+        path = os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("the old report\n")
+        os.chmod(path, 0o444)
+        result = subprocess.run(
+            [sys.executable, "-c", f"from equilef.cli import main; {drop}raise SystemExit(main())",
+             "verify", "point-c2", "--out", path], capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("input error: ") and "Permission denied" in result.stderr
+        assert result.stdout == ""
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "the old report\n"
+
+
+def test_a_rewritten_report_keeps_its_permission_bits(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 100000)
+    out.chmod(0o640)
+    assert cli.main(["verify", "point-c2", "--format", "json", "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o7777 == 0o640
+    assert json.loads(out.read_text())["scenario"] == "point-c2"
 
 
 def test_prime_override():
@@ -266,6 +347,27 @@ def test_a_refused_command_line_returns_2_with_usage_and_error_lines(capsys, arg
     usage, error = err.splitlines()
     assert usage.startswith("usage: equilef ")
     assert error.startswith("equilef: error: ") and bad in error
+
+
+class _NoRegex:
+    def __getattr__(self, name):
+        raise AssertionError(f"re.{name} used")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "report.json", "--format", "json", "--out", "out.json"],
+    ["verify", "point-c2", "--prime", "7", "--prime=11", "--timings", "--form", "text"],
+    ["verify", "--out", "-", "--", "-x.json"],
+    ["corpus", "--format", "json", "--out", "corpus.json", "--timings"],
+    ["corpus"], ["strata", "point-c2"], ["chartab", "--format=text", "point-c2"],
+])
+def test_an_ordinary_command_line_uses_no_regex(monkeypatch, argv):
+    # the negative-number pattern is tried only on a token like -3 or -.5
+    expected = cli.parse_args(argv)
+    monkeypatch.setattr(cli, "re", _NoRegex())
+    assert cli.parse_args(argv) == expected
+    with pytest.raises(AssertionError, match="re.match"):
+        cli.parse_args(["verify", "point-c2", "--prime", "-3"])
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "-h"],
