@@ -15,9 +15,9 @@ and F_p, and every Smith invariant over Z, is r copies of one of d, and over
 Q every trace is the rank-one one times the lattice trace chi_L (Kunneth,
 with L in degree 0).  The lattice enters only through chi_L.  So a
 ``CellCochains`` holds everything that depends on the cells alone (the
-simplex index, the coboundaries d_k, their reductions and Smith invariants,
-and the moves and traces of each vertex map, keyed by the images of the
-cells' own vertices), one per distinct cell set in a process:
+simplex index, the coboundaries d_k, their reductions, unit phases and
+Smith invariants, and the moves and traces of each vertex map, keyed by the
+images of the cells' own vertices), one per distinct cell set in a process:
 ``cell_cochains`` keeps it in the package's one intern
 (``groups.interned_value``), keyed by ``Stratum.simplices``.  A
 ``CochainComplex`` of (stratum, lattice) scales its dimensions by r and its
@@ -27,20 +27,26 @@ dimensions, so a group fixing its stratum pointwise walks no cell.
 
 Coboundaries are sparse columns, and one column reduction
 (``linalg.reduce_columns``, as in persistent cohomology) serves every
-question: it runs once per degree over Q, in ints except where a value has
-a denominator, and over F_p for mod-p ranks.  Each reduction of d_k clears
-the pivot rows of d_(k-1), over Q and over each F_p with that field's own
-pivots: those columns of d_k are known to reduce to zero, so they are
-skipped (Chen-Kerber's twist).
+question over a field: it runs once per degree over Q, in ints except where
+a value has a denominator, and clears the pivot rows of d_(k-1) from d_k:
+those columns of d_k are known to reduce to zero, so they are skipped
+(Chen-Kerber's twist).
 Reducing d_k yields an echelon basis of im d_k and, from the recorded column
 operations, kernel vectors of d_k; with the cleared columns left out, each
 has a pivot that im d_(k-1) leaves free, and they represent H^k.  A trace
 on H^k moves each rank-one representative and reduces its image against
 this basis of ker d_k; a residue raises ArithmeticError.  Over Q the
-invariants of H^k are read off its trace character (Maschke), and integral
-torsion is read off the Smith invariants of the same sparse columns, uncleared
-(``linalg.smith_invariants``), whose count must match the rank over Q: a
-wrong clearing would lower a rank over a field, and Smith does not share it.
+invariants of H^k are read off its trace character (Maschke).
+Over Z and F_p, d_k is first eliminated once by its unit pivots
+(``linalg.unit_phase``, on the uncleared columns): +-1 is a unit over Z and
+over every F_p, so the torsion is read off the Smith invariants of what the
+units leave (``linalg.smith_invariants``), and each mod-p rank is the units
+plus the rank of that remainder mod p, no F_p reduction being cleared.  The
+count of units and Smith invariants, the rank over Z, is the witness of the
+cleared rank over Q, which shares nothing with it: a wrong clearing would
+lower the rank over Q, and a lost or extra unit the rank over Z.  The
+universal-coefficient reconciliation in ``engine`` confronts each F_p
+finish with Smith's non-unit finish on the same remainder.
 The chain-level alternating trace is exposed separately so callers can
 confront the two.
 """
@@ -51,7 +57,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
-from .linalg import _apply, _sub, reduce_columns, smith_invariants
+from .linalg import _apply, _sub, reduce_columns, smith_invariants, unit_phase
 from .characters import VirtualCharacter, _rational, rational_coefficients
 from .complexes import Stratum, signed_image
 from .groups import (Group, Subgroup, element_classes, extend_from_generators,
@@ -169,10 +175,11 @@ class CellCochains:
     Built only by ``cell_cochains``, once per distinct ``Stratum.simplices``
     in a process: it keeps those cells and what is derived from them, the
     simplex index, the coboundaries d_k (one {row: +-1} column per k-cell,
-    checked to square to zero), their reductions over Q and ranks over F_p,
-    their Smith invariants, and the action and traces of vertex maps, never
-    the stratum itself.  A vertex map is given by ``images``, the image of
-    each of the cells' ``vertices`` in order, so equal maps share a trace.
+    checked to square to zero), their reductions over Q, their unit phases
+    with the ranks over F_p and Smith invariants read after them, and the
+    action and traces of vertex maps, never the stratum itself.  A vertex
+    map is given by ``images``, the image of each of the cells' ``vertices``
+    in order, so equal maps share a trace.
     """
 
     __slots__ = ("simplices", "sizes", "vertices", "coboundaries", "_cache")
@@ -316,28 +323,38 @@ class CellCochains:
     # -- cohomology over Z and F_p ---------------------------------------------
 
     @memo
+    def unit_phase(self, k: int) -> tuple[int, list[dict]]:
+        """``linalg.unit_phase`` of d_k: its unit pivots, counted, and the
+        columns they leave, shared by the ranks over Z and every F_p."""
+        return unit_phase(self.coboundaries[k])
+
+    @memo
     def modp_ranks(self, p: int) -> tuple[int, ...]:
-        """Ranks of d_0..d_(top-1) over F_p, each cleared by the pivots of the last."""
-        ranks, pivots = [], ()
-        for columns in self.coboundaries:
-            pivots = reduce_columns(columns, p, skip=pivots)[0]
-            ranks.append(len(pivots))
+        """Ranks of d_0..d_(top-1) over F_p: the units of each, plus the rank
+        mod p of the columns they leave."""
+        ranks = []
+        for k in range(len(self.coboundaries)):
+            units, rest = self.unit_phase(k)
+            ranks.append(units + len(reduce_columns(rest, p)[0]))
         return tuple(ranks)
 
     @memo
     def torsion(self) -> tuple[tuple[int, ...], ...]:
         """Torsion coefficients of H^k per degree, from Smith invariants.
 
-        The torsion of H^(k+1) is the invariants of d_k above 1; their count,
-        the rank of d_k over Z, must equal its rank over Q.
+        The torsion of H^(k+1) is the invariants of d_k above 1: its units'
+        ones and the Smith invariants of the columns they leave.  Their
+        count, the rank of d_k over Z, must equal its cleared rank over Q,
+        a reduction that shares nothing with the unit phase.
         """
         torsion = [()]
-        for k, columns in enumerate(self.coboundaries):
-            invariants = smith_invariants(columns)
+        for k in range(len(self.coboundaries)):
+            units, rest = self.unit_phase(k)
+            invariants = smith_invariants(rest)
             rank = len(self.reduction(k)[0])
-            if len(invariants) != rank:
+            if units + len(invariants) != rank:
                 raise ArithmeticError(
-                    f"rank of d_{k} is {len(invariants)} over Z but {rank} over Q"
+                    f"rank of d_{k} is {units + len(invariants)} over Z but {rank} over Q"
                 )
             torsion.append(tuple(v for v in invariants if v > 1))
         return tuple(torsion)

@@ -5,20 +5,24 @@ reduces sparse columns ({row: value}) over Q or F_p and can record the
 column operations, which turns zero columns into kernel vectors.  Over Q an
 integral value is stored as an int, so columns of integers never pay for
 Fraction arithmetic.  A caller that knows some columns reduce to zero may
-skip them (clearing): cochain complexes skip, in d_k, the pivot rows of
-d_(k-1).  Cochain complexes run on it over Q, and so does
-``minimal_polynomial``: one reduction of a Krylov sequence mod p, whose
-first kernel vector holds the coefficients.  It is the only reduction of the
-character-table split.  Most working columns are short, and find their
-lowest row by a scan; a column that grows past HEAP_THRESHOLD entries keeps
-its rows in a max-heap instead (the ``vector_heap`` column of PHAT, Bauer,
-Kerber, Reininghaus, Wagner, J. Symb. Comput. 2017).
+skip them (clearing): cochain complexes skip, in d_k over Q, the pivot rows
+of d_(k-1).  Cochain complexes run on it over Q, and over F_p on what the
+unit phase leaves; so does ``minimal_polynomial``: one reduction of a Krylov
+sequence mod p, whose first kernel vector holds the coefficients.  It is the
+only reduction of the character-table split.  Most working columns are
+short, and find their lowest row by a scan; a column that grows past
+HEAP_THRESHOLD entries keeps its rows in a max-heap instead (the
+``vector_heap`` column of PHAT, Bauer, Kerber, Reininghaus, Wagner, J. Symb.
+Comput. 2017).
 ``smith_invariants`` is the only elimination over Z: it takes the same
 sparse columns, never cleared, and computes torsion; its rank is thus an
-independent witness of the cleared ranks.  It eliminates unit pivots first,
-sparsest columns first, as Dumas, Heckenbach, Saunders and Welker do for
-simplicial boundaries (2003); only what is left meets a non-unit pivot.
-``is_unimodular`` reads invertibility over Z off it.  No floating point
+independent witness of the cleared ranks over Q.  It eliminates unit pivots
+first, sparsest columns first, as Dumas, Heckenbach, Saunders and Welker do
+for simplicial boundaries (2003); only what is left meets a non-unit pivot.
+That first phase is ``unit_phase``: a +-1 pivot is a unit over Z and over
+every F_p, so its count plus the rank mod p of the columns it leaves is the
+rank mod p, and a caller that needs both runs it once.
+``is_unimodular`` reads invertibility over Z off Smith.  No floating point
 anywhere.
 """
 
@@ -161,85 +165,123 @@ def minimal_polynomial(columns, v: dict, p: int, n: int | None = None):
 # integer routines
 
 
-def smith_invariants(columns) -> list[int]:
-    """Nonzero Smith invariants d_1 | d_2 | ... of sparse integer columns.
-
-    Its length is the rank.  A pivot u clears its row by column operations;
-    then clearing its column by row operations touches only u's column,
-    which reduces mod u.  A nonzero remainder, smaller than u, is the next
-    pivot; otherwise row and column are dropped and |u| is recorded.
-
-    Units go first: passes over the columns, sparsest first, pivot each
-    column that has a unit on the one in the sparsest row.  A unit leaves
-    no remainder, so its row and column are dropped at once.  Only a pass
-    that finds no unit pivots on the smallest entry.  No column is skipped
-    by clearing, so that the rank stays a witness of the cleared ranks.
-    """
+def _indexed(columns):
+    """(cols, rows) of the nonzero columns: cols maps each column's index to a
+    copy of it, rows maps each row to the indices of the columns it meets."""
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
     rows: dict = {}
     for j, c in cols.items():
         for i in c:
             rows.setdefault(i, set()).add(j)
+    return cols, rows
 
-    def sub_column(j2, f, j):
-        other = cols[j2]
-        for r, v in cols[j].items():
-            w = other.get(r, 0) - f * v
-            if w:
-                other[r] = w
-                rows[r].add(j2)
-            else:
-                other.pop(r, None)
-                rows[r].discard(j2)
-        if not other:
-            del cols[j2]
 
-    def pivot(i, j):
-        while True:
-            u = cols[j][i]
-            for j2 in rows[i] - {j}:
-                sub_column(j2, cols[j2][i] // u, j)
-            rest = rows[i] - {j}
-            if rest:
-                j = min(rest, key=lambda c: abs(cols[c][i]))
-                continue
-            col = cols[j]
-            for r in [r for r in col if r != i]:
-                w = col[r] % u
-                if w:
-                    col[r] = w
-                else:
-                    del col[r]
-                    rows[r].discard(j)
-            if len(col) > 1:
-                i = min((r for r in col if r != i), key=lambda r: abs(col[r]))
-                continue
-            del cols[j]
-            rows[i].discard(j)
-            return abs(u)
+def _sub_column(cols, rows, j2, f, j):
+    """Column j2 -= f * column j, keeping rows in step; an emptied j2 is dropped."""
+    other = cols[j2]
+    for r, v in cols[j].items():
+        w = other.get(r, 0) - f * v
+        if w:
+            other[r] = w
+            rows[r].add(j2)
+        else:
+            other.pop(r, None)
+            rows[r].discard(j2)
+    if not other:
+        del cols[j2]
 
-    diag: list[int] = []
-    while cols:
-        found = len(diag)
+
+def _unit_passes(cols, rows) -> int:
+    """Eliminate unit pivots in place, by passes over the columns, sparsest
+    first, until a pass finds none; returns how many were eliminated.
+
+    A column with a unit pivots on the one in the sparsest row: the column
+    clears that row, and since the pivot is +-1 it leaves no remainder, so
+    its row and column are dropped at once.  Up to unimodular operations the
+    matrix is then I_units (+) what is left, over Z and every F_p.
+    """
+    units = 0
+    while True:
+        found = units
         for j in sorted(cols, key=lambda j: len(cols[j])):
             col = cols.get(j)
-            units = [i for i, v in col.items() if v in (1, -1)] if col else ()
-            if not units:
+            candidates = [i for i, v in col.items() if v in (1, -1)] if col else ()
+            if not candidates:
                 continue
-            # a unit leaves no remainder, so this is pivot(i, j) without its
-            # second scan of row i and its reduction of column j mod 1; through
-            # pivot(), Smith takes 15-29 % longer on large-complex and the tori
-            i = min(units, key=lambda r: len(rows[r]))
+            # a unit leaves no remainder, so this is _pivot without its second
+            # scan of row i and its reduction of column j mod 1; through
+            # _pivot, Smith takes 15-29 % longer on large-complex and the tori
+            i = min(candidates, key=lambda r: len(rows[r]))
             u = col[i]
             for j2 in rows[i] - {j}:
-                sub_column(j2, cols[j2][i] * u, j)
+                _sub_column(cols, rows, j2, cols[j2][i] * u, j)
             for r in col:
                 rows[r].discard(j)
             del cols[j]
-            diag.append(1)
-        if len(diag) == found:
-            _, i, j = min((abs(v), i, j) for j, c in cols.items() for i, v in c.items())
-            diag.append(pivot(i, j))
+            units += 1
+        if units == found:
+            return units
+
+
+def _pivot(cols, rows, i, j) -> int:
+    """Eliminate from entry (i, j), in place: |d| of the invariant it leaves.
+
+    A pivot u clears its row by column operations; then clearing its column
+    by row operations touches only u's column, which reduces mod u.  A
+    nonzero remainder, smaller than u, is the next pivot; otherwise row and
+    column are dropped and |u| is returned.
+    """
+    while True:
+        u = cols[j][i]
+        for j2 in rows[i] - {j}:
+            _sub_column(cols, rows, j2, cols[j2][i] // u, j)
+        rest = rows[i] - {j}
+        if rest:
+            j = min(rest, key=lambda c: abs(cols[c][i]))
+            continue
+        col = cols[j]
+        for r in [r for r in col if r != i]:
+            w = col[r] % u
+            if w:
+                col[r] = w
+            else:
+                del col[r]
+                rows[r].discard(j)
+        if len(col) > 1:
+            i = min((r for r in col if r != i), key=lambda r: abs(col[r]))
+            continue
+        del cols[j]
+        rows[i].discard(j)
+        return abs(u)
+
+
+def unit_phase(columns) -> tuple[int, list[dict]]:
+    """(units, rest): the unit pivots that Smith eliminates first, counted, and
+    the nonzero columns they leave.
+
+    Each unit pivot is +-1, a unit over Z and over every F_p, so the columns
+    are equivalent to I_units (+) rest over all of them: the Smith
+    invariants are units ones and those of rest, and the rank mod any p is
+    units plus that of rest.
+    """
+    cols, rows = _indexed(columns)
+    return _unit_passes(cols, rows), list(cols.values())
+
+
+def smith_invariants(columns) -> list[int]:
+    """Nonzero Smith invariants d_1 | d_2 | ... of sparse integer columns.
+
+    Its length is the rank.  Units go first, as in ``unit_phase``; only
+    what is left meets a non-unit pivot, each on the smallest entry and
+    followed by unit passes again.  No column is skipped by clearing, so
+    that the rank stays a witness of the cleared ranks.
+    """
+    cols, rows = _indexed(columns)
+    diag = [1] * _unit_passes(cols, rows)
+    while cols:
+        _, i, j = min((abs(v), i, j) for j, c in cols.items() for i, v in c.items())
+        diag.append(_pivot(cols, rows, i, j))
+        diag += [1] * _unit_passes(cols, rows)
     # enforce the divisibility chain d_i | d_{i+1}; units divide everything
     chain = [d for d in diag if d > 1]
     for i in range(len(chain)):

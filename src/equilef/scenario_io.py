@@ -83,6 +83,16 @@ def check_primes(primes, location):
         _expect(p not in primes[:i], f"prime {p} is repeated", location(i))
 
 
+def _is_text(s: str) -> bool:
+    """Whether s encodes as UTF-8.  JSON can write a lone surrogate ("\\ud800"),
+    which a text report could then not write."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _known_fields(obj, location, *fields):
     for key in obj:
         _expect(key in fields, f"unknown field {key!r}", location)
@@ -179,6 +189,8 @@ def parse_scenario_file(text: str) -> ScenarioFile:
     description = data.get("description", "")
     _expect(isinstance(description, str), "field 'description' must be a string",
             "$.description")
+    for key, text in (("name", name), ("description", description)):
+        _expect(_is_text(text), f"field {key!r} holds a lone surrogate", f"$.{key}")
 
     group = data.get("group")
     _expect(isinstance(group, dict), "field 'group' must be an object", "$.group")

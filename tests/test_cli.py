@@ -232,6 +232,29 @@ def test_a_repeated_prime_flag_is_an_input_error(capsys):
     assert cli.main(["verify", "point-c2", "--prime", "3", "--prime", "5"]) == 0
 
 
+def test_a_lone_surrogate_in_a_name_or_description_is_an_input_error(tmp_path):
+    # valid JSON, but no text report can write it: --format text died with a
+    # UnicodeEncodeError traceback and exit 1, the code of a failed identity,
+    # while --format json escaped it and exited 0
+    for key in ("name", "description"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(dict(VALID_FILE, **{key: "seg\ud800"})))
+        assert "\\ud800" in path.read_text()
+        for command in ("verify", "strata", "chartab"):
+            for fmt in ("json", "text"):
+                result = run_cli(command, str(path), "--format", fmt)
+                assert result.returncode == 2, (key, command, fmt, result.stderr)
+                assert result.stderr == (
+                    f"input error: $.{key}: field '{key}' holds a lone surrogate\n")
+                assert result.stdout == ""
+    # a surrogate pair is one character, and a valid name
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(dict(VALID_FILE, name="seg\U0001F600")))
+    result = run_cli("verify", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "seg\U0001F600" in result.stdout
+
+
 PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
 
 

@@ -1,7 +1,10 @@
 """Lattices, cochain complexes, exact cohomology against sympy oracles."""
 
+import ast
 import importlib
+import json
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from equilef.characters import IntegralityError, regular_character
 from equilef.cohomology import (
+    CellCochains,
     CochainComplex,
     GLattice,
     cochain_complex,
@@ -21,16 +25,16 @@ from equilef.cohomology import (
 )
 from equilef.complexes import (
     barycentric_subdivision, exact_stratum, fixed_subcomplex, isotropy_classes)
-from equilef.engine import Scenario, lhs_character
+from equilef.engine import Scenario, full_verification, lhs_character
 from equilef.linalg import smith_invariants
 from equilef.groups import (
-    class_index_of, element_classes, group_from_permutations, normalizer, subgroups)
+    _INTERN, class_index_of, element_classes, group_from_permutations, normalizer, subgroups)
 from equilef.scenario_io import parse_scenario
 from equilef.scenarios import builtin_names, builtin_scenario
 
 import dense_oracle
 from dense_oracle import dense_action, dense_coboundary
-from test_golden import generated_documents
+from test_golden import GEN, generated_documents
 
 
 def matmul(a, b):
@@ -560,6 +564,80 @@ def test_no_reduction_entry_is_an_integral_fraction():
             for column in [*echelon.values(), *(v for _, v in kernel)]:
                 assert not any(type(v) is Fraction and v.denominator == 1
                                for v in column.values()), (name, k)
+
+
+# -- the unit phase, shared by Z and every F_p --------------------------------------
+
+
+def _cell_sets_of_a_pass():
+    """Every cell set built in verifying the builtins, the seed 1-3
+    ``large-group`` and ``large-complex`` documents and torus-2."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenarios = [builtin_scenario(name) for name in builtin_names()]
+    for workload in ("large-group", "large-complex"):
+        for seed in (1, 2, 3):
+            scenarios += [parse_scenario(json.dumps(doc))
+                          for doc in gen.workload_docs(workload, seed)]
+    torus = builtin_scenario("torus-involution")
+    x = barycentric_subdivision(barycentric_subdivision(torus.complex))
+    scenarios.append(Scenario("torus-2", torus.group, x, torus.lattice))
+    for s in scenarios:
+        assert full_verification(s).passed, s.name
+    return [made for (kind, _), bucket in _INTERN.items() if kind is CellCochains
+            for _, made in bucket]
+
+
+def test_the_shared_unit_phase_gives_the_unshared_ranks_and_torsion():
+    # the ranks mod p and the torsion, read off the units of each coboundary
+    # and what they leave, against eliminations of the whole columns; on the
+    # small cell sets also against sympy's dense rank mod p and Smith form
+    cell_sets = _cell_sets_of_a_pass()
+    remainders = dense = 0
+    for cells in cell_sets:
+        whole = [smith_invariants(columns) for columns in cells.coboundaries]
+        assert cells.torsion() == ((), *(tuple(v for v in inv if v > 1) for inv in whole))
+        for p in (2, 3, 5, 7):
+            assert cells.modp_ranks(p) == tuple(
+                len(reduce_columns(columns, p)[0]) for columns in cells.coboundaries), (cells, p)
+        remainders += sum(1 for k in range(len(whole)) if cells.unit_phase(k)[1])
+        if sum(cells.sizes) > 200:
+            continue
+        dense += 1
+        for k, columns in enumerate(cells.coboundaries):
+            m, n = cells.sizes[k + 1], cells.sizes[k]
+            rows = [[columns[j].get(i, 0) for j in range(n)] for i in range(m)]
+            snf = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal() if m and n else []
+            assert sorted(abs(int(d)) for d in snf if d) == whole[k], (cells, k)
+            for p in (2, 3, 5, 7):
+                assert dense_oracle.dm(rows, m, n, GF(p)).rank() == cells.modp_ranks(p)[k]
+    assert (len(cell_sets), dense, remainders) == (56, 54, 4)
+
+
+def test_the_rational_reduction_shares_nothing_with_the_unit_phase():
+    # the rank over Q checks the rank over Z only if it is eliminated on its
+    # own: CellCochains.reduction reads no unit phase and no Smith form, and
+    # it is the one reduction that clears (passes skip), over Q
+    package = Path(importlib.import_module("equilef").__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    cls = next(n for n in trees["cohomology"].body
+               if isinstance(n, ast.ClassDef) and n.name == "CellCochains")
+    reduction = next(n for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "reduction")
+    inside = list(ast.walk(reduction))
+    names = {n.id for n in inside if isinstance(n, ast.Name)}
+    names |= {n.attr for n in inside if isinstance(n, ast.Attribute)}
+    assert not names & {"unit_phase", "smith_invariants", "modp_ranks", "torsion"}
+    skipping = [node for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "reduce_columns"
+                and any(kw.arg == "skip" for kw in node.keywords)]
+    assert len(skipping) == 1 and skipping[0] in inside
+    # over Q: no field argument
+    assert len(skipping[0].args) == 1 and {kw.arg for kw in skipping[0].keywords} == {
+        "record", "skip"}
 
 
 # -- flat coefficients: r copies of the cells' eliminations and traces -----------

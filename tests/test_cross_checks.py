@@ -189,32 +189,39 @@ def test_a_wrong_mod_p_dimension_breaks_euler_poincare_over_f_p(monkeypatch, cap
 
 
 def test_a_dropped_mod_p_pivot_breaks_universal_coefficients(monkeypatch, capsys):
-    # every mod-p reduction loses its last pivot: ranks drop, so dimensions
-    # rise; Euler-Poincare still holds, the per-degree reconciliation does not
+    # every mod-p reduction, which runs only on what the units of a coboundary
+    # leave, loses its last pivot.  On the projective plane d_1 leaves a block
+    # of 2-torsion: a unit mod 3, nothing mod 2.  So F_2 keeps its ranks and
+    # F_3 loses one: dimensions rise, Euler-Poincare still holds, the
+    # per-degree reconciliation does not
     reduce_columns = COHOMOLOGY.reduce_columns
+    dropped_at = []
 
     def dropped(columns, p=0, record=False, skip=()):
         echelon, kernel = reduce_columns(columns, p, record, skip)
         if p and echelon:
+            dropped_at.append(p)
             del echelon[max(echelon)]
         return echelon, kernel
 
     monkeypatch.setattr(COHOMOLOGY, "reduce_columns", dropped)
-    with pytest.raises(ArithmeticError, match="mod 2 dimension in degree 0"):
-        verify_modp_comparison(builtin_scenario("disc-reflection"), 2)
-    _fires(capsys, "disc-reflection",
-           "disc-reflection: mod 2 dimension in degree 0 does not reconcile with "
-           "the integral cohomology: 2 != 1 + 0 + 0")
+    with pytest.raises(ArithmeticError, match="mod 3 dimension in degree 1"):
+        verify_modp_comparison(builtin_scenario("projective-plane"), 3)
+    assert verify_modp_comparison(builtin_scenario("projective-plane"), 2).passed
+    assert dropped_at == [3]
+    _fires(capsys, "projective-plane",
+           "projective-plane: mod 3 dimension in degree 1 does not reconcile with "
+           "the integral cohomology: 1 != 0 + 0 + 0")
 
 
-def _clear_one_column_too_many(monkeypatch, field):
-    """Every cleared reduction over the field (0 for Q) also skips the first
-    column that clearing must keep, one that leaves a pivot: the rank over
-    that field drops.  ``smith_invariants`` still sees every column."""
+def _clear_one_column_too_many(monkeypatch):
+    """Every cleared reduction (over Q, the only one cleared) also skips the
+    first column that clearing must keep, one that leaves a pivot: the rank
+    over Q drops.  ``smith_invariants`` still sees every column."""
     reduce_columns = COHOMOLOGY.reduce_columns
 
     def wrong(columns, p=0, record=False, skip=()):
-        if skip and p == field:
+        if skip:
             zero = {j for j, _ in reduce_columns(columns, p, True, skip)[1]}
             kept = [j for j in range(len(columns)) if j not in skip and j not in zero]
             skip = {*skip, *kept[:1]}
@@ -227,20 +234,26 @@ def test_a_wrong_clearing_over_q_is_caught_twice(monkeypatch, capsys):
     # the rational dimensions are kernel counts, so Euler-Poincare over Q sees
     # the lost pivot first; the rank of d_1 over Z, from the uncleared
     # columns, catches it on its own
-    _clear_one_column_too_many(monkeypatch, 0)
+    _clear_one_column_too_many(monkeypatch)
     _fires(capsys, "projective-plane", "Euler-Poincare mismatch over Q: cells 1, cohomology 2")
     monkeypatch.setattr(COHOMOLOGY, "_euler_checked", lambda cells, dims, where: dims)
     with pytest.raises(ArithmeticError, match="rank of d_1 is 10 over Z but 9 over Q"):
         builtin_scenario("projective-plane").whole_cochains().integral_cohomology()
 
 
-def test_a_wrong_clearing_mod_p_breaks_universal_coefficients(monkeypatch, capsys):
-    # dimensions from ranks satisfy Euler-Poincare whatever the ranks; the
-    # per-degree reconciliation with the Smith invariants does not
-    _clear_one_column_too_many(monkeypatch, 2)
-    _fires(capsys, "disc-reflection",
-           "disc-reflection: mod 2 dimension in degree 1 does not reconcile with "
-           "the integral cohomology: 1 != 0 + 0 + 0")
+def test_a_lost_unit_is_caught_by_the_rank_over_q(monkeypatch, capsys):
+    # the unit phase of every coboundary loses one unit.  The ranks over Z and
+    # over each F_p share it and drop together, so the universal coefficients
+    # would still reconcile; the cleared rank over Q shares nothing with it
+    unit_phase = COHOMOLOGY.unit_phase
+
+    def lossy(columns):
+        units, rest = unit_phase(columns)
+        return max(units - 1, 0), rest
+
+    monkeypatch.setattr(COHOMOLOGY, "unit_phase", lossy)
+    assert builtin_scenario("disc-reflection").whole_cochains().cells.modp_ranks(2) == (3, 3)
+    _fires(capsys, "disc-reflection", "rank of d_0 is 3 over Z but 4 over Q")
 
 
 def test_a_corrupted_traced_stratum_character_is_raised(monkeypatch, capsys):

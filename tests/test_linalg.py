@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 from equilef import builtin_scenario, linalg
 from equilef.complexes import barycentric_subdivision
 from equilef.engine import Scenario
-from equilef.linalg import is_unimodular, minimal_polynomial, reduce_columns, smith_invariants
+from equilef.linalg import (
+    is_unimodular, minimal_polynomial, reduce_columns, smith_invariants, unit_phase)
 
 from dense_oracle import column_space_basis, dense_coboundary, dm, explicit_coboundary, kept_columns
 
@@ -321,3 +323,25 @@ def test_smith_rank_equals_the_rational_rank_on_every_builtin(corpus):
         for k in range(len(cc.bases) - 1):
             rank = dm(dense_coboundary(cc, k), cc.dims[k + 1], cc.dims[k]).rank()
             assert len(smith_invariants(explicit_coboundary(cc, k))) == rank, (s.name, k)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """An integer matrix of up to 12 x 12, as rows, entries -3..3, mostly 0."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2, 3, -3))
+    flat = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    return [flat[i * n:(i + 1) * n] for i in range(m)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sparse_integer_rows())
+def test_the_unit_phase_leaves_the_smith_form_and_every_rank_mod_p(rows):
+    # units ones and the rest's invariants are the whole matrix's Smith form;
+    # units plus the rest's rank mod p is the whole matrix's rank mod p
+    columns = sparse_columns(rows, len(rows[0]))
+    units, rest = unit_phase(columns)
+    assert all(rest)
+    assert [1] * units + smith_invariants(rest) == smith_invariants(columns)
+    for p in (2, 3, 5):
+        assert units + len(reduce_columns(rest, p)[0]) == len(reduce_columns(columns, p)[0])
